@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint lint-self lint-baseline docs-check build test race chaos bench bench-compare bench-all golden fmt
+.PHONY: check vet lint lint-self lint-baseline docs-check build test race chaos bench bench-compare bench-all bench-e2e-check golden fmt
 
 # The full pre-merge gate: static analysis (go vet plus the project's
 # own prvm-lint analyzers), godoc coverage, a clean build, and the test
@@ -60,13 +60,13 @@ chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/testbed/
 	$(GO) test -race -count=1 -run 'KillRecover' ./internal/serve/
 
-# Hot-path benchmark harness: runs the PlaceLookup / SpaceWire /
-# RanksCSR / RecordOverhead / TableCache / RebalanceStep
+# Hot-path benchmark harness: runs the PlaceLookup / PlaceScan /
+# SpaceWire / RanksCSR / RecordOverhead / TableCache / RebalanceStep
 # micro-benchmarks, plus a record/replay macro-benchmark (throughput
 # and per-phase latency percentiles), and writes the comparisons to
-# BENCH_pr10.json (see README "Benchmarks").
+# BENCH_pr14.json (see README "Benchmarks").
 bench:
-	$(GO) run ./cmd/prvm-bench -out BENCH_pr10.json
+	$(GO) run ./cmd/prvm-bench -out BENCH_pr14.json
 
 # Bench-regression gate: re-run the micro-benchmarks briefly and diff
 # against the recorded baseline. Allocs/op must not regress (the
@@ -75,7 +75,14 @@ bench:
 # different hardware than CI runners (see cmd/prvm-bench doc comment).
 bench-compare:
 	$(GO) run ./cmd/prvm-bench -out /tmp/bench_compare.json -benchtime 0.2s \
-		-replay-vms 40 -compare BENCH_pr10.json -tolerance 1.0
+		-replay-vms 40 -compare BENCH_pr14.json -tolerance 1.0
+
+# The repository's end-to-end benchmark (BENCHMARK.json, benchmarks/)
+# is its own Go module, so the root vet/test/lint targets do not reach
+# it: vet it and run its unit + smoke tests here.
+bench-e2e-check:
+	$(GO) -C benchmarks vet ./...
+	$(GO) -C benchmarks test ./...
 
 # Golden replay regression (DESIGN.md §11): the checked-in recordings
 # under examples/ must replay bit-identically through the current code

@@ -2,9 +2,10 @@
 
 package pagerankvm_test
 
-// Allocation gate for the ~25ns ScoreOn fast path: the hotalloc
+// Allocation gates for the Algorithm 2 hot paths — ScoreOn (memo hit
+// and miss), the full Place scan, the table-cache hit: the hotalloc
 // analyzer holds the annotated functions allocation-free statically,
-// and this test holds them there at runtime. Excluded under -race
+// and these tests hold them there at runtime. Excluded under -race
 // because the race runtime instruments allocations and skews
 // AllocsPerRun.
 
@@ -46,8 +47,10 @@ func TestScoreOnZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the per-PM node-id cache so the measured loop is pure
-	// steady state — exactly what BenchmarkPlaceLookup/fast times.
+	// Hit: once evaluated, the (PM, VM type) answer is served from the
+	// PM's memo until the PM mutates — what serve's re-score of every
+	// committed placement and the descheduler's source/destination
+	// scores after a scan cost, and what BenchmarkPlaceLookup/fast times.
 	if _, ok := placer.ScoreOn(pm, probe); !ok {
 		t.Fatal("probe does not fit the loaded PM")
 	}
@@ -57,7 +60,60 @@ func TestScoreOnZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ScoreOn fast path allocates %.1f times per op, want 0", allocs)
+		t.Fatalf("ScoreOn memo hit allocates %.1f times per op, want 0", allocs)
+	}
+	// Miss: a release + re-host between two lookups invalidates the
+	// memo, so ScoreOn recomputes (Fits, node ids, BestMove) and refills
+	// it. The mutation itself allocates; ScoreOn must add nothing.
+	var resident *placement.VM
+	for _, h := range pm.VMs() {
+		resident = h.VM
+	}
+	mutate := func() {
+		h, err := cluster.Release(resident.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cluster.Host(pm, h.VM, h.Assign); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := testing.AllocsPerRun(100, mutate)
+	miss := testing.AllocsPerRun(100, func() {
+		mutate()
+		if _, ok := placer.ScoreOn(pm, probe); !ok {
+			t.Fatal("lookup failed")
+		}
+	})
+	if miss != base {
+		t.Fatalf("ScoreOn memo miss allocates: %.1f allocs per release+host+ScoreOn vs %.1f per release+host", miss, base)
+	}
+}
+
+// TestPlaceScanAllocs holds a steady-state Place over 1000 used PMs to
+// what binding the winner costs — the materialized move and its
+// alignment to the PM's dimension order, two allocations — however
+// many candidates the scan considers.
+func TestPlaceScanAllocs(t *testing.T) {
+	f := newChurnFixture(t, 1000)
+	probes := make([]*placement.VM, len(f.names))
+	for i, name := range f.names {
+		vm, err := f.cat.NewVM(-1-i, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes[i] = vm
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		// Place without Host: a pure decision against the same state.
+		if _, _, err := f.placer.Place(f.cluster, probes[i%len(probes)], nil); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 2 {
+		t.Fatalf("Place over %d used PMs allocates %.1f times per call, want <= 2 (the winner's assignment)", f.cluster.NumUsed(), allocs)
 	}
 }
 

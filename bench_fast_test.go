@@ -7,11 +7,15 @@ package pagerankvm_test
 // runs these and records the comparison in BENCH_pr3.json.
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"pagerankvm/internal/experiments"
 	"pagerankvm/internal/lattice"
+	"pagerankvm/internal/obs"
 	"pagerankvm/internal/obs/record"
 	"pagerankvm/internal/pagerank"
 	"pagerankvm/internal/placement"
@@ -69,6 +73,144 @@ func benchPlaceLookup(b *testing.B, opts ...placement.PageRankOption) {
 func BenchmarkPlaceLookup(b *testing.B) {
 	b.Run("fast", func(b *testing.B) { benchPlaceLookup(b) })
 	b.Run("legacy", func(b *testing.B) { benchPlaceLookup(b, placement.WithoutFastPath()) })
+}
+
+// churnFixture is a production-catalog cluster in steady-state churn:
+// filled with VMMix requests through Algorithm 2 until `used` PMs are
+// in use, then aged by release+place pairs so the used list carries
+// the fragmented profile population a long-running daemon sees (right
+// after a pure fill almost no used PM fits anything). step is one more
+// such pair — the op mix of the serve workloads' measured phase.
+type churnFixture struct {
+	cat      *experiments.Catalog
+	names    []string
+	mix      map[string]float64
+	obs      *obs.Observer
+	placer   *placement.PageRankVM
+	cluster  *placement.Cluster
+	rng      *rand.Rand
+	resident []*placement.VM
+	nextID   int
+}
+
+func newChurnFixture(tb testing.TB, used int) *churnFixture {
+	tb.Helper()
+	cat, err := experiments.AmazonCatalog()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reg, err := cat.BuildRegistry(ranktable.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := &churnFixture{cat: cat, mix: experiments.VMMix(), obs: obs.New(), rng: rand.New(rand.NewSource(1))}
+	for name := range f.mix {
+		f.names = append(f.names, name)
+	}
+	sort.Strings(f.names)
+	f.placer = placement.NewPageRankVM(reg, placement.WithSeed(1), placement.WithObserver(f.obs))
+	f.cluster = cat.BuildCluster(used)
+	for f.cluster.NumUsed() < used {
+		f.place(tb)
+	}
+	for i := 0; i < 2*used; i++ {
+		f.step(tb)
+	}
+	return f
+}
+
+func (f *churnFixture) newVM(tb testing.TB) *placement.VM {
+	vm, err := f.cat.NewVM(f.nextID, experiments.SampleVMType(f.mix, f.names, f.rng.Float64()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f.nextID++
+	return vm
+}
+
+func (f *churnFixture) place(tb testing.TB) {
+	vm := f.newVM(tb)
+	pm, assign, err := f.placer.Place(f.cluster, vm, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.cluster.Host(pm, vm, assign); err != nil {
+		tb.Fatal(err)
+	}
+	f.resident = append(f.resident, vm)
+}
+
+func (f *churnFixture) step(tb testing.TB) {
+	k := f.rng.Intn(len(f.resident))
+	if _, err := f.cluster.Release(f.resident[k].ID); err != nil {
+		tb.Fatal(err)
+	}
+	last := len(f.resident) - 1
+	f.resident[k] = f.resident[last]
+	f.resident = f.resident[:last]
+	f.place(tb)
+}
+
+// hitRatio returns the memo hit share of the candidate evaluations
+// since the counters read (hits0, misses0).
+func (f *churnFixture) hitRatio(hits0, misses0 int64) float64 {
+	hits := f.obs.Counter("placement.memo_hits").Value() - hits0
+	misses := f.obs.Counter("placement.memo_misses").Value() - misses0
+	return float64(hits) / float64(hits+misses)
+}
+
+// BenchmarkPlaceScan is the roadmap's "one full Place scan as a
+// function of used-PM count" row: one churn step (release a random
+// resident, Place + Host a fresh VMMix request) with `used` PMs in the
+// used list, every one of which Algorithm 2 considers. ns/pm divides
+// the step by the list length — the per-candidate cost, memo hit or
+// miss — and hit% is the share of evaluations the per-PM memo served
+// (DESIGN.md §16).
+func BenchmarkPlaceScan(b *testing.B) {
+	for _, used := range []int{100, 1000, 10000} {
+		// One aged cluster per size, kept across the b.N ramp-up
+		// invocations (the 10 000-PM fill is ~80 000 full scans) and
+		// dropped with the sub-benchmark so later benchmarks do not
+		// pay for scanning it in their GC cycles.
+		var f *churnFixture
+		b.Run(fmt.Sprintf("used=%d", used), func(b *testing.B) {
+			if f == nil {
+				f = newChurnFixture(b, used)
+			}
+			hits0 := f.obs.Counter("placement.memo_hits").Value()
+			misses0 := f.obs.Counter("placement.memo_misses").Value()
+			scanned0 := f.obs.Counter("placement.pms_scanned").Value()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.step(b)
+			}
+			b.StopTimer()
+			scanned := f.obs.Counter("placement.pms_scanned").Value() - scanned0
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/pm")
+			b.ReportMetric(100*f.hitRatio(hits0, misses0), "hit%")
+		})
+	}
+}
+
+// TestMemoHitRatioSteadyState pins the property the incremental scan
+// depends on (DESIGN.md §16): between two scans for the same VM type
+// only the handful of PMs that were mutated miss, so at steady-state
+// churn on 1000 used PMs the memo serves at least 95 % of candidate
+// evaluations.
+func TestMemoHitRatioSteadyState(t *testing.T) {
+	f := newChurnFixture(t, 1000)
+	hits0 := f.obs.Counter("placement.memo_hits").Value()
+	misses0 := f.obs.Counter("placement.memo_misses").Value()
+	for i := 0; i < 2000; i++ {
+		f.step(t)
+	}
+	if used := f.cluster.NumUsed(); used < 900 {
+		t.Fatalf("fixture drifted to %d used PMs, want ~1000", used)
+	}
+	if ratio := f.hitRatio(hits0, misses0); ratio < 0.95 {
+		t.Fatalf("memo hit ratio %.4f at steady-state churn, want >= 0.95", ratio)
+	}
 }
 
 // BenchmarkRecordOverhead measures one full Place decision against the

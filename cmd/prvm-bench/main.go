@@ -1,5 +1,5 @@
 // Command prvm-bench runs the repo's hot-path micro-benchmarks and
-// writes a machine-readable summary to a JSON file (BENCH_pr10.json by
+// writes a machine-readable summary to a JSON file (BENCH_pr14.json by
 // default). It shells out to `go test -bench`, parses the standard
 // benchmark output, and pairs up before/after variants — fast vs
 // legacy, csr vs slices, parallel vs serial, recording off vs on,
@@ -22,7 +22,7 @@
 // Usage:
 //
 //	prvm-bench [-bench regex] [-pkg ./...] [-benchtime 1s] [-count 1]
-//	           [-out BENCH_pr10.json] [-replay-vms n]
+//	           [-out BENCH_pr14.json] [-replay-vms n]
 //	           [-compare BENCH_prN.json] [-tolerance 0.15]
 package main
 
@@ -119,11 +119,11 @@ var variantPairs = [][2]string{
 func run(args []string) error {
 	fs := flag.NewFlagSet("prvm-bench", flag.ContinueOnError)
 	var (
-		benchRe   = fs.String("bench", "BenchmarkPlaceLookup|BenchmarkSpaceWire|BenchmarkRanksCSR|BenchmarkRecordOverhead|BenchmarkTableCache|BenchmarkRebalanceStep", "benchmark regex passed to go test -bench")
+		benchRe   = fs.String("bench", "BenchmarkPlaceLookup|BenchmarkPlaceScan|BenchmarkSpaceWire|BenchmarkRanksCSR|BenchmarkRecordOverhead|BenchmarkTableCache|BenchmarkRebalanceStep", "benchmark regex passed to go test -bench")
 		pkg       = fs.String("pkg", ".", "package pattern to benchmark")
 		benchtime = fs.String("benchtime", "", "go test -benchtime value (empty = default)")
 		count     = fs.Int("count", 1, "go test -count value")
-		out       = fs.String("out", "BENCH_pr10.json", "output JSON file")
+		out       = fs.String("out", "BENCH_pr14.json", "output JSON file")
 		replayVMs = fs.Int("replay-vms", 120, "VM count of the record/replay macro-benchmark (0 disables it)")
 		baseline  = fs.String("compare", "", "baseline BENCH_prN.json to gate against (empty = no gate)")
 		tolerance = fs.Float64("tolerance", 0.15, "allowed fractional ns/op regression vs -compare baseline")

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"pagerankvm/internal/obs/record"
 	"pagerankvm/internal/resource"
 )
 
@@ -63,15 +64,83 @@ type PM struct {
 	// succeeds (compensation paths re-host a released VM explicitly).
 	cordon bool
 
-	// gen counts profile mutations (host/remove). The fast-path
-	// placer caches the lattice node ids of the used profile here (see
-	// pmNodeIDs in pagerankvm.go); the cache is valid while
-	// rankGen == gen and rankOwner is the ranker that resolved it.
-	gen       uint64
-	rankIDs   []int32
-	rankGen   uint64
-	rankOwner any
-	rankOK    bool
+	// gen counts profile mutations (host/remove) and is the single
+	// invalidation point of everything a fast-path placer remembers
+	// about the PM (DESIGN.md §16): the lattice node ids of the used
+	// profile (pmNodeIDs) and the per-VM-type memo of Algorithm 2's
+	// candidate evaluation. Both are valid while rankGen == gen and
+	// bind is the placer binding that filled them; resetRank drops them
+	// otherwise. Nothing else — cordon, list membership or order — is
+	// an input to what they hold.
+	gen      uint64
+	rankGen  uint64
+	bind     *binding
+	memo     []memoEntry // indexed by bind's TypeRef.Index()
+	rankIDs  []int32
+	rankDone bool // rankIDs/rankOK resolved since the last reset
+	rankOK   bool
+}
+
+// stage is where a candidate leaves Algorithm 2's loop: the ordered
+// reject stages, or scored. The memo stores evaluate's three, so a
+// recorder sees the same record.Candidate status on a hit as on a miss.
+type stage uint8
+
+const (
+	stageUnknown stage = iota // memo only: not evaluated since the last mutation
+	stageExcluded
+	stageCordoned
+	stageNoFit
+	stageNoProfile
+	stageScored
+)
+
+var stageStatus = [...]string{
+	stageExcluded:  record.StatusExcluded,
+	stageCordoned:  record.StatusCordoned,
+	stageNoFit:     record.StatusNoFit,
+	stageNoProfile: record.StatusNoProfile,
+	stageScored:    record.StatusScored,
+}
+
+// memoEntry is what one candidate evaluation (Algorithm 2 lines 5-7)
+// concluded for one VM type on the PM's current profile: where the
+// candidate left the loop and, when scored, the best resulting
+// profile's score and the number of profiles considered. It is a pure
+// function of (rank table, PM type, used profile, VM type), so it
+// holds until the profile mutates.
+type memoEntry struct {
+	score float64
+	count int32
+	stage stage
+}
+
+// resetRank hands the PM's placer caches to b at the current gen,
+// dropping whatever another binding or an older profile left.
+func (p *PM) resetRank(b *binding) {
+	p.bind, p.rankGen, p.rankDone = b, p.gen, false
+	if n := b.fr.NumTypes(); cap(p.memo) < n {
+		p.memo = make([]memoEntry, n)
+	} else {
+		p.memo = p.memo[:n]
+		clear(p.memo)
+	}
+}
+
+// pmNodeIDs resolves pm's used profile to the lattice node ids of b's
+// fast ranker, serving repeats from the cache on the PM (invalidated
+// whenever the profile mutates — see PM.gen).
+//
+//prvm:hotpath
+func pmNodeIDs(pm *PM, b *binding) ([]int32, bool) {
+	if pm.bind != b || pm.rankGen != pm.gen {
+		pm.resetRank(b)
+	}
+	if !pm.rankDone {
+		pm.rankIDs, pm.rankOK = b.fr.NodeIDs(pm.used, pm.rankIDs)
+		pm.rankDone = true
+	}
+	return pm.rankIDs, pm.rankOK
 }
 
 // NewPM returns an empty PM.

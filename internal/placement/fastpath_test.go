@@ -5,114 +5,226 @@ import (
 	"math/rand"
 	"testing"
 
+	"pagerankvm/internal/obs"
 	"pagerankvm/internal/ranktable"
 	"pagerankvm/internal/resource"
 )
 
-// trajStep records one committed placement decision.
+// trajFleet is one PM type of a trajectory's inventory: its shape and
+// the demands of the trajectory's VM types on it. VM types are matched
+// by name across fleets; one a fleet lacks has no demand there.
+type trajFleet struct {
+	pmType  string
+	shape   *resource.Shape
+	vmTypes []resource.VMType
+}
+
+// trajSpec sizes a trajectory. churn adds, to the arrivals and
+// departures every trajectory has, everything else that touches a PM
+// or the lists between two scans: migrations (Place with exclude),
+// tentative release → re-Host, cordon and uncordon, Retire, Reorder.
+type trajSpec struct {
+	fleets []trajFleet
+	numPMs int // interleaved across the fleets
+	steps  int
+	churn  bool
+}
+
+// trajStep records one placement decision.
 type trajStep struct {
 	pmID    int
-	score   uint64 // Float64bits of ScoreOn after commit target chosen
+	accom   uint64 // Float64bits of the placer's ScoreOn for the chosen PM
+	score   uint64 // Float64bits of the resulting profile's rank
 	profile string // canonical profile key of the chosen PM after hosting
 }
 
-// runTrajectory replays a randomized arrival/departure sequence
-// through a placer and records every decision: chosen PM, the
-// canonical profile it ends up with, and the bitwise score of the
-// accommodation. Both placers see identical clusters and identical
-// request streams.
-func runTrajectory(t *testing.T, reg *ranktable.Registry, pmType string, shape *resource.Shape,
-	vmTypes []resource.VMType, numPMs int, seed int64, opts ...PageRankOption) ([]trajStep, int) {
+// trajResult is everything two engines must agree on.
+type trajResult struct {
+	steps                   []trajStep
+	maxUsed                 int
+	scanned, profiles, ties int64 // the placement.* counter totals
+	memoHits, memoMisses    int64
+}
+
+// runTrajectory drives a seeded operation sequence through a placer and
+// records every decision: chosen PM, the accommodation score the placer
+// reports for it, the canonical profile it ends up with and that
+// profile's bitwise rank. Runs with the same spec and seed see
+// identical clusters and identical request streams as long as their
+// decisions agree.
+func runTrajectory(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed int64, opts ...PageRankOption) trajResult {
 	t.Helper()
-	pms := make([]*PM, numPMs)
+	pms := make([]*PM, spec.numPMs)
 	for i := range pms {
-		pms[i] = NewPM(i, pmType, shape)
+		f := spec.fleets[i%len(spec.fleets)]
+		pms[i] = NewPM(i, f.pmType, f.shape)
 	}
 	c := NewCluster(pms)
-	p := NewPageRankVM(reg, append([]PageRankOption{WithSeed(99)}, opts...)...)
+	o := obs.New()
+	p := NewPageRankVM(reg, append([]PageRankOption{WithSeed(99), WithObserver(o)}, opts...)...)
+
+	// The VM type names, in first-seen order, and each one's demands.
+	var names []string
+	req := map[string]map[string]resource.VMType{}
+	for _, f := range spec.fleets {
+		for _, vt := range f.vmTypes {
+			if req[vt.Name] == nil {
+				req[vt.Name] = map[string]resource.VMType{}
+				names = append(names, vt.Name)
+			}
+			req[vt.Name][f.pmType] = vt
+		}
+	}
 
 	rng := rand.New(rand.NewSource(seed))
-	var steps []trajStep
+	var res trajResult
 	var live []*VM
-	for i := 0; i < 120; i++ {
-		if len(live) > 0 && rng.Intn(4) == 0 {
+	retired := 0
+	// decide asks the placer where vm goes (excluding src, if any) and
+	// records the decision; commit hosts it there.
+	decide := func(vm *VM, exclude *PM, commit bool) bool {
+		pm, assign, err := p.Place(c, vm, exclude)
+		if err != nil {
+			if err == ErrNoCapacity {
+				return false
+			}
+			t.Fatal(err)
+		}
+		accom, ok := p.ScoreOn(pm, vm)
+		if !ok {
+			t.Fatalf("ScoreOn rejects the PM Place chose (pm %d, vm %d)", pm.ID, vm.ID)
+		}
+		after := pm.Used().Add(assign.Vec(pm.Shape))
+		ranker, _ := reg.Get(pm.Type)
+		score, ok := ranker.Score(after)
+		if !ok {
+			t.Fatalf("resulting profile %v not scorable", after)
+		}
+		res.steps = append(res.steps, trajStep{
+			pmID:    pm.ID,
+			accom:   math.Float64bits(accom),
+			score:   math.Float64bits(score),
+			profile: pm.Shape.Key(after),
+		})
+		if commit {
+			if err := c.Host(pm, vm, assign); err != nil {
+				t.Fatalf("Host after Place: %v", err)
+			}
+		}
+		return true
+	}
+	// displace releases a random live VM and re-asks the placer with
+	// its source excluded; the VM moves when commit is set and a
+	// destination exists, and goes back exactly where it was otherwise.
+	displace := func(commit bool) {
+		vm := live[rng.Intn(len(live))]
+		src, _ := c.Locate(vm.ID)
+		h, err := c.Release(vm.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.ScoreOn(src, vm) // the descheduler's source score: fills src's memo mid-move
+		if !decide(vm, src, commit) || !commit {
+			if err := c.Host(src, vm, h.Assign); err != nil {
+				t.Fatalf("re-host: %v", err)
+			}
+		}
+	}
+	for i := 0; i < spec.steps; i++ {
+		op := rng.Intn(100)
+		switch {
+		case op < 25 && len(live) > 0:
 			k := rng.Intn(len(live))
 			if _, err := c.Release(live[k].ID); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live[:k], live[k+1:]...)
-			continue
-		}
-		vt := vmTypes[rng.Intn(len(vmTypes))]
-		vm := &VM{ID: 1000 + i, Type: vt.Name, Req: map[string]resource.VMType{pmType: vt}}
-		pm, assign, err := p.Place(c, vm, nil)
-		if err != nil {
-			if err == ErrNoCapacity {
-				continue
+		case !spec.churn || op < 60 || len(live) == 0:
+			name := names[rng.Intn(len(names))]
+			vm := &VM{ID: 1000 + i, Type: name, Req: req[name]}
+			if decide(vm, nil, true) {
+				live = append(live, vm)
 			}
-			t.Fatal(err)
+		case op < 70:
+			displace(true)
+		case op < 80:
+			displace(false)
+		case op < 90:
+			pm := c.PMs()[rng.Intn(len(c.PMs()))]
+			pm.SetCordoned(!pm.Cordoned())
+		case op < 93:
+			if unused := c.UnusedPMs(); len(unused) > 0 && retired < spec.numPMs/8 {
+				if err := c.Retire(unused[rng.Intn(len(unused))]); err != nil {
+					t.Fatal(err)
+				}
+				retired++
+			}
+		default:
+			ids := func(list []*PM) []int {
+				out := make([]int, len(list))
+				for i, pm := range list {
+					out[i] = pm.ID
+				}
+				rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+				return out
+			}
+			if err := c.Reorder(ids(c.UsedPMs()), ids(c.UnusedPMs())); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := c.Host(pm, vm, assign); err != nil {
-			t.Fatalf("Host after Place: %v", err)
-		}
-		live = append(live, vm)
-		ranker, _ := reg.Get(pmType)
-		score, ok := ranker.Score(pm.Used())
-		if !ok {
-			t.Fatalf("resulting profile %v not scorable", pm.Used())
-		}
-		steps = append(steps, trajStep{
-			pmID:    pm.ID,
-			score:   math.Float64bits(score),
-			profile: shape.Key(pm.Used()),
-		})
 	}
-	return steps, c.MaxUsed
+	res.maxUsed = c.MaxUsed
+	res.scanned = o.Counter("placement.pms_scanned").Value()
+	res.profiles = o.Counter("placement.profiles_enumerated").Value()
+	res.ties = o.Counter("placement.ties_broken").Value()
+	res.memoHits = o.Counter("placement.memo_hits").Value()
+	res.memoMisses = o.Counter("placement.memo_misses").Value()
+	return res
 }
 
-// checkEquivalence runs the same trajectory with the fast path on and
-// off and requires identical decisions: PM choice, bitwise resulting
-// score, canonical resulting profile, and the MaxUsed metric.
-func checkEquivalence(t *testing.T, reg *ranktable.Registry, pmType string, shape *resource.Shape,
-	vmTypes []resource.VMType, numPMs int, seed int64) {
+// checkEquivalence runs the same trajectory through the memoised
+// fast-path placer and through the string-key engine (the differential
+// oracle: it never touches the memo) and requires identical decisions —
+// PM choice, bitwise accommodation and resulting scores, canonical
+// resulting profile, the MaxUsed metric — and identical placement.*
+// counter totals, which pins the candidate order and the tie draws.
+func checkEquivalence(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed int64) trajResult {
 	t.Helper()
-	fast, fastMax := runTrajectory(t, reg, pmType, shape, vmTypes, numPMs, seed)
-	slow, slowMax := runTrajectory(t, reg, pmType, shape, vmTypes, numPMs, seed, WithoutFastPath())
-	if len(fast) != len(slow) {
-		t.Fatalf("seed %d: fast path made %d placements, slow path %d", seed, len(fast), len(slow))
+	fast := runTrajectory(t, reg, spec, seed)
+	slow := runTrajectory(t, reg, spec, seed, WithoutFastPath())
+	if len(fast.steps) != len(slow.steps) {
+		t.Fatalf("seed %d: fast path made %d decisions, slow path %d", seed, len(fast.steps), len(slow.steps))
 	}
-	for i := range fast {
-		if fast[i].pmID != slow[i].pmID {
-			t.Fatalf("seed %d step %d: fast chose pm %d, slow chose pm %d", seed, i, fast[i].pmID, slow[i].pmID)
+	for i, f := range fast.steps {
+		s := slow.steps[i]
+		if f.pmID != s.pmID {
+			t.Fatalf("seed %d step %d: fast chose pm %d, slow chose pm %d", seed, i, f.pmID, s.pmID)
 		}
-		if fast[i].score != slow[i].score {
-			t.Fatalf("seed %d step %d: scores differ bitwise: %x vs %x", seed, i, fast[i].score, slow[i].score)
+		if f.accom != s.accom || f.score != s.score {
+			t.Fatalf("seed %d step %d: scores differ bitwise: %x/%x vs %x/%x", seed, i, f.accom, f.score, s.accom, s.score)
 		}
-		if fast[i].profile != slow[i].profile {
-			t.Fatalf("seed %d step %d: resulting canonical profiles differ on pm %d", seed, i, fast[i].pmID)
+		if f.profile != s.profile {
+			t.Fatalf("seed %d step %d: resulting canonical profiles differ on pm %d", seed, i, f.pmID)
 		}
 	}
-	if fastMax != slowMax {
-		t.Fatalf("seed %d: MaxUsed differs: fast %d, slow %d", seed, fastMax, slowMax)
+	if fast.maxUsed != slow.maxUsed {
+		t.Fatalf("seed %d: MaxUsed differs: fast %d, slow %d", seed, fast.maxUsed, slow.maxUsed)
 	}
+	if fast.scanned != slow.scanned || fast.profiles != slow.profiles || fast.ties != slow.ties {
+		t.Fatalf("seed %d: counters differ: pms_scanned %d/%d, profiles_enumerated %d/%d, ties_broken %d/%d",
+			seed, fast.scanned, slow.scanned, fast.profiles, slow.profiles, fast.ties, slow.ties)
+	}
+	if slow.memoHits+slow.memoMisses != 0 {
+		t.Fatalf("seed %d: the string-key engine touched the memo (%d hits, %d misses)", seed, slow.memoHits, slow.memoMisses)
+	}
+	return fast
 }
 
-// TestFastPathEquivalenceJoint is the ISSUE's acceptance test for the
-// joint ranker: the id-indexed path and the legacy string-key path
-// must make byte-identical placement decisions over randomized
-// arrival/departure trajectories.
-func TestFastPathEquivalenceJoint(t *testing.T) {
-	reg := smallRegistry(t)
-	for seed := int64(1); seed <= 6; seed++ {
-		checkEquivalence(t, reg, pmSmall, smallShape(), smallVMTypes(), 6, seed)
-	}
-}
-
-// TestFastPathEquivalenceFactored covers the factored ranker (the
-// production configuration for large PM types), including multi-group
-// shapes where the PM's actual profile drifts out of canonical order
-// and alignAssign must translate coordinates.
-func TestFastPathEquivalenceFactored(t *testing.T) {
+// factoredFleet is the production-style configuration: a multi-group
+// shape under a factored ranker, where a PM's actual profile drifts out
+// of canonical order and alignAssign must translate coordinates.
+func factoredFleet(t *testing.T) (trajFleet, *ranktable.Factored) {
+	t.Helper()
 	shape := resource.MustShape(
 		resource.Group{Name: "cpu", Dims: 3, Cap: 4},
 		resource.Group{Name: "mem", Dims: 1, Cap: 6},
@@ -140,11 +252,134 @@ func TestFastPathEquivalenceFactored(t *testing.T) {
 	if !f.Fast() {
 		t.Fatal("factored ranker did not offer the fast path")
 	}
-	reg := ranktable.NewRegistry()
-	const pmBig = "big"
-	reg.Add(pmBig, f)
+	return trajFleet{pmType: "big", shape: shape, vmTypes: vmTypes}, f
+}
+
+// TestFastPathEquivalenceJoint is the ISSUE's acceptance test for the
+// joint ranker: the id-indexed path and the legacy string-key path
+// must make byte-identical placement decisions over randomized
+// arrival/departure trajectories.
+func TestFastPathEquivalenceJoint(t *testing.T) {
+	reg := smallRegistry(t)
+	spec := trajSpec{fleets: []trajFleet{{pmSmall, smallShape(), smallVMTypes()}}, numPMs: 6, steps: 120}
 	for seed := int64(1); seed <= 6; seed++ {
-		checkEquivalence(t, reg, pmBig, shape, vmTypes, 5, seed)
+		checkEquivalence(t, reg, spec, seed)
+	}
+}
+
+// TestFastPathEquivalenceFactored covers the factored ranker (the
+// production configuration for large PM types), including multi-group
+// shapes where the PM's actual profile drifts out of canonical order
+// and alignAssign must translate coordinates.
+func TestFastPathEquivalenceFactored(t *testing.T) {
+	fleet, f := factoredFleet(t)
+	reg := ranktable.NewRegistry()
+	reg.Add(fleet.pmType, f)
+	spec := trajSpec{fleets: []trajFleet{fleet}, numPMs: 5, steps: 120}
+	for seed := int64(1); seed <= 6; seed++ {
+		checkEquivalence(t, reg, spec, seed)
+	}
+}
+
+// churnFleets is a two-PM-type inventory — a joint table and a factored
+// ranker — whose VM types overlap: s, m and l have demands on both PM
+// types, w only on the small one.
+func churnFleets(t *testing.T, opts ranktable.Options) ([]trajFleet, *ranktable.Registry) {
+	t.Helper()
+	big, f := factoredFleet(t)
+	small := trajFleet{pmType: pmSmall, shape: smallShape(), vmTypes: []resource.VMType{
+		resource.NewVMType("s", resource.Demand{Group: "cpu", Units: []int{1}}),
+		resource.NewVMType("m", resource.Demand{Group: "cpu", Units: []int{1, 1}}),
+		resource.NewVMType("l", resource.Demand{Group: "cpu", Units: []int{2, 2}}),
+		resource.NewVMType("w", resource.Demand{Group: "cpu", Units: []int{1, 1, 1, 1}}),
+	}}
+	table, err := ranktable.NewJoint(small.shape, small.vmTypes, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := ranktable.NewRegistry()
+	reg.Add(small.pmType, table)
+	reg.Add(big.pmType, f)
+	return []trajFleet{small, big}, reg
+}
+
+// TestMemoChurnEquivalence is the differential test of the per-PM memo
+// (DESIGN.md §16): long trajectories that interleave every operation
+// that can come between two scans of a PM — host, release, migration
+// with the source excluded, tentative release → re-Host, cordon and
+// uncordon, Retire, Reorder — must leave the memoised placer and the
+// string-key engine in bit-for-bit agreement, and the memo must have
+// actually served most of those scans.
+func TestMemoChurnEquivalence(t *testing.T) {
+	fleets, reg := churnFleets(t, ranktable.Options{})
+	spec := trajSpec{fleets: fleets, numPMs: 40, steps: 2000, churn: true}
+	for seed := int64(1); seed <= 3; seed++ {
+		fast := checkEquivalence(t, reg, spec, seed)
+		if fast.memoHits <= fast.memoMisses {
+			t.Fatalf("seed %d: memo served %d of %d evaluations; the trajectory does not exercise it",
+				seed, fast.memoHits, fast.memoHits+fast.memoMisses)
+		}
+	}
+}
+
+// TestMemoOwnership: two placers over different registries alternating
+// on one cluster must never read each other's memo entries — every
+// score either reports equals what its own string-key twin (which never
+// touches the memo) computes, through mutations in between.
+func TestMemoOwnership(t *testing.T) {
+	fleets, regA := churnFleets(t, ranktable.Options{})
+	_, regB := churnFleets(t, ranktable.Options{Mode: ranktable.ModeForwardPR})
+	type pair struct{ memo, oracle *PageRankVM }
+	pairs := []pair{
+		{NewPageRankVM(regA), NewPageRankVM(regA, WithoutFastPath())},
+		{NewPageRankVM(regB), NewPageRankVM(regB, WithoutFastPath())},
+	}
+	pms := make([]*PM, 12)
+	for i := range pms {
+		f := fleets[i%len(fleets)]
+		pms[i] = NewPM(i, f.pmType, f.shape)
+	}
+	c := NewCluster(pms)
+	req := map[string]resource.VMType{}
+	for _, f := range fleets {
+		req[f.pmType] = f.vmTypes[1] // "m": fits both PM types
+	}
+	rng := rand.New(rand.NewSource(5))
+	differ := false
+	for i := 0; i < 300; i++ {
+		vm := &VM{ID: i, Type: "m", Req: req}
+		var scores [2]float64
+		for k, pr := range pairs {
+			for _, pm := range c.PMs() {
+				got, gotOK := pr.memo.ScoreOn(pm, vm)
+				want, wantOK := pr.oracle.ScoreOn(pm, vm)
+				if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("step %d placer %d pm %d: memoised ScoreOn = %v,%v, own registry says %v,%v",
+						i, k, pm.ID, got, gotOK, want, wantOK)
+				}
+				scores[k] += got
+			}
+		}
+		differ = differ || scores[0] != scores[1]
+		// Mutate through alternating placers so each scan above meets
+		// entries the other placer filled at the same gen.
+		pm, assign, err := pairs[i%2].memo.Place(c, vm, nil)
+		if err == nil {
+			err = c.Host(pm, vm, assign)
+		}
+		if err != nil && err != ErrNoCapacity {
+			t.Fatal(err)
+		}
+		if id := rng.Intn(i + 1); rng.Intn(3) == 0 {
+			if _, placed := c.Locate(id); placed {
+				if _, err := c.Release(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if !differ {
+		t.Fatal("the two registries never scored differently; the test cannot tell the placers apart")
 	}
 }
 

@@ -36,10 +36,11 @@ type PageRankVM struct {
 	// the switch exists for that test and for A/B benchmarking.
 	noFast bool
 
-	// binds caches per-PM-type ranker/demand/fast-path resolutions for
-	// the VM currently being placed (bindVM); reset when the VM changes.
-	binds  []binding
-	bindVM *VM
+	// binds holds one binding per PM type met; memoHits and memoMisses
+	// tally evaluate's memo outcomes until Place flushes them into
+	// placement.memo_{hits,misses} (one Add per call, not per candidate).
+	binds                map[string]*binding
+	memoHits, memoMisses int64
 
 	// obs and the pre-resolved met counters are nil without
 	// WithObserver; every instrument call is then a no-op branch.
@@ -55,16 +56,21 @@ type PageRankVM struct {
 	recTied  []int
 }
 
-// binding is the per-(PM type, VM) resolution Algorithm 2's candidate
-// loop would otherwise redo per PM: the ranker, the VM's quantized
-// demand on the PM type, and — when the ranker supports it — the
-// id-indexed fast-path handles.
+// binding is what Algorithm 2's candidate loop would otherwise redo per
+// PM: per PM type, the ranker; per (PM type, VM), the quantized demand
+// and fast-path type handle, re-resolved when the VM being placed
+// changes. Its address is also the owner stamp of the per-PM caches
+// (PM.bind): it stands for exactly one (placer, PM type, fast ranker),
+// so two placers never read each other's entries.
 type binding struct {
-	pmType    string
-	ranker    ranktable.Ranker
+	owner  *PageRankVM // nil once superseded: the registry's ranker changed
+	pmType string
+	ranker ranktable.Ranker     // nil: no ranker registered for pmType
+	fr     ranktable.FastRanker // ranker's id-indexed form, when it offers one
+
+	vm        *VM // the VM the fields below are resolved for
 	demand    resource.VMType
 	hasDemand bool
-	fr        ranktable.FastRanker
 	ref       ranktable.TypeRef
 	fast      bool
 }
@@ -81,6 +87,8 @@ type placeMetrics struct {
 	noCapacity      *obs.Counter // placement.no_capacity
 	evictionsScored *obs.Counter // placement.evictions_scored
 	victimsSelected *obs.Counter // placement.victims_selected
+	memoHits        *obs.Counter // placement.memo_hits
+	memoMisses      *obs.Counter // placement.memo_misses
 
 	// Per-decision phase latency histograms, observed only while a
 	// recorder is attached (phase timing is not free).
@@ -104,6 +112,8 @@ func newPlaceMetrics(o *obs.Observer) placeMetrics {
 		noCapacity:      o.Counter("placement.no_capacity"),
 		evictionsScored: o.Counter("placement.evictions_scored"),
 		victimsSelected: o.Counter("placement.victims_selected"),
+		memoHits:        o.Counter("placement.memo_hits"),
+		memoMisses:      o.Counter("placement.memo_misses"),
 		phaseScan:       o.Histogram("placement.phase_scan_seconds", phaseBuckets()),
 		phaseCheck:      o.Histogram("placement.phase_check_seconds", phaseBuckets()),
 		phaseBind:       o.Histogram("placement.phase_bind_seconds", phaseBuckets()),
@@ -174,6 +184,7 @@ func NewPageRankVM(rankers *ranktable.Registry, opts ...PageRankOption) *PageRan
 	p := &PageRankVM{
 		rankers: rankers,
 		rng:     rand.New(rand.NewSource(1)),
+		binds:   make(map[string]*binding),
 	}
 	for _, o := range opts {
 		o.apply(p)
@@ -196,232 +207,194 @@ func (p *PageRankVM) Name() string {
 	return "PageRankVM"
 }
 
+// scan is one Place call's working state: the request, the running
+// best of the used-list pass, the counts that end up in placement.*
+// and the Decision, and — only while a recorder is attached (ph is
+// non-nil) — the candidate set, tie path and phase clocks.
+type scan struct {
+	vm       *VM
+	exclude  *PM
+	scanned  int
+	profiles int
+
+	pm     *PM                 // the winner so far; assign is set once it is bound
+	canon  resource.Assignment // the winner's enumerated move, if any
+	assign resource.Assignment
+	score  float64
+	ties   int
+
+	cands []record.Candidate
+	tied  []int
+	ph    *record.Phases
+	start time.Time
+}
+
 // Place implements Placer (Algorithm 2).
 func (p *PageRankVM) Place(c *Cluster, vm *VM, exclude *PM) (*PM, resource.Assignment, error) {
 	p.met.placeCalls.Inc()
-	candidates := c.UsedPMs()
-	if p.twoChoice && len(candidates) > 2 {
-		candidates = p.sample(candidates)
+	defer p.flushMemoStats()
+	used := c.UsedPMs()
+	if p.twoChoice && len(used) > 2 {
+		used = p.sample(used)
 		p.met.twoChoiceDraws.Inc()
 	}
 
-	// rec gates every recording expense — candidate-set assembly,
-	// tie-path tracking, phase clocks — behind one branch, so the
-	// disabled path stays byte-for-byte the pre-recording loop.
-	rec := p.rec.Active()
-	var (
-		recCands  []record.Candidate
-		recTied   []int
-		ph        record.Phases
-		scanStart time.Time
-	)
-	if rec {
-		recCands = p.recCands[:0]
-		recTied = p.recTied[:0]
-		scanStart = time.Now()
+	// s.ph gates every recording expense — candidate-set assembly,
+	// tie-path tracking, phase clocks — behind one nil check.
+	s := scan{vm: vm, exclude: exclude, scanned: len(used), score: -1}
+	if p.rec.Active() {
+		s.cands, s.tied, s.ph, s.start = p.recCands[:0], p.recTied[:0], new(record.Phases), time.Now()
 	}
 
-	var (
-		bestPM     *PM
-		bestAssign resource.Assignment
-		bestBind   binding
-		bestScore  = -1.0
-		ties       = 0
-		scanned    = 0
-		profiles   = 0
-	)
-	for _, pm := range candidates {
-		scanned++
-		if rec {
-			if pm == exclude {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusExcluded})
-				continue
-			}
-			if pm.Cordoned() {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusCordoned})
-				continue
-			}
-			t0 := time.Now()
-			fits := pm.Fits(vm)
-			ph.CheckNs += int64(time.Since(t0))
-			if !fits {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusNoFit})
-				continue
-			}
-		} else if pm == exclude || pm.Cordoned() || !pm.Fits(vm) {
-			continue
-		}
-		b, err := p.binding(pm.Type, vm)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !b.hasDemand {
-			if rec {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusNoDemand})
-			}
-			continue
-		}
-		score, assign, n, ok := p.scoreCandidate(b, pm)
-		profiles += n
-		if !ok {
-			if rec {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusNoProfile, Profiles: n})
-			}
-			continue
-		}
-		if rec {
-			recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusScored, Score: score, Profiles: n})
-		}
-		switch {
-		case score > bestScore*(1+scoreEpsilon):
-			bestScore, bestPM, bestAssign, bestBind = score, pm, assign, b
-			ties = 1
-			if rec {
-				recTied = append(recTied[:0], pm.ID)
-			}
-		case score >= bestScore*(1-scoreEpsilon):
-			// Tie: reservoir-sample uniformly among tied candidates.
-			ties++
-			if p.rng.Intn(ties) == 0 {
-				bestPM, bestAssign, bestBind = pm, assign, b
-			}
-			if rec {
-				recTied = append(recTied, pm.ID)
-			}
-		}
+	// Lines 3-16: the used list is scanned whole and the best score wins.
+	// Lines 17-24: failing that, the first unused PM that fits is opened.
+	if err := p.scanList(&s, used, false); err != nil {
+		return nil, nil, err
 	}
-	p.met.pmsScanned.Add(int64(scanned))
-	if bestPM != nil {
-		p.met.profilesScored.Add(int64(profiles))
-		if ties > 1 {
-			p.met.tiesBroken.Add(int64(ties - 1))
+	p.met.pmsScanned.Add(int64(s.scanned))
+	if s.pm != nil {
+		if p.win(&s, s.pm, s.canon, s.score, s.ties) {
+			return s.pm, s.assign, nil
 		}
-		var bindStart time.Time
-		if rec {
-			ph.ScanNs = int64(time.Since(scanStart))
-			bindStart = time.Now()
-		}
-		// Winners get their assignment here, once, instead of one per
-		// candidate: fast-path winners materialize from the move table,
-		// slow-path winners translate their canonical-coordinate
-		// assignment to the PM's actual dimension order.
-		if bestAssign == nil {
-			bestAssign = p.materialize(bestBind, bestPM)
-			if bestAssign == nil {
-				return nil, nil, fmt.Errorf("placement: cannot materialize assignment on pm %d", bestPM.ID)
-			}
-		} else {
-			bestAssign = alignAssign(bestPM.Shape, bestPM.used, bestAssign)
-		}
-		if rec {
-			ph.BindNs = int64(time.Since(bindStart))
-			p.recordPlace(vm, bestPM, bestScore, scanned, profiles, ties, recCands, recTied, bestBind.fast, false, &ph)
-		}
-		p.tracePlace(vm, bestPM, bestScore, scanned, profiles, ties, false)
-		return bestPM, bestAssign, nil
+		return nil, nil, fmt.Errorf("placement: cannot materialize assignment on pm %d", s.pm.ID)
 	}
-	// Lines 17-24: fall back to an unused PM, choosing the
-	// best-scoring accommodation on the fresh profile.
-	for _, pm := range c.UnusedPMs() {
-		if rec {
-			if pm == exclude {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusExcluded, Unused: true})
-				continue
-			}
-			if pm.Cordoned() {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusCordoned, Unused: true})
-				continue
-			}
-			t0 := time.Now()
-			fits := pm.Fits(vm)
-			ph.CheckNs += int64(time.Since(t0))
-			if !fits {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusNoFit, Unused: true})
-				continue
-			}
-		} else if pm == exclude || pm.Cordoned() || !pm.Fits(vm) {
-			continue
-		}
-		b, err := p.binding(pm.Type, vm)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !b.hasDemand {
-			if rec {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusNoDemand, Unused: true})
-			}
-			continue
-		}
-		_, assign, n, ok := p.scoreCandidate(b, pm)
-		profiles += n
-		if ok {
-			var bindStart time.Time
-			if rec {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusScored, Profiles: n, Unused: true})
-				ph.ScanNs = int64(time.Since(scanStart))
-				bindStart = time.Now()
-			}
-			if assign == nil {
-				assign = p.materialize(b, pm)
-			} else {
-				assign = alignAssign(pm.Shape, pm.used, assign)
-			}
-			if assign != nil {
-				p.met.profilesScored.Add(int64(profiles))
-				p.met.pmsOpened.Inc()
-				if rec {
-					ph.BindNs = int64(time.Since(bindStart))
-					p.recordPlace(vm, pm, 0, scanned, profiles, 0, recCands, nil, b.fast, true, &ph)
-				}
-				p.tracePlace(vm, pm, 0, scanned, profiles, 0, true)
-				return pm, assign, nil
-			}
-		} else if rec {
-			recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusNoProfile, Profiles: n, Unused: true})
-		}
+	if err := p.scanList(&s, c.UnusedPMs(), true); err != nil {
+		return nil, nil, err
 	}
-	p.met.profilesScored.Add(int64(profiles))
+	if s.assign != nil {
+		return s.pm, s.assign, nil
+	}
+	p.met.profilesScored.Add(int64(s.profiles))
 	p.met.noCapacity.Inc()
-	if rec {
-		ph.ScanNs = int64(time.Since(scanStart))
-		p.recordPlace(vm, nil, 0, scanned, profiles, 0, recCands, nil, false, false, &ph)
+	if s.ph != nil {
+		s.ph.ScanNs = int64(time.Since(s.start))
+		p.recordPlace(&s, nil, 0, 0, false)
 	}
 	return nil, nil, ErrNoCapacity
 }
 
-// recordPlace assembles and appends one record.Decision, feeds the
-// phase histograms, and stashes the candidate scratch for reuse.
-func (p *PageRankVM) recordPlace(vm *VM, pm *PM, score float64, scanned, profiles, ties int, cands []record.Candidate, tied []int, fast, opened bool, ph *record.Phases) {
+// scanList is Algorithm 2's candidate loop, for both lists, recording
+// or not: every PM runs through the ordered reject stages — excluded
+// and cordoned here, because they are per-call and non-gen state that
+// must stay outside the memo; no-fit and no-profile in evaluate — and
+// a scored one contends for the best score (used) or is opened (unused).
+func (p *PageRankVM) scanList(s *scan, list []*PM, unused bool) error {
+	for _, pm := range list {
+		st, score, n, canon := stageExcluded, 0.0, 0, resource.Assignment(nil)
+		if pm != s.exclude {
+			st = stageCordoned
+			if !pm.cordon {
+				var err error
+				if st, score, n, canon, err = p.evaluate(pm, s.vm, s.ph); err != nil {
+					return err
+				}
+				s.profiles += n
+			}
+		}
+		if s.ph != nil {
+			c := record.Candidate{PM: pm.ID, Status: stageStatus[st], Profiles: n, Unused: unused}
+			if !unused {
+				c.Score = score
+			}
+			s.cands = append(s.cands, c)
+		}
+		switch {
+		case st != stageScored:
+		case unused:
+			if p.win(s, pm, canon, 0, 0) {
+				s.pm = pm
+				return nil
+			}
+		case score > s.score*(1+scoreEpsilon):
+			s.score, s.pm, s.canon = score, pm, canon
+			s.ties = 1
+			if s.ph != nil {
+				s.tied = append(s.tied[:0], pm.ID)
+			}
+		case score >= s.score*(1-scoreEpsilon):
+			// Tie: reservoir-sample uniformly among tied candidates.
+			s.ties++
+			if p.rng.Intn(s.ties) == 0 {
+				s.pm, s.canon = pm, canon
+			}
+			if s.ph != nil {
+				s.tied = append(s.tied, pm.ID)
+			}
+		}
+	}
+	return nil
+}
+
+// win binds the chosen PM — the used list's best (ties >= 1) or one
+// opened from the unused list (ties == 0) — materializing the one
+// assignment Place returns. false means the move cannot be realized,
+// and nothing has been counted or recorded.
+func (p *PageRankVM) win(s *scan, pm *PM, canon resource.Assignment, score float64, ties int) bool {
+	b := p.bind(pm, s.vm)
+	var bindStart time.Time
+	if s.ph != nil {
+		s.ph.ScanNs = int64(time.Since(s.start))
+		bindStart = time.Now()
+	}
+	if s.assign = p.materialize(b, pm, canon); s.assign == nil {
+		return false
+	}
+	opened := !pm.Active()
+	p.met.profilesScored.Add(int64(s.profiles))
+	if opened {
+		p.met.pmsOpened.Inc()
+	} else if ties > 1 {
+		p.met.tiesBroken.Add(int64(ties - 1))
+	}
+	if s.ph != nil {
+		s.ph.BindNs = int64(time.Since(bindStart))
+		p.recordPlace(s, pm, score, ties, b.fast)
+	}
+	p.tracePlace(s.vm, pm, score, s.scanned, s.profiles, ties, opened)
+	return true
+}
+
+// flushMemoStats moves evaluate's hit/miss tallies into the counters.
+func (p *PageRankVM) flushMemoStats() {
+	p.met.memoHits.Add(p.memoHits)
+	p.met.memoMisses.Add(p.memoMisses)
+	p.memoHits, p.memoMisses = 0, 0
+}
+
+// recordPlace assembles and appends one record.Decision (pm nil: the
+// request was rejected), feeds the phase histograms, and stashes the
+// candidate scratch for reuse.
+func (p *PageRankVM) recordPlace(s *scan, pm *PM, score float64, ties int, fast bool) {
 	d := record.Decision{
-		VM:         vm.ID,
-		VMType:     vm.Type,
+		VM:         s.vm.ID,
+		VMType:     s.vm.Type,
 		PM:         -1,
 		Score:      score,
-		Scanned:    scanned,
-		Profiles:   profiles,
+		Scanned:    s.scanned,
+		Profiles:   s.profiles,
 		Ties:       ties,
-		Opened:     opened,
-		Candidates: cands,
+		Candidates: s.cands,
 		Fast:       fast,
-		Phases:     ph,
+		Phases:     s.ph,
 	}
 	if pm != nil {
 		d.PM = pm.ID
 		d.PMType = pm.Type
+		d.Opened = !pm.Active()
 	} else {
 		d.Rejected = true
 	}
 	if ties > 1 {
-		d.TiedPMs = tied
+		d.TiedPMs = s.tied
 	}
 	p.rec.RecordDecision(d)
-	p.met.phaseScan.Observe(float64(ph.ScanNs) / 1e9)
-	p.met.phaseCheck.Observe(float64(ph.CheckNs) / 1e9)
-	p.met.phaseBind.Observe(float64(ph.BindNs) / 1e9)
+	p.met.phaseScan.Observe(float64(s.ph.ScanNs) / 1e9)
+	p.met.phaseCheck.Observe(float64(s.ph.CheckNs) / 1e9)
+	p.met.phaseBind.Observe(float64(s.ph.BindNs) / 1e9)
 	// RecordDecision copied (collector) or serialized (JSONL) the
 	// slices, so the scratch can be handed back for the next decision.
-	p.recCands = cands[:0]
-	p.recTied = tied[:0]
+	p.recCands = s.cands[:0]
+	p.recTied = s.tied[:0]
 }
 
 // tracePlace emits one structured decision event; field assembly is
@@ -443,115 +416,146 @@ func (p *PageRankVM) tracePlace(vm *VM, pm *PM, score float64, scanned, profiles
 	}})
 }
 
-// binding resolves (and caches, for the VM currently being placed) the
-// ranker, demand and fast-path handles for one PM type.
-func (p *PageRankVM) binding(pmType string, vm *VM) (binding, error) {
-	if p.bindVM != vm {
-		p.binds = p.binds[:0]
-		p.bindVM = vm
+// bind returns the placer's binding for pm's type, resolved for vm. The
+// PM remembers the binding that last filled its caches (evaluate reads
+// that hint itself); the by-name lookup runs for PMs the placer has
+// not evaluated since another placer did.
+func (p *PageRankVM) bind(pm *PM, vm *VM) *binding {
+	b := pm.bind
+	if b == nil || b.owner != p {
+		b = p.binds[pm.Type]
 	}
-	for i := range p.binds {
-		if p.binds[i].pmType == pmType {
-			return p.binds[i], nil
-		}
+	if b == nil || b.vm != vm {
+		b = p.resolve(pm.Type, b, vm)
 	}
-	b, err := p.resolveBinding(pmType, vm)
-	if err != nil {
-		return binding{}, err
-	}
-	p.binds = append(p.binds, b)
-	return b, nil
+	return b
 }
 
-func (p *PageRankVM) resolveBinding(pmType string, vm *VM) (binding, error) {
-	ranker, ok := p.rankers.Get(pmType)
-	if !ok {
-		return binding{}, fmt.Errorf("placement: no ranker registered for PM type %q", pmType)
+// resolve re-resolves pmType's binding b (nil: none yet) for vm. It
+// never fails: a PM type without a ranker resolves to a nil ranker,
+// which evaluate reports only if a fitting PM of that type is actually
+// reached. A fast ranker replaced in the registry gets a fresh binding,
+// which orphans every per-PM cache the old one filled.
+func (p *PageRankVM) resolve(pmType string, b *binding, vm *VM) *binding {
+	ranker, _ := p.rankers.Get(pmType)
+	fr, _ := ranker.(ranktable.FastRanker)
+	if fr != nil && (p.noFast || !fr.Fast()) {
+		fr = nil
 	}
-	b := binding{pmType: pmType, ranker: ranker}
+	if b == nil || b.fr != fr {
+		if b != nil {
+			b.owner = nil
+		}
+		b = &binding{owner: p, pmType: pmType, fr: fr}
+		p.binds[pmType] = b
+	}
+	b.ranker, b.vm, b.ref, b.fast = ranker, vm, ranktable.TypeRef{}, false
 	b.demand, b.hasDemand = vm.DemandOn(pmType)
-	if b.hasDemand && !p.noFast {
-		if fr, ok := ranker.(ranktable.FastRanker); ok && fr.Fast() {
-			if ref, ok := fr.ResolveType(b.demand); ok {
-				b.fr, b.ref, b.fast = fr, ref, true
-			}
-		}
+	if b.hasDemand && fr != nil {
+		b.ref, b.fast = fr.ResolveType(b.demand)
 	}
-	return b, nil
+	return b
 }
 
-// pmNodeIDs resolves pm's used profile to fr's lattice node ids,
-// serving repeats from the cache on the PM (invalidated whenever the
-// profile mutates — see PM.gen).
-//
-//prvm:hotpath
-func pmNodeIDs(pm *PM, fr ranktable.FastRanker) ([]int32, bool) {
-	if pm.rankOwner == fr && pm.rankGen == pm.gen {
-		return pm.rankIDs, pm.rankOK
-	}
-	ids, ok := fr.NodeIDs(pm.used, pm.rankIDs)
-	pm.rankIDs, pm.rankOK = ids, ok
-	pm.rankGen, pm.rankOwner = pm.gen, fr
-	return ids, ok
+func errNoRanker(pmType string) error {
+	return fmt.Errorf("placement: no ranker registered for PM type %q", pmType)
 }
 
-// scoreCandidate scores the best accommodation of the bound VM on pm
-// (lines 6-7 of Algorithm 2) plus the number of candidate profiles.
-// On the fast path the returned assignment is nil — the caller
-// materializes it for the winning PM only. The slow path enumerates
-// resource.Placements from the PM's canonical profile — the same
-// sequence the lattice's typed successor lists were wired from, so
-// both paths break score ties identically — and string-key scores
-// each result. The returned slow-path assignment is therefore in
-// canonical coordinates; callers translate with alignAssign.
+// evaluate is the one candidate evaluation of Algorithm 2 (lines 5-7)
+// behind Place, its 2-choice variant and ScoreOn: does vm fit pm, and
+// what does the best resulting profile score, out of how many. That is
+// a pure function of (rank table, PM type, used profile, VM type), so
+// fast-path answers come from the PM's gen-stamped memo and are
+// recomputed — resource.Fits, then pmNodeIDs + BestMove — only after
+// the PM mutated (DESIGN.md §16). Profiles outside the table and
+// WithoutFastPath placers enumerate and never touch the memo; only
+// they return an assignment (fast-path winners are materialized
+// later). ph, when non-nil, accrues the feasibility-check time.
 //
 //prvm:hotpath
-func (p *PageRankVM) scoreCandidate(b binding, pm *PM) (float64, resource.Assignment, int, bool) {
+func (p *PageRankVM) evaluate(pm *PM, vm *VM, ph *record.Phases) (stage, float64, int, resource.Assignment, error) {
+	b := pm.bind
+	if b == nil || b.owner != p || b.vm != vm {
+		b = p.bind(pm, vm)
+	}
+	var e *memoEntry
 	if b.fast {
-		if ids, ok := pmNodeIDs(pm, b.fr); ok {
-			score, count, ok := b.fr.BestMove(ids, b.ref)
-			return score, nil, count, ok
+		if pm.bind != b || pm.rankGen != pm.gen {
+			pm.resetRank(b)
+		}
+		if e = &pm.memo[b.ref.Index()]; e.stage != stageUnknown {
+			p.memoHits++
+			return e.stage, e.score, int(e.count), nil, nil
+		}
+		p.memoMisses++
+	}
+	var t0 time.Time
+	if ph != nil {
+		t0 = time.Now()
+	}
+	fits := b.hasDemand && resource.Fits(pm.Shape, pm.used, b.demand)
+	if ph != nil {
+		ph.CheckNs += int64(time.Since(t0))
+	}
+	if !fits {
+		if e != nil {
+			e.stage = stageNoFit
+		}
+		return stageNoFit, 0, 0, nil, nil
+	}
+	if b.ranker == nil {
+		return stageUnknown, 0, 0, nil, errNoRanker(pm.Type)
+	}
+	if e != nil {
+		if ids, ok := pmNodeIDs(pm, b); ok {
+			score, n, ok := b.fr.BestMove(ids, b.ref)
+			*e = memoEntry{score: score, count: int32(n), stage: stageNoProfile}
+			if ok {
+				e.stage = stageScored
+			}
+			return e.stage, score, n, nil, nil
 		}
 	}
-	var (
-		bestScore  = -1.0
-		bestAssign resource.Assignment
-	)
+	score, assign, n := p.enumerate(b, pm)
+	if assign == nil {
+		return stageNoProfile, 0, n, nil, nil
+	}
+	return stageScored, score, n, assign, nil
+}
+
+// enumerate is the string-key engine: it scores resource.Placements
+// from the PM's canonical profile — the sequence the lattice's typed
+// successor lists were wired from, so both engines break score ties
+// identically. The returned assignment (nil when no resulting profile
+// is in the table) is in canonical coordinates; materialize aligns it.
+func (p *PageRankVM) enumerate(b *binding, pm *PM) (float64, resource.Assignment, int) {
+	bestScore, bestAssign := -1.0, resource.Assignment(nil)
 	placements := resource.Placements(pm.Shape, pm.Shape.Canon(pm.used), b.demand)
 	for _, pl := range placements {
-		score, ok := b.ranker.Score(pl.Result)
-		if !ok {
-			continue
-		}
-		if score > bestScore {
+		if score, ok := b.ranker.Score(pl.Result); ok && score > bestScore {
 			bestScore, bestAssign = score, pl.Assign
 		}
 	}
-	if bestAssign == nil {
-		return 0, nil, len(placements), false
-	}
-	return bestScore, bestAssign, len(placements), true
+	return bestScore, bestAssign, len(placements)
 }
 
-// materialize produces the concrete assignment realizing the fast
-// path's best move on pm, translated from canonical to the PM's actual
-// dimension order. Returns nil if the move cannot be realized (which a
-// successful scoreCandidate on the same profile rules out; the
-// enumeration fallback is defensive).
-func (p *PageRankVM) materialize(b binding, pm *PM) resource.Assignment {
-	if b.fast {
-		if ids, ok := pmNodeIDs(pm, b.fr); ok {
-			if canon, ok := b.fr.Materialize(ids, b.ref); ok {
-				return alignAssign(pm.Shape, pm.used, canon)
-			}
+// materialize produces the winner's assignment in the PM's actual
+// dimension order: canon is the enumerated move, or nil for a fast-path
+// winner, whose move is read from the table. nil means the move cannot
+// be realized (a scored evaluate rules that out; the enumeration
+// fallback is defensive).
+func (p *PageRankVM) materialize(b *binding, pm *PM, canon resource.Assignment) resource.Assignment {
+	if canon == nil && b.fast {
+		if ids, ok := pmNodeIDs(pm, b); ok {
+			canon, _ = b.fr.Materialize(ids, b.ref)
 		}
-		b.fast = false
 	}
-	_, assign, _, _ := p.scoreCandidate(b, pm)
-	if assign == nil {
-		return nil
+	if canon == nil {
+		if _, canon, _ = p.enumerate(b, pm); canon == nil {
+			return nil
+		}
 	}
-	return alignAssign(pm.Shape, pm.used, assign)
+	return alignAssign(pm.Shape, pm.used, canon)
 }
 
 // alignAssign translates an assignment expressed in canonical
@@ -602,20 +606,16 @@ func alignAssign(shape *resource.Shape, used resource.Vec, canon resource.Assign
 	return out
 }
 
-// ScoreOn returns the best accommodation score of vm on pm — one
-// candidate evaluation of Algorithm 2's inner loop, exposed for
-// benchmarking the id-indexed fast path against the enumeration path.
-// On the fast path it runs in ~25ns with zero allocations — the
-// alloc_gate test and the hotalloc analyzer both hold it there.
+// ScoreOn returns the best accommodation score of vm on pm — evaluate
+// plus a binding lookup, so re-scoring a PM that Place just scanned (as
+// serve and the descheduler do) is a memo hit. On the fast path it
+// runs in ~25ns with zero allocations, hit or miss — the alloc_gate
+// test and the hotalloc analyzer both hold it there.
 //
 //prvm:hotpath
 func (p *PageRankVM) ScoreOn(pm *PM, vm *VM) (float64, bool) {
-	b, err := p.binding(pm.Type, vm)
-	if err != nil || !b.hasDemand {
-		return 0, false
-	}
-	score, _, _, ok := p.scoreCandidate(b, pm)
-	return score, ok
+	st, score, _, _, err := p.evaluate(pm, vm, nil)
+	return score, err == nil && st == stageScored
 }
 
 // sample draws two distinct random used PMs (the 2-choice method).

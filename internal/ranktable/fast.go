@@ -6,6 +6,10 @@ import "pagerankvm/internal/resource"
 // by ResolveType. It is only meaningful with the ranker that issued it.
 type TypeRef struct{ id int32 }
 
+// Index returns the handle's dense VM-type id, in [0, NumTypes()) of the
+// ranker that issued it — an array index for per-type side tables.
+func (r TypeRef) Index() int { return int(r.id) }
+
 // FastRanker is the integer-indexed scoring interface Algorithm 2's hot
 // loop uses. Instead of enumerating resource.Placements and hashing
 // canonical profile keys per candidate PM, the placer resolves each
@@ -33,6 +37,9 @@ type FastRanker interface {
 	// its demands differ from the registered type of the same name, or
 	// the ranker cannot serve it from precomputed moves.
 	ResolveType(vt resource.VMType) (TypeRef, bool)
+	// NumTypes returns the number of VM types ResolveType can issue
+	// handles for (the exclusive bound of TypeRef.Index).
+	NumTypes() int
 	// BestMove returns the best score reachable from the profile ids by
 	// placing one VM of the resolved type, along with the number of
 	// distinct candidate profiles. ok is false when the type cannot be
@@ -93,6 +100,15 @@ func (t *Table) ResolveType(vt resource.VMType) (TypeRef, bool) {
 	return TypeRef{id: int32(tid)}, true
 }
 
+// NumTypes returns the size of the lattice's active VM-type set (0 for
+// a table rebuilt from serialized form, which resolves no types).
+func (t *Table) NumTypes() int {
+	if t.space == nil {
+		return 0
+	}
+	return t.space.NumTypes()
+}
+
 // BestMove reads the precomputed argmax for (node, type).
 //
 //prvm:hotpath
@@ -136,7 +152,8 @@ func (f *Factored) NodeIDs(p resource.Vec, dst []int32) ([]int32, bool) {
 	}
 	dst = dst[:0]
 	for gi, tb := range f.groups {
-		id := tb.space.Index(f.shape.Project(p, gi))
+		lo, hi := f.shape.GroupRange(gi)
+		id := tb.space.Index(p[lo:hi])
 		if id < 0 {
 			return nil, false
 		}
@@ -158,6 +175,9 @@ func (f *Factored) ResolveType(vt resource.VMType) (TypeRef, bool) {
 	}
 	return TypeRef{id: int32(ti)}, true
 }
+
+// NumTypes returns the number of VM types the ranker was built over.
+func (f *Factored) NumTypes() int { return len(f.types) }
 
 // BestMove multiplies the per-group best scores in ascending group
 // order — the exact multiplication chain Score performs for the
