@@ -7,7 +7,7 @@
 //	         [-steps n] [-quick] [-obsaddr host:port] [-metrics-out file]
 //
 // -quick shrinks every sweep to a laptop-scale smoke run. -obsaddr
-// serves live telemetry (JSON metrics, decision traces, pprof) while
+// serves live telemetry (Prometheus metrics, decision traces, pprof) while
 // the harness runs; -metrics-out dumps the final snapshot as JSON.
 package main
 
@@ -40,7 +40,7 @@ func run(args []string) error {
 		steps   = fs.Int("steps", 1440, "testbed control intervals")
 		seed    = fs.Int64("seed", 1, "base random seed")
 		quick   = fs.Bool("quick", false, "tiny smoke-run configuration")
-		obsAddr = fs.String("obsaddr", "", "serve telemetry (JSON metrics, decision traces, pprof) on this address; :0 picks a port")
+		obsAddr = fs.String("obsaddr", "", "serve telemetry (Prometheus metrics, decision traces, pprof) on this address; :0 picks a port")
 		metOut  = fs.String("metrics-out", "", "write the final telemetry snapshot as JSON to this file")
 	)
 	if err := fs.Parse(args); err != nil {

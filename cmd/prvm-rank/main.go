@@ -4,7 +4,7 @@
 // Usage:
 //
 //	prvm-rank [-mode absorption|reverse-pr|forward-pr] [-top n]
-//	          [-pm M3|C3] [-save file] [-compare]
+//	          [-pm M3|C3] [-save file] [-compare] [-workers n]
 //
 // Without -pm it uses the paper's running example (capacity [4,4,4,4],
 // VM types {[1,1],[1,1,1,1]}); with -pm it builds the factored table

@@ -16,10 +16,9 @@
 // seed, VM count, inventory, horizon), reports replay throughput, and
 // exits nonzero on the first divergent decision — the CI gate that
 // placement semantics did not drift. -diff compares two existing
-// recordings positionally (e.g. fast-path vs -record-nofast runs of
-// the same seed) and exits nonzero when they diverge. Decision
-// identity ignores metadata (seq, engine flag, timings); scores are
-// compared bitwise.
+// recordings positionally (e.g. the same seed recorded by two builds)
+// and exits nonzero when they diverge. Decision identity ignores
+// metadata (seq, engine flag, timings); scores are compared bitwise.
 package main
 
 import (
@@ -166,9 +165,6 @@ func printMeta(path string, m record.RunMeta) {
 		path, orUnknown(m.Kind), orUnknown(m.Trace), m.Seed, m.NumVMs, m.PMsPerType, m.Steps)
 	if m.Algorithm != "" {
 		fmt.Printf(" alg=%s", m.Algorithm)
-	}
-	if m.NoFastPath {
-		fmt.Print(" nofast")
 	}
 	fmt.Println()
 }

@@ -17,8 +17,8 @@
 // -shards recovers the exact pre-crash state. Without -data the server
 // is in-memory only.
 //
-// Telemetry (JSON metrics, decision traces, pprof) is served in-process
-// on /metrics, /metrics.json, /events and /debug/pprof/ of the same
+// Telemetry (Prometheus metrics, decision traces, pprof) is served
+// in-process on /metrics, /events and /debug/pprof/ of the same
 // listener. SIGINT/SIGTERM shut down gracefully: in-flight requests
 // finish, a final snapshot is cut, and the process exits 0.
 package main

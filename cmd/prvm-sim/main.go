@@ -8,7 +8,7 @@
 //	prvm-sim [-fig all|3a|3b|5a|5b|6a|6b|7a|7b] [-reps n] [-seed s]
 //	         [-vms 1000,2000,3000] [-pms n]
 //	         [-obsaddr host:port] [-metrics-out file]
-//	prvm-sim -record out.jsonl[.gz] [-record-steps n] [-record-nofast]
+//	prvm-sim -record out.jsonl[.gz] [-record-steps n]
 //	         [-seed s] [-vms n] [-pms n] [-rebalance-every n]
 //	         [-rebalance-budget n] [-rebalance-pm-budget n]
 //	         [-drain-below f]
@@ -21,13 +21,11 @@
 // run (trace from the first requested figure, the first -vms count,
 // -pms hosts per type) is captured as a self-describing decision
 // recording that prvm-replay can verify, diff and summarize (DESIGN.md
-// §11). -record-nofast records the legacy scoring path — its decision
-// stream must diff clean against a fast-path recording of the same
-// seed.
+// §11).
 //
-// -obsaddr serves live telemetry over HTTP (/metrics JSON, /events
-// decision traces, /debug/pprof/) while the sweep runs; -obsaddr :0
-// picks an ephemeral port, printed on stderr. -metrics-out dumps the
+// -obsaddr serves live telemetry over HTTP (/metrics Prometheus text,
+// /events decision traces, /debug/pprof/) while the sweep runs; -obsaddr
+// :0 picks an ephemeral port, printed on stderr. -metrics-out dumps the
 // final metrics snapshot as JSON for benchmark trajectory tracking.
 // Either flag enables instrumentation; with neither, the hot paths run
 // uninstrumented.
@@ -79,11 +77,10 @@ func run(args []string) error {
 		pms       = fs.Int("pms", 0, "PMs per Table II type (0 = auto)")
 		csvPath   = fs.String("csv", "", "also write the sweep data as tidy CSV to this file")
 		series    = fs.String("series", "", "write one run's per-interval time series as CSV to this file (uses the first -vms count and the first figure's trace)")
-		obsAddr   = fs.String("obsaddr", "", "serve telemetry (JSON metrics, decision traces, pprof) on this address; :0 picks a port")
+		obsAddr   = fs.String("obsaddr", "", "serve telemetry (Prometheus metrics, decision traces, pprof) on this address; :0 picks a port")
 		metOut    = fs.String("metrics-out", "", "write the final telemetry snapshot as JSON to this file")
 		recPath   = fs.String("record", "", "record one seeded run as a decision recording at this path (.gz compresses) instead of sweeping")
 		recStep   = fs.Int("record-steps", 0, "horizon of the recorded run in monitoring intervals (0 = the 24 h default)")
-		recSlow   = fs.Bool("record-nofast", false, "record with the id-indexed fast path disabled (legacy scoring)")
 		rebEvery  = fs.Int("rebalance-every", 0, "recording mode: run a descheduler round every n monitoring intervals (0 disables)")
 		rebBudget = fs.Int("rebalance-budget", 0, "recording mode: max migrations per descheduler round (0 = default)")
 		rebPM     = fs.Int("rebalance-pm-budget", 0, "recording mode: max migrations off one PM per round (0 = default)")
@@ -112,7 +109,6 @@ func run(args []string) error {
 			NumVMs:              counts[0],
 			PMsPerType:          *pms,
 			Steps:               *recStep,
-			NoFastPath:          *recSlow,
 			RebalanceEvery:      *rebEvery,
 			RebalanceBudget:     *rebBudget,
 			RebalancePMBudget:   *rebPM,

@@ -19,7 +19,7 @@
 //	    -faults "seed=7,drop=0.01,err=0.01"
 //
 // (drop/delay faults need -call-timeout to be detected). -obsaddr
-// serves live telemetry (JSON metrics, decision traces, pprof —
+// serves live telemetry (Prometheus metrics, decision traces, pprof —
 // including the controller's per-request control-protocol latency
 // histogram); -metrics-out dumps the final snapshot as JSON.
 package main
@@ -70,7 +70,7 @@ func run(args []string) error {
 		backoff = fs.Duration("retry-backoff", testbed.DefaultRetryBackoff, "initial retry backoff (doubles per retry)")
 		faults  = fs.String("faults", "", `fault injection spec, e.g. "seed=7,drop=0.01,err=0.01,delay=5ms,delayprob=0.02,close=500"`)
 		csvPath = fs.String("csv", "", "also write the sweep data as tidy CSV to this file")
-		obsAddr = fs.String("obsaddr", "", "serve telemetry (JSON metrics, decision traces, pprof) on this address; :0 picks a port")
+		obsAddr = fs.String("obsaddr", "", "serve telemetry (Prometheus metrics, decision traces, pprof) on this address; :0 picks a port")
 		metOut  = fs.String("metrics-out", "", "write the final telemetry snapshot as JSON to this file")
 	)
 	if err := fs.Parse(args); err != nil {

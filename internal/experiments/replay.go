@@ -36,11 +36,6 @@ type RecordConfig struct {
 	// Steps is the horizon in monitoring intervals (default: the
 	// simulator's 24 h / 300 s).
 	Steps int
-	// NoFastPath disables the id-indexed scoring engine, recording
-	// the legacy string-key path instead. Decision identity is
-	// engine-independent, so recordings of the two variants diff
-	// clean; the flag is kept in the header for honest provenance.
-	NoFastPath bool
 	// RebalanceEvery, when positive, enables the descheduler: one
 	// rebalance round every that many monitoring intervals. Rebalance
 	// moves are part of decision identity (each is a release+place op
@@ -89,7 +84,6 @@ func (c RecordConfig) Meta() record.RunMeta {
 		PMsPerType:          c.PMsPerType,
 		Steps:               c.Steps,
 		Algorithm:           "PageRankVM",
-		NoFastPath:          c.NoFastPath,
 		RebalanceEvery:      c.RebalanceEvery,
 		RebalanceBudget:     c.RebalanceBudget,
 		RebalancePMBudget:   c.RebalancePMBudget,
@@ -112,7 +106,6 @@ func ConfigFromMeta(m record.RunMeta) (RecordConfig, error) {
 		NumVMs:              m.NumVMs,
 		PMsPerType:          m.PMsPerType,
 		Steps:               m.Steps,
-		NoFastPath:          m.NoFastPath,
 		RebalanceEvery:      m.RebalanceEvery,
 		RebalanceBudget:     m.RebalanceBudget,
 		RebalancePMBudget:   m.RebalancePMBudget,
@@ -151,14 +144,8 @@ func RunRecorded(cfg RecordConfig, rec *record.Recorder) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	popts := []placement.PageRankOption{
-		placement.WithSeed(cfg.Seed),
-		placement.WithRecorder(rec),
-	}
-	if cfg.NoFastPath {
-		popts = append(popts, placement.WithoutFastPath())
-	}
-	placer := placement.NewPageRankVM(reg, popts...)
+	placer := placement.NewPageRankVM(reg,
+		placement.WithSeed(cfg.Seed), placement.WithRecorder(rec))
 	models := map[string]*energy.Model{}
 	for _, pm := range cat.PMs {
 		m, err := energy.ByName(pm.Power)

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -49,6 +51,39 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayIgnoresRetiredEngineFlag: recordings made while the placer
+// still had a user-selected string-key engine carry "no_fast_path":true
+// in their header. Decision identity never depended on the engine, so
+// such a recording must still load and replay clean.
+func TestReplayIgnoresRetiredEngineFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if _, _, err := RecordToFile(path, RecordConfig{Seed: 4, NumVMs: 30, PMsPerType: 4, Steps: 12}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(data, []byte(`"kind":"sim"`), []byte(`"kind":"sim","no_fast_path":true`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatal("header not rewritten")
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hdr, recorded, _, err := record.ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, _, _, err := Replay(hdr.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := record.Diff(recorded, replayed); !sum.Clean() || len(recorded) == 0 {
+		t.Fatalf("old-header recording (%d decisions) diverges on replay: %+v", len(recorded), sum)
+	}
+}
+
 func TestConfigFromMetaRejectsUnreplayable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -66,7 +101,7 @@ func TestConfigFromMetaRejectsUnreplayable(t *testing.T) {
 }
 
 func TestConfigMetaRoundTrip(t *testing.T) {
-	cfg := RecordConfig{Trace: "planetlab", Seed: 3, NumVMs: 50, PMsPerType: 5, Steps: 12, NoFastPath: true}
+	cfg := RecordConfig{Trace: "planetlab", Seed: 3, NumVMs: 50, PMsPerType: 5, Steps: 12}
 	got, err := ConfigFromMeta(cfg.Meta())
 	if err != nil {
 		t.Fatal(err)

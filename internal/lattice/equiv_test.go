@@ -71,7 +71,7 @@ func legacyBuild(t *testing.T, shape *resource.Shape, vmTypes []resource.VMType)
 	gen(0, 0)
 	ls.index = make(map[string]int, len(ls.nodes))
 	for i, n := range ls.nodes {
-		ls.index[shape.KeyCanon(n)] = i
+		ls.index[shape.Key(n)] = i
 	}
 
 	n, T := len(ls.nodes), len(active)
@@ -127,14 +127,12 @@ func TestArenaLegacyEquivalence(t *testing.T) {
 					t.Fatalf("trial %d: node %d = %v, want %v", trial, i, got.Node(i), ref.nodes[i])
 				}
 			}
-			// Arithmetic index must agree with the map on every key —
+			// Arithmetic index must agree with the map on every profile —
 			// canonical and shuffled — and reject foreign profiles.
-			for key, id := range ref.index {
-				if got.IndexKey(key) != id {
-					t.Fatalf("trial %d: IndexKey(%q) = %d, want %d", trial, key, got.IndexKey(key), id)
-				}
-			}
 			for i := range ref.nodes {
+				if got.Index(ref.nodes[i]) != i {
+					t.Fatalf("trial %d: Index(%v) = %d, want %d", trial, ref.nodes[i], got.Index(ref.nodes[i]), i)
+				}
 				v := ref.nodes[i].Clone()
 				rng.Shuffle(len(v), func(a, b int) { v[a], v[b] = v[b], v[a] })
 				want, ok := ref.index[shape.Key(v)]

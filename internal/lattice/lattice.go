@@ -72,8 +72,8 @@ const MaxNodes = 4 << 20
 // maxTypedEntries bounds the per-type labeled successor arenas: above
 // len(nodes)*len(types) entries the typed lists (and their assignment
 // arena) are skipped and only the union CSR is built, keeping memory
-// proportional to the graph itself. Rankers then fall back to the
-// string-key scoring path.
+// proportional to the graph itself. Rankers then offer no precomputed
+// moves and the placer enumerates resource.Placements per candidate.
 const maxTypedEntries = 8 << 20
 
 // chunksPerWorker oversubscribes the wire phase: low-usage nodes have
@@ -588,33 +588,6 @@ func (s *Space) Index(v resource.Vec) int {
 			return -1
 		}
 		id += g.rankSorted(sg) * g.radix
-	}
-	return id
-}
-
-// IndexKey returns the node id for a canonical key, or -1 for keys
-// that are malformed, out of range, or not canonical.
-//
-//prvm:hotpath
-func (s *Space) IndexKey(key string) int {
-	if len(key) != s.dims {
-		return -1
-	}
-	id := 0
-	for gi := range s.rank.groups {
-		g := &s.rank.groups[gi]
-		r, prev := 0, 0
-		stride := g.capU + 1
-		for k := 0; k < g.dims; k++ {
-			val := int(key[g.lo+k])
-			if val < prev || val > g.capU {
-				return -1
-			}
-			row := g.pref[(g.dims-1-k)*stride : (g.dims-k)*stride]
-			r += row[val] - row[prev]
-			prev = val
-		}
-		id += r * g.radix
 	}
 	return id
 }

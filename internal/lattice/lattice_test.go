@@ -39,7 +39,7 @@ func TestSpaceEnumeration(t *testing.T) {
 				t.Fatalf("node %v not canonical", n)
 			}
 		}
-		key := s.Shape().KeyCanon(n)
+		key := s.Shape().Key(n)
 		if seen[key] {
 			t.Fatalf("duplicate node %v", n)
 		}
@@ -77,7 +77,7 @@ func TestSpacePaperEdges(t *testing.T) {
 		t.Fatalf("got %d successors, want %d", len(succ), len(want))
 	}
 	for _, j := range succ {
-		key := s.Shape().KeyCanon(s.Node(int(j)))
+		key := s.Shape().Key(s.Node(int(j)))
 		if _, ok := want[key]; !ok {
 			t.Fatalf("unexpected successor %v", s.Node(int(j)))
 		}
@@ -143,8 +143,8 @@ func TestSpaceIndex(t *testing.T) {
 	if s.Index(resource.Vec{5, 0, 0, 0}) != -1 {
 		t.Fatal("out-of-lattice profile indexed")
 	}
-	if s.IndexKey("nonsense") != -1 {
-		t.Fatal("bogus key indexed")
+	if s.Index(resource.Vec{1, 1}) != -1 {
+		t.Fatal("wrong-length profile indexed")
 	}
 }
 

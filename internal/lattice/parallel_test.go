@@ -113,7 +113,7 @@ func TestTypedSuccessors(t *testing.T) {
 						trial, node, s.TypeAt(ty).Name, len(succ), len(pls))
 				}
 				for k, pl := range pls {
-					if want := s.IndexKey(pl.Key); int(succ[k]) != want {
+					if want := s.Index(pl.Result); int(succ[k]) != want {
 						t.Fatalf("trial %d node %v type %s: successor %d = node %d, want %d",
 							trial, node, s.TypeAt(ty).Name, k, succ[k], want)
 					}

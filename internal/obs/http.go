@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -12,9 +11,7 @@ import (
 // Handler serves the observer over HTTP:
 //
 //	/metrics        Prometheus text exposition (version 0.0.4)
-//	/metrics.json   indented JSON snapshot of every instrument
 //	/events         retained trace events (when sink is a *RingSink)
-//	/debug/vars     the standard expvar page (memstats, cmdline)
 //	/debug/pprof/*  the net/http/pprof profiles
 //
 // sink may be nil; pass the observer's RingSink to expose /events.
@@ -23,10 +20,6 @@ func Handler(o *Observer, sink *RingSink) http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", PromContentType)
 		_ = o.WriteProm(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = o.WriteJSON(w)
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -38,7 +31,6 @@ func Handler(o *Observer, sink *RingSink) http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(events)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -49,7 +41,7 @@ func Handler(o *Observer, sink *RingSink) http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintln(w, "pagerankvm telemetry: /metrics /metrics.json /events /debug/vars /debug/pprof/")
+		fmt.Fprintln(w, "pagerankvm telemetry: /metrics /events /debug/pprof/")
 	})
 	return mux
 }

@@ -61,9 +61,6 @@ type RunMeta struct {
 	Steps int `json:"steps,omitempty"`
 	// Algorithm names the placer ("PageRankVM").
 	Algorithm string `json:"algorithm,omitempty"`
-	// NoFastPath records that the run forced the string-key
-	// enumeration path (placement.WithoutFastPath).
-	NoFastPath bool `json:"no_fast_path,omitempty"`
 	// RebalanceEvery, when positive, records that the run enabled the
 	// descheduler: one rebalance round every that many monitoring
 	// intervals (internal/deschedule).

@@ -9,7 +9,7 @@ func TestAbsorptionValuesChain(t *testing.T) {
 	// 0 -> 1 -> 2(terminal, util 1): V(2)=1, V(1)=d, V(0)=d^2.
 	g := [][]int32{{1}, {2}, nil}
 	utils := []float64{0.1, 0.5, 1.0}
-	v, err := AbsorptionValues(g, utils, 0.85, 8)
+	v, err := AbsorptionValuesCSR(NewCSR(g), utils, 0.85, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestAbsorptionValuesMean(t *testing.T) {
 	// 0 -> {1, 2}; terminal utils 1 and 0.5; exponent 1.
 	g := [][]int32{{1, 2}, nil, nil}
 	utils := []float64{0, 1, 0.5}
-	v, err := AbsorptionValues(g, utils, 0.8, 1)
+	v, err := AbsorptionValuesCSR(NewCSR(g), utils, 0.8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +38,11 @@ func TestAbsorptionValuesMean(t *testing.T) {
 func TestAbsorptionValuesRewardExponent(t *testing.T) {
 	g := [][]int32{nil}
 	utils := []float64{0.5}
-	v1, err := AbsorptionValues(g, utils, 0.85, 1)
+	v1, err := AbsorptionValuesCSR(NewCSR(g), utils, 0.85, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, err := AbsorptionValues(g, utils, 0.85, 3)
+	v3, err := AbsorptionValuesCSR(NewCSR(g), utils, 0.85, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAbsorptionValuesSharedSubDAG(t *testing.T) {
 	// hold and both middles get d * 1.
 	g := [][]int32{{1, 2}, {3}, {3}, nil}
 	utils := []float64{0, 0, 0, 1}
-	v, err := AbsorptionValues(g, utils, 0.9, 4)
+	v, err := AbsorptionValuesCSR(NewCSR(g), utils, 0.9, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,20 +70,20 @@ func TestAbsorptionValuesSharedSubDAG(t *testing.T) {
 
 func TestAbsorptionValuesValidation(t *testing.T) {
 	g := [][]int32{nil}
-	if _, err := AbsorptionValues(g, nil, 0.85, 8); err == nil {
+	if _, err := AbsorptionValuesCSR(NewCSR(g), nil, 0.85, 8); err == nil {
 		t.Error("accepted mismatched utils")
 	}
-	if _, err := AbsorptionValues(g, []float64{1}, 0, 8); err == nil {
+	if _, err := AbsorptionValuesCSR(NewCSR(g), []float64{1}, 0, 8); err == nil {
 		t.Error("accepted zero damping")
 	}
-	if _, err := AbsorptionValues(g, []float64{1}, 1.5, 8); err == nil {
+	if _, err := AbsorptionValuesCSR(NewCSR(g), []float64{1}, 1.5, 8); err == nil {
 		t.Error("accepted damping > 1")
 	}
-	if _, err := AbsorptionValues(g, []float64{1}, 0.85, 0); err == nil {
+	if _, err := AbsorptionValuesCSR(NewCSR(g), []float64{1}, 0.85, 0); err == nil {
 		t.Error("accepted zero reward exponent")
 	}
 	cyclic := [][]int32{{1}, {0}}
-	if _, err := AbsorptionValues(cyclic, []float64{0, 0}, 0.85, 8); err == nil {
+	if _, err := AbsorptionValuesCSR(NewCSR(cyclic), []float64{0, 0}, 0.85, 8); err == nil {
 		t.Error("accepted a cycle")
 	}
 }
@@ -91,7 +91,7 @@ func TestAbsorptionValuesValidation(t *testing.T) {
 func TestAbsorptionValuesDampingOne(t *testing.T) {
 	// damping 1 is allowed: pure expected terminal reward.
 	g := [][]int32{{1}, nil}
-	v, err := AbsorptionValues(g, []float64{0, 1}, 1, 1)
+	v, err := AbsorptionValuesCSR(NewCSR(g), []float64{0, 1}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestAbsorptionValuesBounded(t *testing.T) {
 	// Values always lie in [0, 1] for utils in [0, 1].
 	g := [][]int32{{1, 2}, {3}, {3, 4}, nil, nil}
 	utils := []float64{0.2, 0.3, 0.1, 0.9, 0.4}
-	v, err := AbsorptionValues(g, utils, 0.85, 8)
+	v, err := AbsorptionValuesCSR(NewCSR(g), utils, 0.85, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

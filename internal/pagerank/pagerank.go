@@ -5,14 +5,14 @@
 // each profile's rank by the maximum utilization among the terminal
 // profiles reachable from it.
 //
-// The cores operate on CSR graphs (see CSR); the [][]int32 entry
-// points are thin shims retained for callers holding per-node
-// successor slices.
+// Every entry point operates on a CSR graph (see CSR); NewCSR flattens
+// per-node successor slices into one.
 package pagerank
 
 import (
 	"errors"
 	"math"
+	"time"
 
 	"pagerankvm/internal/obs"
 	"pagerankvm/internal/opt"
@@ -84,14 +84,8 @@ type Result struct {
 // small capacity instead of pre-reserving MaxIter entries.
 const initialResidualCap = 16
 
-// Ranks runs the paper's Algorithm 1 lines 2-18 on the graph given as
-// per-node successor lists. It returns an error for an empty graph or
-// invalid options. Compatibility shim over RanksCSR.
-func Ranks(succ [][]int32, opts Options) (Result, error) {
-	return RanksCSR(NewCSR(succ), opts)
-}
-
-// RanksCSR is Ranks over a CSR graph — the hot-path form: the
+// RanksCSR runs the paper's Algorithm 1 lines 2-18 on a CSR graph. It
+// returns an error for an empty graph or invalid options. The
 // distribute loop streams two flat arenas and the auxiliary
 // accumulator comes from a scratch pool, so steady-state runs allocate
 // only the returned rank vector (plus residual diagnostics).
@@ -189,15 +183,6 @@ func RanksCSR(g CSR, opts Options) (Result, error) {
 	return res, nil
 }
 
-// BPRU computes, for every node, the maximum utilization among the
-// terminal nodes (no out-edges) reachable from it; a terminal node's
-// BPRU is its own utilization (Algorithm 1 line 19's discount factor).
-// The graph must be a DAG — profile graphs always are, because edges
-// strictly increase total usage. Compatibility shim over BPRUCSR.
-func BPRU(succ [][]int32, utils []float64) ([]float64, error) {
-	return BPRUCSR(NewCSR(succ), utils)
-}
-
 // dfsFrame is one entry of the iterative post-order DFS stack shared
 // by BPRUCSR and AbsorptionValuesCSR (deep recursion on long chains
 // would overflow the goroutine stack).
@@ -206,7 +191,11 @@ type dfsFrame struct {
 	next int32
 }
 
-// BPRUCSR is BPRU over a CSR graph.
+// BPRUCSR computes, for every node, the maximum utilization among the
+// terminal nodes (no out-edges) reachable from it; a terminal node's
+// BPRU is its own utilization (Algorithm 1 line 19's discount factor).
+// The graph must be a DAG — profile graphs always are, because edges
+// strictly increase total usage.
 func BPRUCSR(g CSR, utils []float64) ([]float64, error) {
 	n := g.Len()
 	if len(utils) != n {
@@ -263,9 +252,10 @@ func BPRUCSR(g CSR, utils []float64) ([]float64, error) {
 	return bpru, nil
 }
 
-// AbsorptionValues computes the damped absorption value of every node
-// of a DAG: terminals are worth reward(t) = utils[t]^rewardExp, and an
-// inner node is worth damping times the mean value of its successors.
+// AbsorptionValuesCSR computes the damped absorption value of every
+// node of a DAG: terminals are worth reward(t) = utils[t]^rewardExp,
+// and an inner node is worth damping times the mean value of its
+// successors.
 //
 // This is the "probability that this profile can reach the best
 // profile" reading of the paper's rank (Section V-B's closing
@@ -274,12 +264,6 @@ func BPRUCSR(g CSR, utils []float64) ([]float64, error) {
 // rewarded by how close to full utilization it ends. The reward
 // exponent sharpens the penalty for stranding capacity (a terminal at
 // 93% utilization with rewardExp=8 is worth 0.6, not 0.93).
-// Compatibility shim over AbsorptionValuesCSR.
-func AbsorptionValues(succ [][]int32, utils []float64, damping, rewardExp float64) ([]float64, error) {
-	return AbsorptionValuesCSR(NewCSR(succ), utils, damping, rewardExp)
-}
-
-// AbsorptionValuesCSR is AbsorptionValues over a CSR graph.
 func AbsorptionValuesCSR(g CSR, utils []float64, damping, rewardExp float64) ([]float64, error) {
 	n := g.Len()
 	if len(utils) != n {
@@ -339,22 +323,22 @@ func AbsorptionValuesCSR(g CSR, utils []float64, damping, rewardExp float64) ([]
 	return value, nil
 }
 
-// Scores runs Ranks then applies the BPRU discount (Algorithm 1
-// line 19), returning the final per-node scores. Compatibility shim
-// over ScoresCSR.
-func Scores(succ [][]int32, utils []float64, opts Options) ([]float64, Result, error) {
-	return ScoresCSR(NewCSR(succ), utils, opts)
-}
-
-// ScoresCSR is Scores over a CSR graph.
-func ScoresCSR(g CSR, utils []float64, opts Options) ([]float64, Result, error) {
-	res, err := RanksCSR(g, opts)
+// ScoresCSR runs RanksCSR on votes, then applies the BPRU discount of
+// the forward profile graph g (Algorithm 1 line 19), returning the
+// final per-node scores. votes is g itself for the literal Equ. (12)
+// and g.Reverse() when votes flow from a profile to its predecessors.
+func ScoresCSR(votes, g CSR, utils []float64, opts Options) ([]float64, Result, error) {
+	res, err := RanksCSR(votes, opts)
 	if err != nil {
 		return nil, Result{}, err
 	}
+	start := time.Now()
 	bpru, err := BPRUCSR(g, utils)
 	if err != nil {
 		return nil, Result{}, err
+	}
+	if opts.Obs != nil {
+		opts.Obs.Histogram("pagerank.bpru_seconds", nil).Observe(time.Since(start).Seconds())
 	}
 	scores := make([]float64, len(res.Ranks))
 	for i, r := range res.Ranks {

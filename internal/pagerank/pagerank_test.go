@@ -10,26 +10,26 @@ import (
 )
 
 func TestRanksEmptyGraph(t *testing.T) {
-	if _, err := Ranks(nil, Options{}); err == nil {
+	if _, err := RanksCSR(NewCSR(nil), Options{}); err == nil {
 		t.Fatal("Ranks accepted an empty graph")
 	}
 }
 
 func TestRanksBadOptions(t *testing.T) {
 	g := [][]int32{nil}
-	if _, err := Ranks(g, Options{Damping: opt.F(1.5)}); err == nil {
+	if _, err := RanksCSR(NewCSR(g), Options{Damping: opt.F(1.5)}); err == nil {
 		t.Error("accepted damping >= 1")
 	}
-	if _, err := Ranks(g, Options{Damping: opt.F(-0.5)}); err == nil {
+	if _, err := RanksCSR(NewCSR(g), Options{Damping: opt.F(-0.5)}); err == nil {
 		t.Error("accepted negative damping")
 	}
-	if _, err := Ranks(g, Options{Epsilon: opt.F(-1)}); err == nil {
+	if _, err := RanksCSR(NewCSR(g), Options{Epsilon: opt.F(-1)}); err == nil {
 		t.Error("accepted negative epsilon")
 	}
 }
 
 func TestRanksSingleNode(t *testing.T) {
-	res, err := Ranks([][]int32{nil}, Options{})
+	res, err := RanksCSR(NewCSR([][]int32{nil}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRanksSingleNode(t *testing.T) {
 // votes for its successor.
 func TestRanksChainOrdering(t *testing.T) {
 	g := [][]int32{{1}, {2}, nil}
-	res, err := Ranks(g, Options{})
+	res, err := RanksCSR(NewCSR(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRanksChainOrdering(t *testing.T) {
 func TestRanksInDegreeMatters(t *testing.T) {
 	// 0 -> 2, 1 -> 2, 3 -> 4. Node 2 has two voters, node 4 one.
 	g := [][]int32{{2}, {2}, nil, {4}, nil}
-	res, err := Ranks(g, Options{})
+	res, err := RanksCSR(NewCSR(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRanksNormalizedAndNonNegative(t *testing.T) {
 				}
 			}
 		}
-		res, err := Ranks(g, Options{})
+		res, err := RanksCSR(NewCSR(g), Options{})
 		if err != nil || !res.Converged {
 			return false
 		}
@@ -103,11 +103,11 @@ func TestRanksNormalizedAndNonNegative(t *testing.T) {
 
 func TestRanksDeterministic(t *testing.T) {
 	g := [][]int32{{1, 2}, {2}, {3}, nil}
-	a, err := Ranks(g, Options{})
+	a, err := RanksCSR(NewCSR(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Ranks(g, Options{})
+	b, err := RanksCSR(NewCSR(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBPRUChain(t *testing.T) {
 	// 0 -> 1 -> 2(terminal, util .75); 3 terminal util .5.
 	g := [][]int32{{1}, {2}, nil, nil}
 	utils := []float64{0.1, 0.5, 0.75, 0.5}
-	b, err := BPRU(g, utils)
+	b, err := BPRUCSR(NewCSR(g), utils)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestBPRUBranching(t *testing.T) {
 	// 0 -> {1,2}; 1 terminal util 1.0; 2 -> 3 terminal util 0.6.
 	g := [][]int32{{1, 2}, nil, {3}, nil}
 	utils := []float64{0.2, 1.0, 0.4, 0.6}
-	b, err := BPRU(g, utils)
+	b, err := BPRUCSR(NewCSR(g), utils)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +152,13 @@ func TestBPRUBranching(t *testing.T) {
 
 func TestBPRUDetectsCycle(t *testing.T) {
 	g := [][]int32{{1}, {0}}
-	if _, err := BPRU(g, []float64{0, 0}); err == nil {
+	if _, err := BPRUCSR(NewCSR(g), []float64{0, 0}); err == nil {
 		t.Fatal("BPRU accepted a cyclic graph")
 	}
 }
 
 func TestBPRULengthMismatch(t *testing.T) {
-	if _, err := BPRU([][]int32{nil}, nil); err == nil {
+	if _, err := BPRUCSR(NewCSR([][]int32{nil}), nil); err == nil {
 		t.Fatal("BPRU accepted mismatched utils")
 	}
 }
@@ -168,7 +168,7 @@ func TestBPRUSharedSubDAG(t *testing.T) {
 	// not double-visit.
 	g := [][]int32{{1, 2}, {3}, {3}, nil}
 	utils := []float64{0, 0, 0, 0.9}
-	b, err := BPRU(g, utils)
+	b, err := BPRUCSR(NewCSR(g), utils)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +182,9 @@ func TestBPRUSharedSubDAG(t *testing.T) {
 func TestScoresDiscount(t *testing.T) {
 	// Two parallel chains of equal topology but different terminal
 	// utilization; the high-utilization chain must win after BPRU.
-	g := [][]int32{{1}, nil, {3}, nil}
+	g := NewCSR([][]int32{{1}, nil, {3}, nil})
 	utils := []float64{0.5, 1.0, 0.5, 0.5}
-	scores, res, err := Scores(g, utils, Options{})
+	scores, res, err := ScoresCSR(g, g, utils, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,18 +200,18 @@ func TestScoresDiscount(t *testing.T) {
 }
 
 func TestScoresErrorPropagation(t *testing.T) {
-	if _, _, err := Scores(nil, nil, Options{}); err == nil {
-		t.Error("Scores accepted empty graph")
+	if _, _, err := ScoresCSR(CSR{}, CSR{}, nil, Options{}); err == nil {
+		t.Error("ScoresCSR accepted empty graph")
 	}
-	g := [][]int32{{1}, {0}}
-	if _, _, err := Scores(g, []float64{0, 0}, Options{}); err == nil {
-		t.Error("Scores accepted a cyclic graph")
+	g := NewCSR([][]int32{{1}, {0}})
+	if _, _, err := ScoresCSR(g, g, []float64{0, 0}, Options{}); err == nil {
+		t.Error("ScoresCSR accepted a cyclic graph")
 	}
 }
 
 func TestRanksMaxIterCap(t *testing.T) {
 	g := [][]int32{{1}, {2}, nil}
-	res, err := Ranks(g, Options{Epsilon: opt.F(1e-300), MaxIter: 3})
+	res, err := RanksCSR(NewCSR(g), Options{Epsilon: opt.F(1e-300), MaxIter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestRanksResiduals(t *testing.T) {
 	// A small cyclic graph so the power iteration actually runs a few
 	// rounds before converging.
 	g := [][]int32{{1, 2}, {2}, {0}}
-	res, err := Ranks(g, Options{})
+	res, err := RanksCSR(NewCSR(g), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

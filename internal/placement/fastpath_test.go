@@ -1,14 +1,44 @@
 package placement
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pagerankvm/internal/obs"
 	"pagerankvm/internal/ranktable"
 	"pagerankvm/internal/resource"
 )
+
+// enumOnly hides a ranker's FastRanker methods, so a placer over it
+// scores every candidate through enumerate: the differential oracle.
+type enumOnly struct{ ranktable.Ranker }
+
+// pmTypesOf names the PM types of an inventory.
+func pmTypesOf(fleets []trajFleet) []string {
+	out := make([]string, len(fleets))
+	for i, f := range fleets {
+		out[i] = f.pmType
+	}
+	return out
+}
+
+// enumRegistry returns reg with each named PM type's ranker wrapped in
+// enumOnly.
+func enumRegistry(t *testing.T, reg *ranktable.Registry, pmTypes ...string) *ranktable.Registry {
+	t.Helper()
+	out := ranktable.NewRegistry()
+	for _, pmType := range pmTypes {
+		r, ok := reg.Get(pmType)
+		if !ok {
+			t.Fatalf("no ranker for PM type %q", pmType)
+		}
+		out.Add(pmType, enumOnly{r})
+	}
+	return out
+}
 
 // trajFleet is one PM type of a trajectory's inventory: its shape and
 // the demands of the trajectory's VM types on it. VM types are matched
@@ -52,7 +82,7 @@ type trajResult struct {
 // profile's bitwise rank. Runs with the same spec and seed see
 // identical clusters and identical request streams as long as their
 // decisions agree.
-func runTrajectory(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed int64, opts ...PageRankOption) trajResult {
+func runTrajectory(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed int64) trajResult {
 	t.Helper()
 	pms := make([]*PM, spec.numPMs)
 	for i := range pms {
@@ -61,7 +91,7 @@ func runTrajectory(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed in
 	}
 	c := NewCluster(pms)
 	o := obs.New()
-	p := NewPageRankVM(reg, append([]PageRankOption{WithSeed(99), WithObserver(o)}, opts...)...)
+	p := NewPageRankVM(reg, WithSeed(99), WithObserver(o))
 
 	// The VM type names, in first-seen order, and each one's demands.
 	var names []string
@@ -183,15 +213,16 @@ func runTrajectory(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed in
 }
 
 // checkEquivalence runs the same trajectory through the memoised
-// fast-path placer and through the string-key engine (the differential
-// oracle: it never touches the memo) and requires identical decisions —
+// fast-path placer and through a placer that only enumerates (the
+// differential oracle: it never touches the memo) and requires
+// identical decisions —
 // PM choice, bitwise accommodation and resulting scores, canonical
 // resulting profile, the MaxUsed metric — and identical placement.*
 // counter totals, which pins the candidate order and the tie draws.
 func checkEquivalence(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed int64) trajResult {
 	t.Helper()
 	fast := runTrajectory(t, reg, spec, seed)
-	slow := runTrajectory(t, reg, spec, seed, WithoutFastPath())
+	slow := runTrajectory(t, enumRegistry(t, reg, pmTypesOf(spec.fleets)...), spec, seed)
 	if len(fast.steps) != len(slow.steps) {
 		t.Fatalf("seed %d: fast path made %d decisions, slow path %d", seed, len(fast.steps), len(slow.steps))
 	}
@@ -215,7 +246,7 @@ func checkEquivalence(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed
 			seed, fast.scanned, slow.scanned, fast.profiles, slow.profiles, fast.ties, slow.ties)
 	}
 	if slow.memoHits+slow.memoMisses != 0 {
-		t.Fatalf("seed %d: the string-key engine touched the memo (%d hits, %d misses)", seed, slow.memoHits, slow.memoMisses)
+		t.Fatalf("seed %d: the enumerating placer touched the memo (%d hits, %d misses)", seed, slow.memoHits, slow.memoMisses)
 	}
 	return fast
 }
@@ -256,9 +287,9 @@ func factoredFleet(t *testing.T) (trajFleet, *ranktable.Factored) {
 }
 
 // TestFastPathEquivalenceJoint is the ISSUE's acceptance test for the
-// joint ranker: the id-indexed path and the legacy string-key path
-// must make byte-identical placement decisions over randomized
-// arrival/departure trajectories.
+// joint ranker: the id-indexed path and enumeration must make
+// byte-identical placement decisions over randomized arrival/departure
+// trajectories.
 func TestFastPathEquivalenceJoint(t *testing.T) {
 	reg := smallRegistry(t)
 	spec := trajSpec{fleets: []trajFleet{{pmSmall, smallShape(), smallVMTypes()}}, numPMs: 6, steps: 120}
@@ -308,7 +339,7 @@ func churnFleets(t *testing.T, opts ranktable.Options) ([]trajFleet, *ranktable.
 // that can come between two scans of a PM — host, release, migration
 // with the source excluded, tentative release → re-Host, cordon and
 // uncordon, Retire, Reorder — must leave the memoised placer and the
-// string-key engine in bit-for-bit agreement, and the memo must have
+// enumerating one in bit-for-bit agreement, and the memo must have
 // actually served most of those scans.
 func TestMemoChurnEquivalence(t *testing.T) {
 	fleets, reg := churnFleets(t, ranktable.Options{})
@@ -324,15 +355,15 @@ func TestMemoChurnEquivalence(t *testing.T) {
 
 // TestMemoOwnership: two placers over different registries alternating
 // on one cluster must never read each other's memo entries — every
-// score either reports equals what its own string-key twin (which never
-// touches the memo) computes, through mutations in between.
+// score either reports equals what its own enumerating twin (which
+// never touches the memo) computes, through mutations in between.
 func TestMemoOwnership(t *testing.T) {
 	fleets, regA := churnFleets(t, ranktable.Options{})
 	_, regB := churnFleets(t, ranktable.Options{Mode: ranktable.ModeForwardPR})
 	type pair struct{ memo, oracle *PageRankVM }
 	pairs := []pair{
-		{NewPageRankVM(regA), NewPageRankVM(regA, WithoutFastPath())},
-		{NewPageRankVM(regB), NewPageRankVM(regB, WithoutFastPath())},
+		{NewPageRankVM(regA), NewPageRankVM(enumRegistry(t, regA, pmTypesOf(fleets)...))},
+		{NewPageRankVM(regB), NewPageRankVM(enumRegistry(t, regB, pmTypesOf(fleets)...))},
 	}
 	pms := make([]*PM, 12)
 	for i := range pms {
@@ -380,6 +411,100 @@ func TestMemoOwnership(t *testing.T) {
 	}
 	if !differ {
 		t.Fatal("the two registries never scored differently; the test cannot tell the placers apart")
+	}
+}
+
+// checkFallback runs trajectories of VM types the registry's rankers
+// hold no precomputed moves for: the default placer must then select
+// enumeration by itself — no evaluation touches the memo — and decide
+// exactly as the enumOnly oracle does.
+func checkFallback(t *testing.T, reg *ranktable.Registry, spec trajSpec) {
+	t.Helper()
+	for seed := int64(1); seed <= 3; seed++ {
+		got := checkEquivalence(t, reg, spec, seed)
+		if len(got.steps) < spec.steps/4 {
+			t.Fatalf("seed %d: only %d of %d steps placed a VM", seed, len(got.steps), spec.steps)
+		}
+		if got.memoHits+got.memoMisses != 0 {
+			t.Fatalf("seed %d: %d evaluations went through the memo; the fallback was not selected",
+				seed, got.memoHits+got.memoMisses)
+		}
+	}
+}
+
+// TestFallbackOutsideBuildSet: a VM type the rank table was not built
+// over still places — its resulting profiles are in the table, only
+// the precomputed moves are missing.
+func TestFallbackOutsideBuildSet(t *testing.T) {
+	outside := []resource.VMType{
+		resource.NewVMType("[2]", resource.Demand{Group: "cpu", Units: []int{2}}),
+		resource.NewVMType("[2,1,1]", resource.Demand{Group: "cpu", Units: []int{2, 1, 1}}),
+	}
+	checkFallback(t, smallRegistry(t), trajSpec{fleets: []trajFleet{{pmSmall, smallShape(), outside}}, numPMs: 6, steps: 120})
+
+	fleet, f := factoredFleet(t)
+	fleet.vmTypes = []resource.VMType{resource.NewVMType("xl",
+		resource.Demand{Group: "cpu", Units: []int{3}},
+		resource.Demand{Group: "mem", Units: []int{3}},
+	)}
+	reg := ranktable.NewRegistry()
+	reg.Add(fleet.pmType, f)
+	checkFallback(t, reg, trajSpec{fleets: []trajFleet{fleet}, numPMs: 5, steps: 120})
+}
+
+// TestFallbackDuplicateGroupDemand: a demand naming one group twice
+// breaks the per-group independence a Factored ranker's precomputed
+// moves rely on, so the ranker declines the type and the placer
+// enumerates it.
+func TestFallbackDuplicateGroupDemand(t *testing.T) {
+	fleet, _ := factoredFleet(t)
+	fleet.vmTypes = append(fleet.vmTypes, resource.VMType{Name: "dup", Demands: []resource.Demand{
+		{Group: "cpu", Units: []int{1}},
+		{Group: "cpu", Units: []int{2}},
+		{Group: "mem", Units: []int{1}},
+	}})
+	f, err := ranktable.NewFactored(fleet.shape, fleet.vmTypes, ranktable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f.ResolveType(fleet.vmTypes[3]); ok {
+		t.Fatal("factored ranker offers precomputed moves for a duplicate-group demand")
+	}
+	reg := ranktable.NewRegistry()
+	reg.Add(fleet.pmType, f)
+	fleet.vmTypes = fleet.vmTypes[3:]
+	checkFallback(t, reg, trajSpec{fleets: []trajFleet{fleet}, numPMs: 5, steps: 120})
+}
+
+// TestLoadedTableTrajectory: a placer over a table read back from its
+// Save bytes is the placer over the built table — same decisions, same
+// counters, and the memo serves the same share of evaluations.
+func TestLoadedTableTrajectory(t *testing.T) {
+	built, err := ranktable.NewJoint(smallShape(), smallVMTypes(), ranktable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ranktable.LoadTable(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := trajSpec{fleets: []trajFleet{{pmSmall, smallShape(), smallVMTypes()}}, numPMs: 12, steps: 600, churn: true}
+	run := func(table *ranktable.Table) trajResult {
+		reg := ranktable.NewRegistry()
+		reg.Add(pmSmall, table)
+		return runTrajectory(t, reg, spec, 7)
+	}
+	want, got := run(built), run(loaded)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded table diverges from the built one: %d/%d steps, memo %d/%d hits %d/%d misses",
+			len(got.steps), len(want.steps), got.memoHits, want.memoHits, got.memoMisses, want.memoMisses)
+	}
+	if got.memoHits <= got.memoMisses {
+		t.Fatalf("memo served %d of %d evaluations on the loaded table", got.memoHits, got.memoHits+got.memoMisses)
 	}
 }
 

@@ -30,12 +30,6 @@ type PageRankVM struct {
 	// better one.
 	twoChoice bool
 
-	// noFast disables the id-indexed fast path (WithoutFastPath),
-	// forcing the string-key enumeration on every candidate. Both
-	// paths make identical decisions (see TestFastPathEquivalence);
-	// the switch exists for that test and for A/B benchmarking.
-	noFast bool
-
 	// binds holds one binding per PM type met; memoHits and memoMisses
 	// tally evaluate's memo outcomes until Place flushes them into
 	// placement.memo_{hits,misses} (one Add per call, not per candidate).
@@ -143,15 +137,6 @@ func (o seedOption) apply(p *PageRankVM) { p.rng = rand.New(rand.NewSource(o.see
 // WithSeed sets the seed of the tie-breaking (and 2-choice sampling)
 // generator; the default seed is 1.
 func WithSeed(seed int64) PageRankOption { return seedOption{seed: seed} }
-
-type noFastOption struct{}
-
-func (noFastOption) apply(p *PageRankVM) { p.noFast = true }
-
-// WithoutFastPath forces the string-key enumeration path even when the
-// rankers support id-indexed scoring. Decisions are identical either
-// way; this exists for equivalence testing and A/B benchmarks.
-func WithoutFastPath() PageRankOption { return noFastOption{} }
 
 type observerOption struct{ o *obs.Observer }
 
@@ -439,7 +424,7 @@ func (p *PageRankVM) bind(pm *PM, vm *VM) *binding {
 func (p *PageRankVM) resolve(pmType string, b *binding, vm *VM) *binding {
 	ranker, _ := p.rankers.Get(pmType)
 	fr, _ := ranker.(ranktable.FastRanker)
-	if fr != nil && (p.noFast || !fr.Fast()) {
+	if fr != nil && !fr.Fast() {
 		fr = nil
 	}
 	if b == nil || b.fr != fr {
@@ -467,10 +452,11 @@ func errNoRanker(pmType string) error {
 // a pure function of (rank table, PM type, used profile, VM type), so
 // fast-path answers come from the PM's gen-stamped memo and are
 // recomputed — resource.Fits, then pmNodeIDs + BestMove — only after
-// the PM mutated (DESIGN.md §16). Profiles outside the table and
-// WithoutFastPath placers enumerate and never touch the memo; only
-// they return an assignment (fast-path winners are materialized
-// later). ph, when non-nil, accrues the feasibility-check time.
+// the PM mutated (DESIGN.md §16). Where the ranker has no precomputed
+// move — see enumerate — the candidate is enumerated and never touches
+// the memo; only then is an assignment returned (fast-path winners are
+// materialized later). ph, when non-nil, accrues the feasibility-check
+// time.
 //
 //prvm:hotpath
 func (p *PageRankVM) evaluate(pm *PM, vm *VM, ph *record.Phases) (stage, float64, int, resource.Assignment, error) {
@@ -523,11 +509,16 @@ func (p *PageRankVM) evaluate(pm *PM, vm *VM, ph *record.Phases) (stage, float64
 	return stageScored, score, n, assign, nil
 }
 
-// enumerate is the string-key engine: it scores resource.Placements
-// from the PM's canonical profile — the sequence the lattice's typed
-// successor lists were wired from, so both engines break score ties
-// identically. The returned assignment (nil when no resulting profile
-// is in the table) is in canonical coordinates; materialize aligns it.
+// enumerate is the fallback evaluate selects when the ranker offers no
+// precomputed move for this (PM type, VM type): a ranker that is not a
+// FastRanker, a lattice too large for typed successor lists, a VM type
+// outside the ranker's build set, a demand naming one group twice on a
+// Factored, or a profile outside the table. It scores
+// resource.Placements from the PM's canonical profile — the sequence
+// the lattice's typed successor lists were wired from, so a score tie
+// breaks the same way on either path. The returned assignment (nil
+// when no resulting profile is in the table) is in canonical
+// coordinates; materialize aligns it.
 func (p *PageRankVM) enumerate(b *binding, pm *PM) (float64, resource.Assignment, int) {
 	bestScore, bestAssign := -1.0, resource.Assignment(nil)
 	placements := resource.Placements(pm.Shape, pm.Shape.Canon(pm.used), b.demand)

@@ -7,16 +7,15 @@ import (
 
 	"pagerankvm/internal/obs"
 	"pagerankvm/internal/obs/record"
+	"pagerankvm/internal/ranktable"
 )
 
-// recordRun places a fixed VM sequence with a collector recorder
-// attached and returns the captured decision stream.
-func recordRun(t *testing.T, n int, popts ...PageRankOption) []record.Decision {
+// recordRun places a fixed VM sequence over reg with a collector
+// recorder attached and returns the captured decision stream.
+func recordRun(t *testing.T, n int, reg *ranktable.Registry) []record.Decision {
 	t.Helper()
 	rec := record.NewCollector()
-	reg := smallRegistry(t)
-	opts := append([]PageRankOption{WithSeed(7), WithRecorder(rec)}, popts...)
-	p := NewPageRankVM(reg, opts...)
+	p := NewPageRankVM(reg, WithSeed(7), WithRecorder(rec))
 	c := newCluster(4)
 	for i := 0; i < n; i++ {
 		name := "[1,1]"
@@ -40,7 +39,7 @@ func recordRun(t *testing.T, n int, popts ...PageRankOption) []record.Decision {
 
 func TestRecorderCapturesDecisions(t *testing.T) {
 	const n = 40
-	ds := recordRun(t, n)
+	ds := recordRun(t, n, smallRegistry(t))
 	if len(ds) != n {
 		t.Fatalf("recorded %d decisions, want %d", len(ds), n)
 	}
@@ -91,18 +90,18 @@ func TestRecorderCapturesDecisions(t *testing.T) {
 	}
 }
 
-// TestRecordingFastPathEquivalence is the acceptance criterion behind
-// `prvm-replay -diff`: recordings of the same seeded run with the
-// id-indexed fast path on and off must diff clean — decision identity
-// (chosen PM, bitwise score, candidate set, tie path) is independent
-// of the scoring engine, with only the Fast metadata flag differing.
+// TestRecordingFastPathEquivalence: recordings of the same seeded run
+// through the id-indexed fast path and through enumeration must diff
+// clean — decision identity (chosen PM, bitwise score, candidate set,
+// tie path) is independent of how a candidate was scored, with only
+// the Fast metadata flag differing.
 func TestRecordingFastPathEquivalence(t *testing.T) {
 	const n = 24
-	fast := recordRun(t, n)
-	slow := recordRun(t, n, WithoutFastPath())
+	fast := recordRun(t, n, smallRegistry(t))
+	slow := recordRun(t, n, enumRegistry(t, smallRegistry(t), pmSmall))
 	sum := record.Diff(fast, slow)
 	if !sum.Clean() {
-		t.Fatalf("fast vs no-fast recordings diverge: %+v (first: %+v)", sum, sum.First)
+		t.Fatalf("fast vs enumerated recordings diverge: %+v (first: %+v)", sum, sum.First)
 	}
 	sawFast := false
 	for i := range fast {
@@ -110,7 +109,7 @@ func TestRecordingFastPathEquivalence(t *testing.T) {
 			sawFast = true
 		}
 		if slow[i].Fast {
-			t.Fatalf("no-fast decision %d flagged fast", i)
+			t.Fatalf("enumerated decision %d flagged fast", i)
 		}
 	}
 	if !sawFast {

@@ -19,10 +19,11 @@ func (r TypeRef) Index() int { return int(r.id) }
 // read.
 //
 // All methods are safe for concurrent readers and allocation-free on
-// the hit path. Fast reports whether the fast path is available at all
-// — deserialized tables, over-large lattices and type sets the ranker
-// cannot decompose return false, and callers fall back to the
-// string-key Ranker methods (which remain exactly equivalent).
+// the hit path. Fast reports whether precomputed moves exist at all —
+// lattices too large for typed successor lists have none — and
+// ResolveType whether they exist for one VM type; where they do not,
+// callers enumerate resource.Placements and call Score, which is
+// exactly equivalent.
 type FastRanker interface {
 	Ranker
 	// Fast reports whether the id-indexed methods below are usable.
@@ -53,7 +54,7 @@ type FastRanker interface {
 	// and must not be modified.
 	Materialize(ids []int32, ref TypeRef) (resource.Assignment, bool)
 	// ScoreIDs returns the score of the profile identified by ids —
-	// the id-indexed equivalent of Score/ScoreKey.
+	// the id-indexed equivalent of Score.
 	ScoreIDs(ids []int32) (float64, bool)
 }
 
@@ -62,24 +63,16 @@ var (
 	_ FastRanker = (*Factored)(nil)
 )
 
-// Fast reports whether the table carries its lattice and id-indexed
-// scores (tables rebuilt from serialized form do not), and — when the
-// lattice has active VM types — the precomputed move table.
-func (t *Table) Fast() bool {
-	if t.space == nil || t.ids == nil {
-		return false
-	}
-	return t.space.NumTypes() == 0 || t.best != nil
-}
+// Fast reports whether the table carries the precomputed move table
+// (built whenever the lattice has typed successor lists), or needs none
+// because no VM type is active.
+func (t *Table) Fast() bool { return t.space.NumTypes() == 0 || t.best != nil }
 
 // NodeIDs resolves p to its single lattice node id.
 //
 //prvm:hotpath
 func (t *Table) NodeIDs(p resource.Vec, dst []int32) ([]int32, bool) {
-	if t.space == nil || len(p) != t.shape.NumDims() {
-		return nil, false
-	}
-	id := t.space.Index(p)
+	id := t.space.Index(p) // handles length mismatch and out-of-lattice
 	if id < 0 {
 		return nil, false
 	}
@@ -100,14 +93,8 @@ func (t *Table) ResolveType(vt resource.VMType) (TypeRef, bool) {
 	return TypeRef{id: int32(tid)}, true
 }
 
-// NumTypes returns the size of the lattice's active VM-type set (0 for
-// a table rebuilt from serialized form, which resolves no types).
-func (t *Table) NumTypes() int {
-	if t.space == nil {
-		return 0
-	}
-	return t.space.NumTypes()
-}
+// NumTypes returns the size of the lattice's active VM-type set.
+func (t *Table) NumTypes() int { return t.space.NumTypes() }
 
 // BestMove reads the precomputed argmax for (node, type).
 //
@@ -133,13 +120,13 @@ func (t *Table) Materialize(ids []int32, ref TypeRef) (resource.Assignment, bool
 //
 //prvm:hotpath
 func (t *Table) ScoreIDs(ids []int32) (float64, bool) {
-	if t.ids == nil || len(ids) != 1 || int(ids[0]) >= len(t.ids) {
+	if len(ids) != 1 || int(ids[0]) >= len(t.ids) {
 		return 0, false
 	}
 	return t.ids[ids[0]], true
 }
 
-// Fast reports whether every group table carries its id-indexed form.
+// Fast reports whether every group table carries its move table.
 func (f *Factored) Fast() bool { return f.fast }
 
 // NodeIDs resolves p to one node id per resource group (the factored

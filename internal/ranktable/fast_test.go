@@ -32,11 +32,11 @@ func multiGroupTypes() []resource.VMType {
 	}
 }
 
-// checkFastAgainstStrings pins every id-indexed answer to the
-// string-key path it replaces: ScoreIDs vs ScoreKey on every node of
-// the (joint) lattice, and BestMove/Materialize vs a manual scan over
+// checkFastAgainstEnumeration pins every id-indexed answer to the
+// enumeration it precomputes: ScoreIDs vs Score on every node of the
+// (joint) lattice, and BestMove/Materialize vs a manual scan over
 // resource.Placements. Scores must be bitwise equal, not just close.
-func checkFastAgainstStrings(t *testing.T, fr FastRanker, shape *resource.Shape, vmTypes []resource.VMType, profiles []resource.Vec) {
+func checkFastAgainstEnumeration(t *testing.T, fr FastRanker, shape *resource.Shape, vmTypes []resource.VMType, profiles []resource.Vec) {
 	t.Helper()
 	if !fr.Fast() {
 		t.Fatal("ranker does not offer the fast path")
@@ -135,7 +135,7 @@ func TestTableFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFastAgainstStrings(t, table, shape, paperVMTypes(), latticeProfiles(t, shape))
+	checkFastAgainstEnumeration(t, table, shape, paperVMTypes(), latticeProfiles(t, shape))
 }
 
 func TestFactoredFastPath(t *testing.T) {
@@ -144,7 +144,7 @@ func TestFactoredFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFastAgainstStrings(t, f, shape, multiGroupTypes(), latticeProfiles(t, shape))
+	checkFastAgainstEnumeration(t, f, shape, multiGroupTypes(), latticeProfiles(t, shape))
 }
 
 func TestFastPathRandomized(t *testing.T) {
@@ -179,13 +179,13 @@ func TestFastPathRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		checkFastAgainstStrings(t, joint, shape, types, profiles)
+		checkFastAgainstEnumeration(t, joint, shape, types, profiles)
 
 		factored, err := NewFactored(shape, types, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		checkFastAgainstStrings(t, factored, shape, types, profiles)
+		checkFastAgainstEnumeration(t, factored, shape, types, profiles)
 	}
 }
 
@@ -203,25 +203,71 @@ func TestResolveTypeRejectsImpostor(t *testing.T) {
 	}
 }
 
-// TestLoadedTableIsSlow: tables rebuilt from serialized bytes have no
-// lattice, so they must decline the fast path (and the placer falls
-// back to string scoring).
-func TestLoadedTableIsSlow(t *testing.T) {
-	table := paperTable(t)
-	var buf bytes.Buffer
-	if err := table.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTable(&buf)
+// TestLoadedTableIsFast: a table read back from its Save bytes is
+// indistinguishable from the one that was built — it offers the fast
+// path, every node scores bitwise the same, every (node, type) has the
+// same best move and assignment — and Save is deterministic, so the
+// loaded table saves to the very bytes it was loaded from.
+func TestLoadedTableIsFast(t *testing.T) {
+	shape := resource.MustShape(resource.Group{Name: "cpu", Dims: 4, Cap: 4})
+	types := append(paperVMTypes(), resource.NewVMType("[2]", resource.Demand{Group: "cpu", Units: []int{2}}))
+	table, err := NewJoint(shape, types, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Fast() {
-		t.Fatal("deserialized table claims the fast path")
+	var saved, again, resaved bytes.Buffer
+	if err := table.Save(&saved); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := loaded.NodeIDs(resource.Vec{0, 0, 0, 0}, nil); ok {
-		t.Fatal("deserialized table resolved node ids")
+	if err := table.Save(&again); err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(saved.Bytes(), again.Bytes()) {
+		t.Fatal("two Saves of one table differ")
+	}
+	loaded, err := LoadTable(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !loaded.Fast() {
+		t.Fatal("loaded table does not offer the fast path")
+	}
+	if err := loaded.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+		t.Fatal("loaded table saves to different bytes than it was loaded from")
+	}
+	if loaded.Len() != table.Len() || loaded.NumTypes() != table.NumTypes() || loaded.Stats() != table.Stats() {
+		t.Fatalf("loaded table has %d profiles, %d types, stats %+v; built one %d, %d, %+v",
+			loaded.Len(), loaded.NumTypes(), loaded.Stats(), table.Len(), table.NumTypes(), table.Stats())
+	}
+	for id := 0; id < table.Len(); id++ {
+		ids := []int32{int32(id)}
+		want, _ := table.ScoreIDs(ids)
+		got, ok := loaded.ScoreIDs(ids)
+		if !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("node %d: loaded ScoreIDs = %v,%v, built %v", id, got, ok, want)
+		}
+		for _, vt := range types {
+			ref, ok := table.ResolveType(vt)
+			lref, lok := loaded.ResolveType(vt)
+			if !ok || !lok || ref != lref {
+				t.Fatalf("ResolveType(%s): built %v,%v, loaded %v,%v", vt.Name, ref, ok, lref, lok)
+			}
+			ws, wn, wok := table.BestMove(ids, ref)
+			gs, gn, gok := loaded.BestMove(ids, lref)
+			if gok != wok || gn != wn || math.Float64bits(gs) != math.Float64bits(ws) {
+				t.Fatalf("node %d type %s: loaded BestMove = %v,%d,%v, built %v,%d,%v", id, vt.Name, gs, gn, gok, ws, wn, wok)
+			}
+			wa, wok := table.Materialize(ids, ref)
+			ga, gok := loaded.Materialize(ids, lref)
+			if gok != wok || !reflect.DeepEqual(ga, wa) {
+				t.Fatalf("node %d type %s: loaded Materialize = %v,%v, built %v,%v", id, vt.Name, ga, gok, wa, wok)
+			}
+		}
+	}
+	checkFastAgainstEnumeration(t, loaded, shape, types, latticeProfiles(t, shape))
 }
 
 // TestNewFactoredParallelDeterministic: the concurrent per-group
@@ -241,9 +287,6 @@ func TestNewFactoredParallelDeterministic(t *testing.T) {
 		for gi := 0; gi < shape.NumGroups(); gi++ {
 			if !reflect.DeepEqual(got.groups[gi].ids, ref.groups[gi].ids) {
 				t.Fatalf("rep %d: group %d id-scores differ across builds", rep, gi)
-			}
-			if !reflect.DeepEqual(got.groups[gi].scores, ref.groups[gi].scores) {
-				t.Fatalf("rep %d: group %d score maps differ across builds", rep, gi)
 			}
 			if !reflect.DeepEqual(got.groups[gi].best, ref.groups[gi].best) {
 				t.Fatalf("rep %d: group %d move tables differ across builds", rep, gi)

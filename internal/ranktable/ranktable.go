@@ -36,8 +36,6 @@ type Ranker interface {
 	// Score returns the rank of a (not necessarily canonical) profile.
 	// ok is false when the profile is outside the lattice.
 	Score(p resource.Vec) (score float64, ok bool)
-	// ScoreKey returns the rank for a canonical profile key.
-	ScoreKey(key string) (score float64, ok bool)
 }
 
 // BuildStats summarizes a table build.
@@ -51,17 +49,16 @@ type BuildStats struct {
 // Table is a concrete Profile→score table over one lattice (either the
 // joint lattice or one group's sub-lattice).
 //
-// Scores live in a dense []float64 indexed by lattice node id — the
-// form every hot lookup uses (see fast.go). The string-keyed map is
-// retained only for serialization, Top and the compatibility Score/
-// ScoreKey shims.
+// Scores live in a dense []float64 indexed by lattice node id: the one
+// representation every lookup reads (see fast.go) and Save writes. A
+// table read back by LoadTable carries the same lattice and move table
+// as the one that was saved.
 type Table struct {
-	shape  *resource.Shape
-	scores map[string]float64 // canonical key -> score (serialization/debug)
-	ids    []float64          // score by node id (nil for loaded tables)
-	space  *lattice.Space     // nil for loaded tables
-	best   []move             // argmax per (node id, type id); see buildBest
-	stats  BuildStats
+	shape *resource.Shape
+	ids   []float64      // score by node id
+	space *lattice.Space // the lattice the ids index
+	best  []move         // argmax per (node id, type id); see buildBest
+	stats BuildStats
 
 	// hits/misses count Score lookups when the table was built with
 	// Options.Obs; nil (free) otherwise.
@@ -220,25 +217,11 @@ func fromSpace(space *lattice.Space, opts Options) (*Table, error) {
 		if propts.Obs == nil {
 			propts.Obs = opts.Obs
 		}
-		res, err = pagerank.RanksCSR(votes, propts)
-		if err == nil {
+		if opts.DisableBPRU {
+			res, err = pagerank.RanksCSR(votes, propts)
 			scores = res.Ranks
-			if !opts.DisableBPRU {
-				var bpru []float64
-				bpruStart := time.Now()
-				bpru, err = pagerank.BPRUCSR(g, utils)
-				if opts.Obs != nil {
-					opts.Obs.Histogram("pagerank.bpru_seconds", nil).
-						Observe(time.Since(bpruStart).Seconds())
-				}
-				if err == nil {
-					discounted := make([]float64, len(scores))
-					for i, r := range scores {
-						discounted[i] = r * bpru[i]
-					}
-					scores = discounted
-				}
-			}
+		} else {
+			scores, res, err = pagerank.ScoresCSR(votes, g, utils, propts)
 		}
 	default:
 		err = fmt.Errorf("unknown mode %d", opts.Mode)
@@ -247,11 +230,6 @@ func fromSpace(space *lattice.Space, opts Options) (*Table, error) {
 		return nil, fmt.Errorf("ranktable: %w", err)
 	}
 
-	// No string-keyed map is materialized here: with the space at hand,
-	// Score/ScoreKey resolve node ids arithmetically (lattice.Index) and
-	// read the dense ids vector, which is both faster and allocation-
-	// free. The map exists only on tables that need it — loaded tables
-	// (no space) and Save, which builds it on demand (scoresMap).
 	t := &Table{
 		shape:  space.Shape(),
 		ids:    scores,
@@ -269,27 +247,13 @@ func fromSpace(space *lattice.Space, opts Options) (*Table, error) {
 	return t, nil
 }
 
-// scoresMap returns the canonical-key score map, building it from the
-// lattice when the table was constructed in memory (loaded tables
-// carry the map directly).
-func (t *Table) scoresMap() map[string]float64 {
-	if t.scores != nil || t.space == nil {
-		return t.scores
-	}
-	m := make(map[string]float64, t.space.Len())
-	for i := 0; i < t.space.Len(); i++ {
-		m[t.shape.KeyCanon(t.space.Node(i))] = t.ids[i]
-	}
-	return m
-}
-
 // buildBest precomputes, for every (node, active VM type) pair, the
 // argmax of the id-indexed scores over the lattice's typed successor
 // list. Ties keep the first maximum in enumeration order — the same
 // winner a linear scan over resource.Placements picks.
 func (t *Table) buildBest() {
 	sp := t.space
-	if sp == nil || !sp.HasTyped() {
+	if !sp.HasTyped() {
 		return
 	}
 	n, nt := sp.Len(), sp.NumTypes()
@@ -318,57 +282,17 @@ func (t *Table) Shape() *resource.Shape { return t.shape }
 func (t *Table) Stats() BuildStats { return t.stats }
 
 // Len returns the number of profiles in the table.
-func (t *Table) Len() int {
-	if t.space != nil {
-		return t.space.Len()
-	}
-	return len(t.scores)
-}
+func (t *Table) Len() int { return t.space.Len() }
 
 // Score returns the rank of profile p.
 func (t *Table) Score(p resource.Vec) (float64, bool) {
-	if t.space != nil {
-		id := t.space.Index(p) // handles length mismatch and out-of-lattice
-		if id < 0 {
-			t.misses.Inc()
-			return 0, false
-		}
-		t.hits.Inc()
-		return t.ids[id], true
-	}
-	if len(p) != t.shape.NumDims() {
+	id := t.space.Index(p) // handles length mismatch and out-of-lattice
+	if id < 0 {
 		t.misses.Inc()
 		return 0, false
 	}
-	s, ok := t.scores[t.shape.Key(p)]
-	t.countLookup(ok)
-	return s, ok
-}
-
-// ScoreKey returns the rank for a canonical profile key.
-func (t *Table) ScoreKey(key string) (float64, bool) {
-	if t.space != nil {
-		id := t.space.IndexKey(key)
-		if id < 0 {
-			t.misses.Inc()
-			return 0, false
-		}
-		t.hits.Inc()
-		return t.ids[id], true
-	}
-	s, ok := t.scores[key]
-	t.countLookup(ok)
-	return s, ok
-}
-
-// countLookup tallies a lookup outcome; both counters are nil (and the
-// calls free) unless the table was built with Options.Obs.
-func (t *Table) countLookup(ok bool) {
-	if ok {
-		t.hits.Inc()
-	} else {
-		t.misses.Inc()
-	}
+	t.hits.Inc()
+	return t.ids[id], true
 }
 
 // Entry pairs a canonical profile with its score, for inspection and
@@ -381,17 +305,9 @@ type Entry struct {
 // Top returns the n highest-scoring profiles, ties broken by profile
 // order, descending by score.
 func (t *Table) Top(n int) []Entry {
-	var entries []Entry
-	if t.space != nil {
-		entries = make([]Entry, 0, t.space.Len())
-		for i := 0; i < t.space.Len(); i++ {
-			entries = append(entries, Entry{Profile: t.space.Node(i).Clone(), Score: t.ids[i]})
-		}
-	} else {
-		entries = make([]Entry, 0, len(t.scores))
-		for key, score := range t.scores {
-			entries = append(entries, Entry{Profile: decodeKey(key), Score: score})
-		}
+	entries := make([]Entry, 0, t.space.Len())
+	for i := 0; i < t.space.Len(); i++ {
+		entries = append(entries, Entry{Profile: t.space.Node(i).Clone(), Score: t.ids[i]})
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].Score > entries[j].Score {
@@ -406,14 +322,6 @@ func (t *Table) Top(n int) []Entry {
 		entries = entries[:n]
 	}
 	return entries
-}
-
-func decodeKey(key string) resource.Vec {
-	v := make(resource.Vec, len(key))
-	for i := 0; i < len(key); i++ {
-		v[i] = int(key[i])
-	}
-	return v
 }
 
 // Factored scores profiles as the product of independent per-group
@@ -571,12 +479,4 @@ func (f *Factored) Score(p resource.Vec) (float64, bool) {
 		score *= s
 	}
 	return score, true
-}
-
-// ScoreKey decodes a canonical joint key and scores it.
-func (f *Factored) ScoreKey(key string) (float64, bool) {
-	if len(key) != f.shape.NumDims() {
-		return 0, false
-	}
-	return f.Score(decodeKey(key))
 }

@@ -2,6 +2,8 @@ package ranktable
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,7 +18,7 @@ func paperVMTypes() []resource.VMType {
 	}
 }
 
-func paperTable(t *testing.T) *Table {
+func paperTable(t testing.TB) *Table {
 	t.Helper()
 	shape := resource.MustShape(resource.Group{Name: "cpu", Dims: 4, Cap: 4})
 	table, err := NewJoint(shape, paperVMTypes(), Options{})
@@ -171,9 +173,6 @@ func TestJointScoreOutOfLattice(t *testing.T) {
 	if _, ok := table.Score(resource.Vec{1, 1}); ok {
 		t.Error("scored wrong-length profile")
 	}
-	if _, ok := table.ScoreKey("zzz"); ok {
-		t.Error("scored bogus key")
-	}
 }
 
 func TestJointScoresPositive(t *testing.T) {
@@ -275,9 +274,6 @@ func TestFactoredMultiGroup(t *testing.T) {
 	if _, ok := f.Score(resource.Vec{5, 0, 0}); ok {
 		t.Error("scored out-of-lattice profile")
 	}
-	if _, ok := f.ScoreKey("xy"); ok {
-		t.Error("ScoreKey accepted wrong-length key")
-	}
 	if f.GroupTable(0) == nil || f.GroupTable(1) == nil {
 		t.Error("missing group tables")
 	}
@@ -311,6 +307,114 @@ func TestLoadTableGarbage(t *testing.T) {
 	if _, err := LoadTable(bytes.NewBufferString("not gob")); err == nil {
 		t.Fatal("LoadTable accepted garbage")
 	}
+}
+
+// savedPaperTable returns the Save bytes of the paper table.
+func savedPaperTable(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := paperTable(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// oldFormatBlob encodes a table the way Save did before format version
+// 2: scores in a map keyed by canonical profile string, no version, no
+// VM types.
+func oldFormatBlob(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(struct {
+		Groups []resource.Group
+		Scores map[string]float64
+		Stats  BuildStats
+	}{
+		Groups: []resource.Group{{Name: "cpu", Dims: 2, Cap: 1}},
+		Scores: map[string]float64{"\x00\x00": 0.1, "\x00\x01": 0.5, "\x01\x01": 1},
+		Stats:  BuildStats{Nodes: 3, Edges: 2, Converged: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadTableRejects: every malformed file is an error — never a
+// panic, never a table that scores nothing.
+func TestLoadTableRejects(t *testing.T) {
+	valid := savedPaperTable(t)
+	reencode := func(mutate func(w *tableWire)) []byte {
+		var w tableWire
+		if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&w); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&w)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cases := map[string][]byte{
+		"old string-map format": oldFormatBlob(t),
+		"truncated":             valid[:len(valid)/2],
+		"unknown version":       reencode(func(w *tableWire) { w.Version = tableVersion + 1 }),
+		"short score vector":    reencode(func(w *tableWire) { w.Scores = w.Scores[:len(w.Scores)-1] }),
+		"long score vector":     reencode(func(w *tableWire) { w.Scores = append(w.Scores, 0.5) }),
+		"NaN score":             reencode(func(w *tableWire) { w.Scores[3] = math.NaN() }),
+		"+Inf score":            reencode(func(w *tableWire) { w.Scores[3] = math.Inf(1) }),
+		"-Inf score":            reencode(func(w *tableWire) { w.Scores[3] = math.Inf(-1) }),
+		"negative score":        reencode(func(w *tableWire) { w.Scores[3] = -1e-9 }),
+		"no groups":             reencode(func(w *tableWire) { w.Groups = nil }),
+		"invalid VM type":       reencode(func(w *tableWire) { w.Types[0].Demands[0].Group = "gpu" }),
+		"dropped VM type":       reencode(func(w *tableWire) { w.Types = w.Types[:1] }),
+	}
+	for name, data := range cases {
+		got, err := LoadTable(bytes.NewReader(data))
+		if err == nil {
+			t.Errorf("%s: LoadTable accepted the file (table of %d profiles)", name, got.Len())
+		}
+	}
+	if _, err := LoadTable(bytes.NewReader(reencode(func(*tableWire) {}))); err != nil {
+		t.Fatalf("unmutated re-encoding rejected: %v", err)
+	}
+}
+
+// FuzzLoadTable: LoadTable never panics, and whatever it accepts is a
+// table like a built one — it carries the move table, and saving it
+// reaches a fixed point (gob tolerates streams Save would not write,
+// so the input itself need not be that fixed point; for a real Save
+// it is, see TestLoadedTableIsFast).
+func FuzzLoadTable(f *testing.F) {
+	valid := savedPaperTable(f)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(oldFormatBlob(f))
+	f.Add([]byte("not gob"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		table, err := LoadTable(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if !table.Fast() && table.space.HasTyped() {
+			t.Fatal("loaded table has typed successor lists but no move table")
+		}
+		var first, second bytes.Buffer
+		if err := table.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadTable(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("LoadTable rejected its own Save: %v", err)
+		}
+		if err := again.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("Save of a loaded table is not a fixed point")
+		}
+	})
 }
 
 func TestRegistry(t *testing.T) {

@@ -162,13 +162,6 @@ func (s *Shape) CanonInPlace(v Vec) {
 // map key. One byte per dimension; NewShape guarantees every value fits.
 func (s *Shape) Key(v Vec) string {
 	c := s.Canon(v)
-	return rawKey(c)
-}
-
-// KeyCanon encodes an already-canonical vector without re-sorting.
-func (s *Shape) KeyCanon(c Vec) string { return rawKey(c) }
-
-func rawKey(c Vec) string {
 	b := make([]byte, len(c))
 	for i, x := range c {
 		b[i] = byte(x)

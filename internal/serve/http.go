@@ -180,9 +180,8 @@ func (s *Server) routes() {
 	if s.cfg.Obs != nil {
 		oh := obs.Handler(s.cfg.Obs, s.cfg.Sink)
 		s.mux.Handle("/metrics", oh)
-		s.mux.Handle("/metrics.json", oh)
 		s.mux.Handle("/events", oh)
-		s.mux.Handle("/debug/", oh)
+		s.mux.Handle("/debug/pprof/", oh)
 	}
 }
 

@@ -14,25 +14,40 @@ import (
 	"pagerankvm/internal/trace"
 )
 
-// runWithPlacerOpts is runSeeded with extra placer options injected,
-// for A/B-ing the id-indexed fast path against the string-key path
-// over a full simulation (churn, overload migrations, evictions).
-func runWithPlacerOpts(t *testing.T, seed int64, popts ...placement.PageRankOption) (Result, []obs.Event) {
+// enumOnly hides a ranker's FastRanker methods, so a placer over it
+// scores every candidate by enumeration: the differential oracle.
+type enumOnly struct{ ranktable.Ranker }
+
+// smallRegistry builds the one-PM-type registry of the A/B runs; with
+// enumerate set the ranker is wrapped in enumOnly.
+func smallRegistry(t *testing.T, opts ranktable.Options, enumerate bool) *ranktable.Registry {
 	t.Helper()
 	table, err := ranktable.NewJoint(smallShape(), []resource.VMType{
 		smallVMType("[1,1]"), smallVMType("[1,1,1,1]"),
-	}, ranktable.Options{})
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ranker ranktable.Ranker = table
+	if enumerate {
+		ranker = enumOnly{table}
+	}
 	reg := ranktable.NewRegistry()
-	reg.Add(pmSmall, table)
+	reg.Add(pmSmall, ranker)
+	return reg
+}
+
+// runEngine is runSeeded with the scoring path chosen, for A/B-ing the
+// id-indexed fast path against enumeration over a full simulation
+// (churn, overload migrations, evictions).
+func runEngine(t *testing.T, seed int64, enumerate bool) (Result, []obs.Event) {
+	t.Helper()
+	reg := smallRegistry(t, ranktable.Options{}, enumerate)
 
 	o := obs.New()
 	ring := obs.NewRingSink(1 << 14)
 	o.SetSink(ring)
-	opts := append([]placement.PageRankOption{placement.WithSeed(seed), placement.WithObserver(o)}, popts...)
-	prvm := placement.NewPageRankVM(reg, opts...)
+	prvm := placement.NewPageRankVM(reg, placement.WithSeed(seed), placement.WithObserver(o))
 
 	const steps = 48
 	rng := rand.New(rand.NewSource(seed))
@@ -70,13 +85,13 @@ func runWithPlacerOpts(t *testing.T, seed int64, popts ...placement.PageRankOpti
 
 // TestSimFastPathEquivalence runs the whole simulator — initial
 // placement, interval monitoring, overload evictions and migrations —
-// with the fast path on and off and requires the identical Result and
-// the identical placement-decision trace (every chosen PM, every
-// score, every profile count, in order).
+// through the fast path and through enumeration and requires the
+// identical Result and the identical placement-decision trace (every
+// chosen PM, every score, every profile count, in order).
 func TestSimFastPathEquivalence(t *testing.T) {
 	for _, seed := range []int64{3, 7, 21} {
-		fastRes, fastEvents := runWithPlacerOpts(t, seed)
-		slowRes, slowEvents := runWithPlacerOpts(t, seed, placement.WithoutFastPath())
+		fastRes, fastEvents := runEngine(t, seed, false)
+		slowRes, slowEvents := runEngine(t, seed, true)
 
 		if !reflect.DeepEqual(fastRes, slowRes) {
 			t.Errorf("seed %d: simulation Result differs between fast and slow paths:\n  fast: %+v\n  slow: %+v",

@@ -8,26 +8,17 @@ import (
 	"pagerankvm/internal/opt"
 	"pagerankvm/internal/placement"
 	"pagerankvm/internal/ranktable"
-	"pagerankvm/internal/resource"
 	"pagerankvm/internal/trace"
 )
 
 // recordedSimRun runs a seeded churny simulation with a collector
 // recorder on both the placer and the sim config, and returns the
 // captured streams.
-func recordedSimRun(t *testing.T, seed int64, popts ...placement.PageRankOption) ([]record.Decision, []record.Span) {
+func recordedSimRun(t *testing.T, seed int64, enumerate bool) ([]record.Decision, []record.Span) {
 	t.Helper()
 	rec := record.NewCollector()
-	table, err := ranktable.NewJoint(smallShape(), []resource.VMType{
-		smallVMType("[1,1]"), smallVMType("[1,1,1,1]"),
-	}, ranktable.Options{Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := ranktable.NewRegistry()
-	reg.Add(pmSmall, table)
-	opts := append([]placement.PageRankOption{placement.WithSeed(seed), placement.WithRecorder(rec)}, popts...)
-	prvm := placement.NewPageRankVM(reg, opts...)
+	reg := smallRegistry(t, ranktable.Options{Recorder: rec}, enumerate)
+	prvm := placement.NewPageRankVM(reg, placement.WithSeed(seed), placement.WithRecorder(rec))
 
 	const steps = 48
 	rng := rand.New(rand.NewSource(seed))
@@ -61,19 +52,18 @@ func recordedSimRun(t *testing.T, seed int64, popts ...placement.PageRankOption)
 }
 
 // TestSimRecordingFastPathDiffClean mirrors TestSimFastPathEquivalence
-// at the recording layer: full-sim decision streams with the fast path
-// on and off must diff clean — the property `prvm-replay -diff`
-// certifies between recordings of the two variants.
+// at the recording layer: full-sim decision streams through the fast
+// path and through enumeration must diff clean.
 func TestSimRecordingFastPathDiffClean(t *testing.T) {
 	for _, seed := range []int64{3, 21} {
-		fastD, _ := recordedSimRun(t, seed)
-		slowD, _ := recordedSimRun(t, seed, placement.WithoutFastPath())
+		fastD, _ := recordedSimRun(t, seed, false)
+		slowD, _ := recordedSimRun(t, seed, true)
 		if len(fastD) == 0 {
 			t.Fatalf("seed %d: no decisions recorded", seed)
 		}
 		sum := record.Diff(fastD, slowD)
 		if !sum.Clean() {
-			t.Fatalf("seed %d: fast vs no-fast sim recordings diverge: %+v (first: %+v)",
+			t.Fatalf("seed %d: fast vs enumerated sim recordings diverge: %+v (first: %+v)",
 				seed, sum, sum.First)
 		}
 	}
@@ -81,7 +71,7 @@ func TestSimRecordingFastPathDiffClean(t *testing.T) {
 
 func TestSimRecordingSpans(t *testing.T) {
 	const steps = 48
-	_, spans := recordedSimRun(t, 3)
+	_, spans := recordedSimRun(t, 3, false)
 	counts := map[string]int{}
 	for _, s := range spans {
 		counts[s.Name]++
