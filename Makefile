@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint lint-self lint-baseline docs-check build test race chaos fuzz bench bench-compare bench-all bench-e2e-check golden fmt
+.PHONY: check vet lint lint-self lint-baseline docs-check build test race chaos fuzz bench bench-compare bench-all bench-e2e-check golden fmt loc
 
 # The full pre-merge gate: static analysis (go vet plus the project's
 # own prvm-lint analyzers), godoc coverage, a clean build, and the test
@@ -102,3 +102,8 @@ bench-all:
 
 fmt:
 	gofmt -l -w .
+
+# The number ROADMAP item 1 tracks: lines of non-test Go outside the
+# benchmark module (and its build directory).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | xargs cat | wc -l

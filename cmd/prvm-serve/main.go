@@ -5,7 +5,7 @@
 // Usage:
 //
 //	prvm-serve [-addr :8080] [-data dir] [-shards n] [-pms n]
-//	           [-seed s] [-fsync] [-batch-max n] [-batch-wait d]
+//	           [-seed s] [-fsync] [-batch-max n]
 //	           [-snapshot-every n] [-rebalance-every d]
 //	           [-rebalance-budget n] [-rebalance-pm-budget n]
 //	           [-drain-below f]
@@ -57,7 +57,6 @@ func run(args []string) error {
 		seed      = fs.Int64("seed", 1, "base placer seed")
 		fsync     = fs.Bool("fsync", false, "fsync the WAL before acknowledging (durable across power loss)")
 		batchMax  = fs.Int("batch-max", 0, "max placements per admission batch (0 = default)")
-		batchWait = fs.Duration("batch-wait", 0, "hold admission batches open this long (0 = greedy group commit)")
 		snapEvery = fs.Int64("snapshot-every", 0, "ops between automatic snapshots (0 = default, <0 disables)")
 		rebEvery  = fs.Duration("rebalance-every", 0, "period between background descheduler rounds (0 disables the loop)")
 		rebBudget = fs.Int("rebalance-budget", 0, "max migrations per descheduler round (0 = default)")
@@ -91,7 +90,6 @@ func run(args []string) error {
 		DataDir:        *dataDir,
 		Fsync:          *fsync,
 		BatchMax:       *batchMax,
-		BatchWait:      *batchWait,
 		SnapshotEvery:  *snapEvery,
 		Obs:            observer,
 		Sink:           ring,

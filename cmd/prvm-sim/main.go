@@ -36,10 +36,8 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	"pagerankvm/internal/experiments"
-	"pagerankvm/internal/obs"
 )
 
 // figure maps a figure id to its trace and metric.
@@ -89,7 +87,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	counts, err := parseInts(*vms)
+	counts, err := experiments.ParseCounts(*vms)
 	if err != nil {
 		return err
 	}
@@ -116,7 +114,7 @@ func run(args []string) error {
 		})
 	}
 
-	observer, err := setupObs(*obsAddr, *metOut)
+	observer, writeMetrics, err := experiments.Telemetry(*obsAddr, *metOut)
 	if err != nil {
 		return err
 	}
@@ -195,13 +193,7 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
 	}
-	if *metOut != "" {
-		if err := observer.WriteFile(*metOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *metOut)
-	}
-	return nil
+	return writeMetrics()
 }
 
 // runRecord is standalone recording mode: one seeded PageRankVM run
@@ -216,29 +208,6 @@ func runRecord(path string, cfg experiments.RecordConfig) error {
 	return nil
 }
 
-// setupObs builds the observer when telemetry was requested: -obsaddr
-// serves it live (with a ring of recent decision traces on /events),
-// -metrics-out snapshots it at exit. Returns nil — instrumentation
-// disabled — when neither flag is set.
-func setupObs(addr, metricsOut string) (*obs.Observer, error) {
-	if addr == "" && metricsOut == "" {
-		return nil, nil
-	}
-	o := obs.New()
-	if addr != "" {
-		ring := obs.NewRingSink(4096)
-		o.SetSink(ring)
-		// The stop handle is deliberately dropped: the endpoint serves
-		// for the remaining process lifetime.
-		bound, _, err := obs.Serve(addr, o, ring)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s (/metrics /events /debug/pprof/)\n", bound)
-	}
-	return o, nil
-}
-
 func defaultReps() int {
 	if s := os.Getenv("PRVM_REPS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
@@ -246,16 +215,4 @@ func defaultReps() int {
 		}
 	}
 	return 10
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad VM count %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -28,11 +28,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"pagerankvm/internal/experiments"
-	"pagerankvm/internal/obs"
 	"pagerankvm/internal/opt"
 	"pagerankvm/internal/testbed"
 )
@@ -76,11 +73,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	counts, err := parseInts(*jobs)
+	counts, err := experiments.ParseCounts(*jobs)
 	if err != nil {
 		return err
 	}
-	observer, err := setupObs(*obsAddr, *metOut)
+	observer, writeMetrics, err := experiments.Telemetry(*obsAddr, *metOut)
 	if err != nil {
 		return err
 	}
@@ -150,44 +147,5 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
 	}
-	if *metOut != "" {
-		if err := observer.WriteFile(*metOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *metOut)
-	}
-	return nil
-}
-
-// setupObs builds the observer when telemetry was requested; nil (all
-// instrumentation disabled) when neither flag is set.
-func setupObs(addr, metricsOut string) (*obs.Observer, error) {
-	if addr == "" && metricsOut == "" {
-		return nil, nil
-	}
-	o := obs.New()
-	if addr != "" {
-		ring := obs.NewRingSink(4096)
-		o.SetSink(ring)
-		// The stop handle is deliberately dropped: the endpoint serves
-		// for the remaining process lifetime.
-		bound, _, err := obs.Serve(addr, o, ring)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s (/metrics /events /debug/pprof/)\n", bound)
-	}
-	return o, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad job count %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
+	return writeMetrics()
 }

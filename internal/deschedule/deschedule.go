@@ -273,40 +273,18 @@ func (e *Engine) drainPass(c *placement.Cluster, budget *int, movesFrom map[int]
 }
 
 // drainPM moves the PM's VMs (ascending id) onto active destinations,
-// stopping at the first VM with none; the failed VM is re-hosted where
-// it was. Returns the number of committed moves.
+// stopping at the first VM with none (it stays where it was). Returns
+// the number of committed moves.
 func (e *Engine) drainPM(c *placement.Cluster, src *placement.PM, received map[int]bool, st *RoundStats) int {
 	moved := 0
-	for _, id := range sortedVMIDs(src) {
+	for _, id := range src.VMIDs() {
 		st.Scanned++
-		h, err := c.Release(id)
-		if err != nil {
+		if _, ok := e.move(c, src, id, true, received); !ok {
 			break
 		}
-		srcScore, srcOK := e.placer.ScoreOn(src, h.VM)
-		dest, assign, err := e.placer.Place(c, h.VM, src)
-		if err != nil || !dest.Active() {
-			rehost(c, src, h)
-			break
-		}
-		destScore, _ := e.placer.ScoreOn(dest, h.VM)
-		if err := c.Host(dest, h.VM, assign); err != nil {
-			rehost(c, src, h)
-			break
-		}
-		received[dest.ID] = true
 		moved++
 		st.Moves++
 		st.DrainMoves++
-		gain := destScore
-		if srcOK {
-			gain = destScore - srcScore
-		}
-		e.emit(Move{
-			VM: id, VMType: h.VM.Type,
-			From: src.ID, To: dest.ID, ToType: dest.Type,
-			Assign: assign, Score: destScore, Gain: gain, Drain: true,
-		})
 	}
 	return moved
 }
@@ -323,7 +301,7 @@ func (e *Engine) rankPass(c *placement.Cluster, budget *int, movesFrom map[int]i
 		if pm.Cordoned() || received[pm.ID] {
 			continue
 		}
-		for _, id := range sortedVMIDs(pm) {
+		for _, id := range pm.VMIDs() {
 			if *budget <= 0 {
 				return
 			}
@@ -331,7 +309,7 @@ func (e *Engine) rankPass(c *placement.Cluster, budget *int, movesFrom map[int]i
 				break
 			}
 			st.Scanned++
-			if gain, ok := e.tryRankMove(c, pm, id, received); ok {
+			if gain, ok := e.move(c, pm, id, false, received); ok {
 				*budget--
 				movesFrom[pm.ID]++
 				st.Moves++
@@ -345,107 +323,72 @@ func (e *Engine) rankPass(c *placement.Cluster, budget *int, movesFrom map[int]i
 	}
 }
 
-// tryRankMove tentatively releases the VM, asks the placer for today's
-// placement (excluding the source), and commits it when the
-// destination is active and clears the gain margin; otherwise the VM
-// is re-hosted exactly where it was.
-func (e *Engine) tryRankMove(c *placement.Cluster, src *placement.PM, vmID int, received map[int]bool) (float64, bool) {
-	h, err := c.Release(vmID)
-	if err != nil {
-		return 0, false
-	}
-	srcScore, srcOK := e.placer.ScoreOn(src, h.VM)
-	dest, assign, err := e.placer.Place(c, h.VM, src)
-	if err != nil || !dest.Active() {
-		rehost(c, src, h)
-		return 0, false
-	}
-	destScore, destOK := e.placer.ScoreOn(dest, h.VM)
-	if !destOK {
-		rehost(c, src, h)
-		return 0, false
-	}
-	// A source profile outside the rank table (srcOK false) always
-	// loses to a scored destination: the VM currently sits on an
-	// undevelopable profile.
-	if srcOK && destScore <= srcScore*(1+e.cfg.MinGainFrac) {
-		rehost(c, src, h)
-		return 0, false
-	}
-	if err := c.Host(dest, h.VM, assign); err != nil {
-		rehost(c, src, h)
+// move migrates one VM off src through placement.Cluster.Migrate:
+// Algorithm 2 picks today's destination (source excluded), and the move
+// commits only onto an already-active PM that — for rank moves; a
+// drain's gain is the freed PM — clears the gain margin. Otherwise the
+// VM stays exactly where it was.
+func (e *Engine) move(c *placement.Cluster, src *placement.PM, vmID int, drain bool, received map[int]bool) (gain float64, ok bool) {
+	var srcScore, destScore float64
+	var srcOK bool
+	h, dest, _ := c.Migrate(e.placer, vmID, func(h placement.Hosted, dest *placement.PM) bool {
+		if !dest.Active() {
+			return false
+		}
+		srcScore, srcOK = e.placer.ScoreOn(src, h.VM)
+		var destOK bool
+		destScore, destOK = e.placer.ScoreOn(dest, h.VM)
+		// A source profile outside the rank table (srcOK false) always
+		// loses to a scored destination: the VM currently sits on an
+		// undevelopable profile.
+		return drain || destOK && !(srcOK && destScore <= srcScore*(1+e.cfg.MinGainFrac))
+	})
+	if dest == nil {
 		return 0, false
 	}
 	received[dest.ID] = true
-	gain := destScore
+	gain = destScore
 	if srcOK {
 		gain = destScore - srcScore
 	}
 	e.emit(Move{
 		VM: vmID, VMType: h.VM.Type,
 		From: src.ID, To: dest.ID, ToType: dest.Type,
-		Assign: assign, Score: destScore, Gain: gain,
+		Assign: h.Assign, Score: destScore, Gain: gain, Drain: drain,
 	})
 	return gain, true
 }
 
-// emit logs a committed move (release+place ops when a recorder is
-// attached), fires the OnMove hook, and feeds the gain histogram.
+// Ops returns the move in its log form: a release op on the source
+// followed by a place op on the destination (the PR 6 record format,
+// which is also the serve daemon's WAL shape).
+func (m Move) Ops() [2]record.Op {
+	return [2]record.Op{{
+		Kind:   record.OpRelease,
+		VM:     m.VM,
+		VMType: m.VMType,
+		PM:     m.From,
+	}, {
+		Kind:   record.OpPlace,
+		VM:     m.VM,
+		VMType: m.VMType,
+		PM:     m.To,
+		PMType: m.ToType,
+		Assign: record.AssignOf(m.Assign),
+		Score:  m.Score,
+	}}
+}
+
+// emit logs a committed move (its op pair when a recorder is attached),
+// fires the OnMove hook, and feeds the gain histogram.
 func (e *Engine) emit(m Move) {
 	if e.cfg.Recorder.Active() {
-		e.cfg.Recorder.RecordOp(record.Op{
-			Kind:   record.OpRelease,
-			VM:     m.VM,
-			VMType: m.VMType,
-			PM:     m.From,
-		})
-		e.cfg.Recorder.RecordOp(record.Op{
-			Kind:   record.OpPlace,
-			VM:     m.VM,
-			VMType: m.VMType,
-			PM:     m.To,
-			PMType: m.ToType,
-			Assign: toOpAssign(m.Assign),
-			Score:  m.Score,
-		})
+		for _, op := range m.Ops() {
+			e.cfg.Recorder.RecordOp(op)
+		}
 	}
 	if e.cfg.OnMove != nil {
 		e.cfg.OnMove(m)
 	}
 	e.met.rankGain.Observe(m.Gain)
-}
-
-// rehost puts a released VM back on its source with its original
-// assignment (always feasible: the resources were just freed).
-func rehost(c *placement.Cluster, pm *placement.PM, h placement.Hosted) {
-	if err := c.Host(pm, h.VM, h.Assign); err != nil {
-		// The source had the capacity a moment ago; failing here is a
-		// bookkeeping bug worth crashing loudly on.
-		panic("deschedule: rehost failed: " + err.Error())
-	}
-}
-
-// sortedVMIDs returns a PM's hosted VM ids ascending — the
-// deterministic iteration order for everything that walks a hosted
-// set.
-func sortedVMIDs(pm *placement.PM) []int {
-	vms := pm.VMs()
-	ids := make([]int, 0, len(vms))
-	for id := range vms {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// toOpAssign converts a concrete assignment to its op encoding.
-func toOpAssign(a resource.Assignment) []record.OpAssign {
-	if len(a) == 0 {
-		return nil
-	}
-	out := make([]record.OpAssign, len(a))
-	for i, du := range a {
-		out[i] = record.OpAssign{Dim: du.Dim, Units: du.Units}
-	}
-	return out
 }

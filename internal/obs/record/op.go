@@ -1,6 +1,10 @@
 package record
 
-import "fmt"
+import (
+	"fmt"
+
+	"pagerankvm/internal/resource"
+)
 
 // OpAssign is one committed unit of an op's assignment: Units resource
 // units landed on global dimension index Dim of the hosting PM's
@@ -9,6 +13,31 @@ import "fmt"
 type OpAssign struct {
 	Dim   int `json:"dim"`
 	Units int `json:"units"`
+}
+
+// AssignOf encodes a concrete assignment for an op (nil when empty, so
+// the field is omitted).
+func AssignOf(a resource.Assignment) []OpAssign {
+	if len(a) == 0 {
+		return nil
+	}
+	out := make([]OpAssign, len(a))
+	for i, du := range a {
+		out[i] = OpAssign(du)
+	}
+	return out
+}
+
+// Assignment decodes an op's assignment back to the placement form.
+func Assignment(a []OpAssign) resource.Assignment {
+	if len(a) == 0 {
+		return nil
+	}
+	out := make(resource.Assignment, len(a))
+	for i, du := range a {
+		out[i] = resource.DimUnits(du)
+	}
+	return out
 }
 
 // Op is one applied cluster mutation — the write-ahead-log entry shape

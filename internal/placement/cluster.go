@@ -13,6 +13,7 @@ package placement
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"pagerankvm/internal/obs/record"
 	"pagerankvm/internal/resource"
@@ -168,6 +169,18 @@ func (p *PM) Active() bool { return len(p.vms) > 0 }
 // not modify it.
 func (p *PM) VMs() map[int]Hosted { return p.vms }
 
+// VMIDs returns the hosted VM ids in ascending order — the
+// deterministic iteration order for everything that walks a hosted
+// set (and a snapshot: Release mutates the map VMs returns).
+func (p *PM) VMIDs() []int {
+	ids := make([]int, 0, len(p.vms))
+	for id := range p.vms {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
 // Cordoned reports whether the PM is cordoned: under maintenance
 // drain, refused by every placer until uncordoned or retired.
 func (p *PM) Cordoned() bool { return p.cordon }
@@ -291,6 +304,11 @@ func (c *Cluster) Release(vmID int) (Hosted, error) {
 	if !ok {
 		return Hosted{}, fmt.Errorf("placement: vm %d not placed", vmID)
 	}
+	return c.releaseFrom(pm, vmID)
+}
+
+// releaseFrom is Release once the hosting PM is known.
+func (c *Cluster) releaseFrom(pm *PM, vmID int) (Hosted, error) {
 	h, err := pm.remove(vmID)
 	if err != nil {
 		return Hosted{}, err
@@ -301,6 +319,42 @@ func (c *Cluster) Release(vmID int) (Hosted, error) {
 		c.unused = append(c.unused, pm)
 	}
 	return h, nil
+}
+
+// Migrate is the one move primitive — the paper's migration step,
+// shared by overload relief, consolidation and the descheduler:
+// release the VM, ask p where it would land today with its source
+// excluded, and host it there when accept approves the destination
+// (nil accepts any). Otherwise — no capacity, a refusal, or a failed
+// Host — the VM goes back on its source with its original assignment;
+// a source that emptied re-enters the used list at the tail, like any
+// other PM coming into use.
+//
+// It returns the VM's hosting record after the call and the
+// destination it moved to. dest is nil when the VM stayed: err then
+// carries the placer's (or Host's) error, or is nil for a refusal.
+// accept runs between the release and the Host, so it sees the source
+// without the VM and the destination before it.
+func (c *Cluster) Migrate(p Placer, vmID int, accept func(h Hosted, dest *PM) bool) (h Hosted, dest *PM, err error) {
+	src, ok := c.loc[vmID]
+	if !ok {
+		return Hosted{}, nil, fmt.Errorf("placement: vm %d not placed", vmID)
+	}
+	if h, err = c.releaseFrom(src, vmID); err != nil {
+		return Hosted{}, nil, err
+	}
+	dest, assign, err := p.Place(c, h.VM, src)
+	if err == nil && (accept == nil || accept(h, dest)) {
+		if err = c.Host(dest, h.VM, assign); err == nil {
+			return Hosted{VM: h.VM, Assign: assign}, dest, nil
+		}
+	}
+	if rerr := c.Host(src, h.VM, h.Assign); rerr != nil {
+		// The source held exactly these units a moment ago; failing to
+		// take them back is a bookkeeping bug worth crashing loudly on.
+		panic(fmt.Sprintf("placement: restore vm %d on pm %d: %v", vmID, src.ID, rerr))
+	}
+	return h, nil, err
 }
 
 // Retire permanently removes an inactive PM from the inventory — the

@@ -6,7 +6,6 @@ import (
 
 	"pagerankvm/internal/obs/record"
 	"pagerankvm/internal/placement"
-	"pagerankvm/internal/resource"
 )
 
 // Sentinel errors surfaced by the admission path; http.go maps them to
@@ -43,7 +42,7 @@ type placeReq struct {
 type placeResult struct {
 	pmID   int
 	pmType string
-	assign resource.Assignment
+	assign []record.OpAssign
 	score  float64
 	opened bool
 	dup    bool
@@ -52,9 +51,9 @@ type placeResult struct {
 }
 
 // batcher drains one shard's admission queue: it blocks for the first
-// request, then admits up to BatchMax requests or BatchWait of arrival
-// time, whichever ends first, and commits the batch in one critical
-// section. One batcher goroutine per shard, stopped by s.stop.
+// request, takes whatever else has queued (up to BatchMax), and commits
+// the batch in one critical section. One batcher goroutine per shard,
+// stopped by s.stop.
 func (s *Server) batcher(sh *shard, stop <-chan struct{}) {
 	defer s.wg.Done()
 	for {
@@ -65,7 +64,7 @@ func (s *Server) batcher(sh *shard, stop <-chan struct{}) {
 			s.drainQueue(sh)
 			return
 		}
-		batch := s.collectBatch(sh, first, stop)
+		batch := s.collectBatch(sh, first)
 		s.commitBatch(sh, batch)
 		select {
 		case <-stop:
@@ -76,36 +75,19 @@ func (s *Server) batcher(sh *shard, stop <-chan struct{}) {
 	}
 }
 
-// collectBatch assembles one batch starting from first. The default
-// (BatchWait == 0) is greedy group commit: take everything already
-// queued and go — requests arriving during the previous commit form the
-// next batch, so batching scales with load and adds zero idle latency.
-// A positive BatchWait instead holds the batch open for that window
-// (worth it only when the WAL is fsync-bound and the commit itself is
-// cheap relative to the sync).
-func (s *Server) collectBatch(sh *shard, first *placeReq, stop <-chan struct{}) []*placeReq {
+// collectBatch assembles one batch starting from first: greedy group
+// commit — take everything already queued and go. Requests arriving
+// during the previous commit form the next batch, so batching scales
+// with load and adds zero idle latency (DESIGN.md §14 records why a
+// timed window lost).
+func (s *Server) collectBatch(sh *shard, first *placeReq) []*placeReq {
 	batch := []*placeReq{first}
-	if s.cfg.BatchWait <= 0 {
-		for len(batch) < s.cfg.BatchMax {
-			select {
-			case r := <-sh.queue:
-				batch = append(batch, r)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.BatchWait)
-	defer timer.Stop()
 	for len(batch) < s.cfg.BatchMax {
 		select {
 		case r := <-sh.queue:
 			batch = append(batch, r)
-		case <-timer.C:
+		default:
 			return batch
-		case <-stop:
-			return batch // commit what was admitted, then exit
 		}
 	}
 	return batch
@@ -126,42 +108,34 @@ func (s *Server) drainQueue(sh *shard) {
 }
 
 // commitBatch applies a batch under the shard lock — the admission
-// batching that amortizes one lock acquisition and one WAL flush over
-// many placements — then flushes the WAL once and answers the waiters.
-// No-capacity requests are forwarded to the next shard after the
-// critical section.
+// batching that amortizes one lock acquisition and one WAL barrier over
+// many placements — then passes the barrier once and answers the
+// waiters. No-capacity requests are forwarded to the next shard after
+// the critical section.
 func (s *Server) commitBatch(sh *shard, batch []*placeReq) {
 	s.met.batchSize.Observe(float64(len(batch)))
 	results := make([]placeResult, len(batch))
 	wrote := false
 
-	nops := int64(0)
 	sh.mu.Lock()
 	for i, req := range batch {
 		results[i] = s.placeLocked(sh, req)
 		if results[i].err == nil && !results[i].dup {
 			wrote = true
-			nops++
 		}
 	}
 	sh.mu.Unlock()
 
 	var flushErr error
 	if wrote {
-		flushErr = s.wal.flush()
-		if flushErr != nil {
-			s.walBroken.Store(true)
-			s.met.walErrors.Inc()
-		} else {
-			s.noteOps(nops)
-		}
+		flushErr = s.barrier()
 	}
 
 	for i, req := range batch {
 		res := results[i]
 		if flushErr != nil && res.err == nil && !res.dup {
 			// The op may not be durable; do not acknowledge it.
-			res = placeResult{err: errWALFailed}
+			res = placeResult{err: flushErr}
 		}
 		if errors.Is(res.err, placement.ErrNoCapacity) && req.tried < len(s.shards) {
 			s.met.forwards.Inc()
@@ -173,9 +147,9 @@ func (s *Server) commitBatch(sh *shard, batch []*placeReq) {
 }
 
 // placeLocked handles one request under sh.mu: duplicate check, placer
-// decision, cluster commit, WAL append. The append happens inside the
-// critical section so the WAL's per-PM op order always equals the apply
-// order — the invariant replay relies on.
+// decision, commit. Committing inside the critical section keeps the
+// WAL's per-PM op order equal to the apply order — the invariant replay
+// relies on.
 func (s *Server) placeLocked(sh *shard, req *placeReq) placeResult {
 	if e, ok := s.loc.Load(req.vm.ID); ok {
 		le := e.(locEntry)
@@ -193,24 +167,24 @@ func (s *Server) placeLocked(sh *shard, req *placeReq) placeResult {
 		// list scores 0 by convention (no candidate beat it).
 		score, _ = sh.placer.ScoreOn(pm, req.vm)
 	}
-	if err := sh.cluster.Host(pm, req.vm, assign); err != nil {
-		return placeResult{err: err}
-	}
-	s.loc.Store(req.vm.ID, locEntry{shard: sh.idx, pm: pm.ID})
-	seq := s.wal.appendOp(record.Op{
+	op := record.Op{
 		Kind:   record.OpPlace,
 		VM:     req.vm.ID,
 		VMType: req.vm.Type,
 		PM:     pm.ID,
 		PMType: pm.Type,
-		Assign: toOpAssign(assign),
+		Assign: record.AssignOf(assign),
 		Score:  score,
 		Opened: opened,
-	})
+	}
+	_, seq, err := s.commit(op, placement.Hosted{VM: req.vm, Assign: assign})
+	if err != nil {
+		return placeResult{err: err}
+	}
 	return placeResult{
 		pmID:   pm.ID,
 		pmType: pm.Type,
-		assign: assign,
+		assign: op.Assign,
 		score:  score,
 		opened: opened,
 		seq:    seq,

@@ -259,7 +259,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		Opened:    res.opened,
 		Duplicate: res.dup,
 		Seq:       res.seq,
-		Assign:    toOpAssign(res.assign),
+		Assign:    res.assign,
 	})
 }
 
@@ -298,39 +298,52 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_placed", err)
 		return
 	}
-	if err := s.wal.flush(); err != nil {
-		s.walBroken.Store(true)
-		s.met.walErrors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "wal_failed", errWALFailed)
+	if err := s.barrier(); err != nil {
+		s.writePlaceError(w, err)
 		return
 	}
-	s.noteOps(1)
 	writeJSON(w, http.StatusOK, ReleaseResponse{VM: req.VM, PM: pmID, Seq: seq})
 }
 
-// release removes a VM under its host shard's lock and appends the
-// release op. The caller flushes.
+// release removes a VM under its host shard's lock and commits the
+// release op. loc only picks the shard; the PM is whatever the cluster
+// holds the VM on once the lock is held. The caller passes the barrier.
 func (s *Server) release(vmID int) (pmID int, seq int64, err error) {
 	e, ok := s.loc.Load(vmID)
 	if !ok {
 		return 0, 0, fmt.Errorf("serve: vm %d not placed", vmID)
 	}
-	le := e.(locEntry)
-	sh := s.shards[le.shard]
+	sh := s.shards[e.(locEntry).shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	h, err := sh.cluster.Release(vmID)
+	_, pm, seq, err := s.releaseLocked(sh, vmID, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	s.loc.Delete(vmID)
-	seq = s.wal.appendOp(record.Op{
+	return pm.ID, seq, nil
+}
+
+// releaseLocked is the one release path, shared by /v1/release, evict
+// and drain: under sh.mu, find the PM the cluster holds the VM on —
+// which must be on when on is non-nil — and commit the release op
+// naming it. A descheduler move may have re-homed the VM since the
+// caller last looked, which is why the PM is resolved here, under the
+// lock, and nowhere earlier.
+func (s *Server) releaseLocked(sh *shard, vmID int, on *placement.PM) (placement.Hosted, *placement.PM, int64, error) {
+	pm, ok := sh.cluster.Locate(vmID)
+	if !ok {
+		return placement.Hosted{}, nil, 0, fmt.Errorf("serve: vm %d not placed", vmID)
+	}
+	if on != nil && pm != on {
+		return placement.Hosted{}, nil, 0, fmt.Errorf("serve: vm %d not on pm %d", vmID, on.ID)
+	}
+	h, seq, err := s.commit(record.Op{
 		Kind:   record.OpRelease,
 		VM:     vmID,
-		VMType: h.VM.Type,
-		PM:     le.pm,
-	})
-	return le.pm, seq, nil
+		VMType: pm.VMs()[vmID].VM.Type,
+		PM:     pm.ID,
+	}, placement.Hosted{})
+	return h, pm, seq, err
 }
 
 // handleEvict serves POST /v1/evict: release a victim from the source
@@ -352,7 +365,7 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	s.met.evictReqs.Inc()
 
 	sh := s.shards[s.pmShard(req.PM)]
-	victim, hosted, pm, err := s.evictVictim(sh, req.PM, req.VM)
+	hosted, pm, err := s.evictVictim(sh, req.PM, req.VM)
 	if err != nil {
 		switch {
 		case errors.Is(err, errUnknownPM):
@@ -364,51 +377,42 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if err := s.wal.flush(); err != nil {
-		s.walBroken.Store(true)
-		s.met.walErrors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "wal_failed", errWALFailed)
+	// A barrier between the migration's two halves: a WAL that cannot
+	// take the release stops the evict here, before any re-place.
+	if err := s.barrier(); err != nil {
+		s.writePlaceError(w, err)
 		return
 	}
-	s.noteOps(1)
 
-	res := s.submitPlace(hosted.VM, pm)
-	if res.err != nil {
-		// Compensate: put the victim back with its original assignment.
-		if rerr := s.restore(sh, pm, hosted); rerr != nil {
-			writeError(w, http.StatusInternalServerError, "internal",
-				fmt.Errorf("re-place failed (%v) and restore failed: %w", res.err, rerr))
-			return
-		}
-		// The compensating place op restore appended counts toward the
-		// snapshot cadence like any other committed op.
-		s.noteOps(1)
-		writeError(w, http.StatusConflict, "no_capacity",
-			fmt.Errorf("serve: no destination for vm %d; restored to pm %d", victim, pm.ID))
+	res, err := s.replaceOrRestore(sh, pm, hosted)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, EvictResponse{VM: victim, From: pm.ID, To: res.pmID, Seq: res.seq})
+	if res.err != nil {
+		writeError(w, http.StatusConflict, "no_capacity",
+			fmt.Errorf("serve: no destination for vm %d; restored to pm %d", hosted.VM.ID, pm.ID))
+		return
+	}
+	writeJSON(w, http.StatusOK, EvictResponse{VM: hosted.VM.ID, From: pm.ID, To: res.pmID, Seq: res.seq})
 }
 
-// evictVictim resolves the source PM, picks (or validates) the victim,
-// and releases it — all under the shard lock, because sh.pms shrinks
-// when a drain retires a PM. A draining (cordoned) source is refused:
-// the drain is already moving every VM off it.
-func (s *Server) evictVictim(sh *shard, pmID int, want *int) (int, placement.Hosted, *placement.PM, error) {
+// evictVictim resolves the source PM, picks the victim (or takes the
+// one named), and releases it — all under the shard lock, because
+// sh.pms shrinks when a drain retires a PM. A draining (cordoned) source
+// is refused: the drain is already moving every VM off it.
+func (s *Server) evictVictim(sh *shard, pmID int, want *int) (placement.Hosted, *placement.PM, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	pm, ok := sh.pms[pmID]
 	if !ok {
-		return 0, placement.Hosted{}, nil, fmt.Errorf("%w: pm %d not in inventory", errUnknownPM, pmID)
+		return placement.Hosted{}, nil, fmt.Errorf("%w: pm %d not in inventory", errUnknownPM, pmID)
 	}
 	if pm.Cordoned() {
-		return 0, placement.Hosted{}, nil, fmt.Errorf("%w: pm %d", errDraining, pmID)
+		return placement.Hosted{}, nil, fmt.Errorf("%w: pm %d", errDraining, pmID)
 	}
-	victim := -1
+	var victim int
 	if want != nil {
-		if _, ok := pm.VMs()[*want]; !ok {
-			return 0, placement.Hosted{}, nil, fmt.Errorf("serve: vm %d not on pm %d", *want, pm.ID)
-		}
 		victim = *want
 	} else {
 		// All dimensions count as overloaded: pick the hosted VM whose
@@ -418,52 +422,43 @@ func (s *Server) evictVictim(sh *shard, pmID int, want *int) (int, placement.Hos
 			dims[i] = i
 		}
 		ev := placement.RankEvictor{Placer: sh.placer}
-		id, ok := ev.SelectVictim(pm, dims)
-		if !ok {
-			return 0, placement.Hosted{}, nil, fmt.Errorf("serve: pm %d hosts no evictable VM", pm.ID)
+		if victim, ok = ev.SelectVictim(pm, dims); !ok {
+			return placement.Hosted{}, nil, fmt.Errorf("serve: pm %d hosts no evictable VM", pm.ID)
 		}
-		victim = id
 	}
-	h, err := sh.cluster.Release(victim)
-	if err != nil {
-		return 0, placement.Hosted{}, nil, err
-	}
-	s.loc.Delete(victim)
-	s.wal.appendOp(record.Op{
-		Kind:   record.OpRelease,
-		VM:     victim,
-		VMType: h.VM.Type,
-		PM:     pm.ID,
-	})
-	return victim, h, pm, nil
+	h, _, _, err := s.releaseLocked(sh, victim, pm)
+	return h, pm, err
 }
 
-// restore re-hosts an evicted VM on its source PM with its original
-// assignment after a failed re-placement, logging the compensating
-// place op.
-func (s *Server) restore(sh *shard, pm *placement.PM, h placement.Hosted) error {
+// replaceOrRestore finishes a migration evict or drain began by
+// releasing h off pm: re-place the VM through the normal admission
+// path, anywhere but pm. When that fails (the returned result's err)
+// the VM goes back on pm with its original assignment through a
+// compensating place op, durable before this returns — under the shard
+// lock, shard.mu -> wal.mu. The error return means the compensation
+// itself failed and the VM is hosted nowhere.
+func (s *Server) replaceOrRestore(sh *shard, pm *placement.PM, h placement.Hosted) (placeResult, error) {
+	res := s.submitPlace(h.VM, pm)
+	if res.err == nil {
+		return res, nil
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := sh.cluster.Host(pm, h.VM, h.Assign); err != nil {
-		return err
-	}
-	s.loc.Store(h.VM.ID, locEntry{shard: sh.idx, pm: pm.ID})
-	s.wal.appendOp(record.Op{
+	_, _, err := s.commit(record.Op{
 		Kind:   record.OpPlace,
 		VM:     h.VM.ID,
 		VMType: h.VM.Type,
 		PM:     pm.ID,
 		PMType: pm.Type,
-		Assign: toOpAssign(h.Assign),
-	})
-	// Flushing under the shard lock follows the shard.mu -> wal.mu lock
-	// order; the compensating op must be durable before we answer.
-	if err := s.wal.flush(); err != nil {
-		s.walBroken.Store(true)
-		s.met.walErrors.Inc()
-		return err
+		Assign: record.AssignOf(h.Assign),
+	}, h)
+	if err == nil {
+		err = s.barrier()
 	}
-	return nil
+	if err != nil {
+		return res, fmt.Errorf("re-place of vm %d failed (%v) and restore failed: %w", h.VM.ID, res.err, err)
+	}
+	return res, nil
 }
 
 // handleDrain serves POST /v1/drain: a maintenance drain. The PM is
@@ -502,19 +497,19 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 
 	var moves []DrainMove
 	for _, vmID := range ids {
-		h, ok := s.releaseForDrain(sh, pm, vmID)
-		if !ok {
-			continue // the client released it after the cordon
+		sh.mu.Lock()
+		h, _, _, err := s.releaseLocked(sh, vmID, pm)
+		sh.mu.Unlock()
+		if err != nil {
+			continue // the client released it after the cordon: the goal is an empty PM
 		}
-		res := s.submitPlace(h.VM, pm)
+		res, err := s.replaceOrRestore(sh, pm, h)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "internal", err)
+			return
+		}
 		if res.err != nil {
-			// Compensate: the VM goes back, the PM stays in service.
-			if rerr := s.restore(sh, pm, h); rerr != nil {
-				writeError(w, http.StatusInternalServerError, "internal",
-					fmt.Errorf("drain re-place failed (%v) and restore failed: %w", res.err, rerr))
-				return
-			}
-			s.noteOps(2) // the release op and its compensating place op
+			// Compensated: the VM is back, the PM stays in service.
 			s.uncordon(sh, pm)
 			if errors.Is(res.err, placement.ErrNoCapacity) {
 				writeError(w, http.StatusConflict, "no_capacity",
@@ -524,13 +519,12 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 			s.writePlaceError(w, res.err)
 			return
 		}
-		// The place op was counted by its batch commit; count the
-		// release op here.
-		s.noteOps(1)
 		moves = append(moves, DrainMove{VM: vmID, To: res.pmID})
 	}
 
-	seq, err := s.retirePM(sh, pm)
+	sh.mu.Lock()
+	_, seq, err := s.commit(record.Op{Kind: record.OpRetire, PM: pm.ID, PMType: pm.Type}, placement.Hosted{})
+	sh.mu.Unlock()
 	if err != nil {
 		// Something re-hosted onto the PM between the last move and the
 		// retire (an evict compensation, at worst). Leave it in service.
@@ -538,13 +532,10 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "conflict", err)
 		return
 	}
-	if err := s.wal.flush(); err != nil {
-		s.walBroken.Store(true)
-		s.met.walErrors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "wal_failed", errWALFailed)
+	if err := s.barrier(); err != nil {
+		s.writePlaceError(w, err)
 		return
 	}
-	s.noteOps(1)
 	writeJSON(w, http.StatusOK, DrainResponse{PM: req.PM, Moves: moves, Retired: true, Seq: seq})
 }
 
@@ -558,7 +549,7 @@ func (s *Server) cordonPM(sh *shard, pmID int) (*placement.PM, []int, error) {
 		return nil, nil, fmt.Errorf("%w: pm %d not in inventory", errUnknownPM, pmID)
 	}
 	pm.SetCordoned(true)
-	return pm, sortedVMIDs(pm), nil
+	return pm, pm.VMIDs(), nil
 }
 
 // uncordon returns a PM to service under the shard lock.
@@ -566,48 +557,6 @@ func (s *Server) uncordon(sh *shard, pm *placement.PM) {
 	sh.mu.Lock()
 	pm.SetCordoned(false)
 	sh.mu.Unlock()
-}
-
-// releaseForDrain releases one VM off the draining PM under the shard
-// lock, appending the release op. It reports false when the VM is no
-// longer there (a client release raced the drain) — not an error, the
-// drain's goal is an empty PM.
-func (s *Server) releaseForDrain(sh *shard, pm *placement.PM, vmID int) (placement.Hosted, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := pm.VMs()[vmID]; !ok {
-		return placement.Hosted{}, false
-	}
-	h, err := sh.cluster.Release(vmID)
-	if err != nil {
-		return placement.Hosted{}, false
-	}
-	s.loc.Delete(vmID)
-	s.wal.appendOp(record.Op{
-		Kind:   record.OpRelease,
-		VM:     vmID,
-		VMType: h.VM.Type,
-		PM:     pm.ID,
-	})
-	return h, true
-}
-
-// retirePM removes the emptied PM from the inventory under the shard
-// lock and appends the retire op. The caller flushes.
-func (s *Server) retirePM(sh *shard, pm *placement.PM) (int64, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.cluster.Retire(pm); err != nil {
-		return 0, err
-	}
-	delete(sh.pms, pm.ID)
-	sh.retired = append(sh.retired, pm.ID)
-	seq := s.wal.appendOp(record.Op{
-		Kind:   record.OpRetire,
-		PM:     pm.ID,
-		PMType: pm.Type,
-	})
-	return seq, nil
 }
 
 // handleCluster serves GET /v1/cluster.
@@ -630,7 +579,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 		if wantVMs {
 			for _, pm := range sh.cluster.UsedPMs() {
-				for _, vmID := range sortedVMIDs(pm) {
+				for _, vmID := range pm.VMIDs() {
 					resp.Placements = append(resp.Placements, VMStatus{VM: vmID, PM: pm.ID})
 				}
 			}

@@ -93,9 +93,9 @@ func serverPlacements(s *Server) map[int]foldedVM {
 		sh.mu.Lock()
 		for _, pm := range sh.cluster.UsedPMs() {
 			vms := pm.VMs()
-			for _, id := range sortedVMIDs(pm) {
+			for _, id := range pm.VMIDs() {
 				h := vms[id]
-				out[id] = foldedVM{Type: h.VM.Type, PM: pm.ID, Assign: toOpAssign(h.Assign)}
+				out[id] = foldedVM{Type: h.VM.Type, PM: pm.ID, Assign: record.AssignOf(h.Assign)}
 			}
 		}
 		sh.mu.Unlock()

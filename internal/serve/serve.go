@@ -25,7 +25,6 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,7 +34,6 @@ import (
 	"pagerankvm/internal/obs/record"
 	"pagerankvm/internal/placement"
 	"pagerankvm/internal/ranktable"
-	"pagerankvm/internal/resource"
 )
 
 // Config parameterizes a Server. Rankers, PMs and NewVM are required;
@@ -68,13 +66,6 @@ type Config struct {
 	// BatchMax bounds how many queued placements one critical section
 	// admits (default 64).
 	BatchMax int
-	// BatchWait holds a batch open for a timed window after the first
-	// request arrives. The default (0) is greedy group commit: a batch
-	// is whatever has queued up by the time the previous commit
-	// finished, which adds no idle latency and still batches under
-	// load. Set a positive window only when an fsync-bound WAL makes
-	// larger batches worth the wait.
-	BatchWait time.Duration
 	// QueueDepth is the per-shard admission queue capacity (default
 	// 1024). A full queue rejects with 503.
 	QueueDepth int
@@ -239,8 +230,10 @@ func New(cfg Config) (*Server, error) {
 
 	// One descheduler engine per shard, sharing the shard's placer so
 	// rebalance moves draw from the same rank tables and seeded rng as
-	// admission. OnMove runs inside Rebalance — under the shard lock —
-	// so the appendOp calls follow the shard.mu -> wal.mu lock order.
+	// admission. The engine applies its moves to the cluster itself, so
+	// OnMove is log-only — the one site besides commit that appends to
+	// the WAL or edits loc. It runs inside Rebalance, under the shard
+	// lock, so the appends follow the shard.mu -> wal.mu lock order.
 	for _, sh := range s.shards {
 		sh := sh
 		rcfg := cfg.Rebalance
@@ -249,21 +242,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		rcfg.Recorder = nil
 		rcfg.OnMove = func(m deschedule.Move) {
-			s.wal.appendOp(record.Op{
-				Kind:   record.OpRelease,
-				VM:     m.VM,
-				VMType: m.VMType,
-				PM:     m.From,
-			})
-			s.wal.appendOp(record.Op{
-				Kind:   record.OpPlace,
-				VM:     m.VM,
-				VMType: m.VMType,
-				PM:     m.To,
-				PMType: m.ToType,
-				Assign: toOpAssign(m.Assign),
-				Score:  m.Score,
-			})
+			for _, op := range m.Ops() {
+				s.wal.appendOp(op)
+			}
 			s.loc.Store(m.VM, locEntry{shard: sh.idx, pm: m.To})
 		}
 		sh.engine = deschedule.New(sh.placer, rcfg)
@@ -336,20 +317,17 @@ func (s *Server) RebalanceNow() (deschedule.RoundStats, error) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		st := sh.engine.Rebalance(sh.cluster)
-		var ferr error
+		var err error
 		if st.Moves > 0 {
-			// Flushing under the shard lock follows the shard.mu ->
-			// wal.mu lock order; the moves must be durable before the
-			// shard accepts interleaving mutations.
-			ferr = s.wal.flush()
+			// The barrier runs under the shard lock (shard.mu -> wal.mu):
+			// the moves must be durable before the shard accepts
+			// interleaving mutations.
+			err = s.barrier()
 		}
 		sh.mu.Unlock()
-		if ferr != nil {
-			s.walBroken.Store(true)
-			s.met.walErrors.Inc()
-			return total, errWALFailed
+		if err != nil {
+			return total, err
 		}
-		s.noteOps(int64(2 * st.Moves))
 		total.Add(st)
 	}
 	return total, nil
@@ -371,18 +349,26 @@ func (s *Server) snapshotter(stop <-chan struct{}) {
 	}
 }
 
-// noteOps accumulates committed-op counts toward the periodic snapshot
-// trigger.
-func (s *Server) noteOps(n int64) {
-	if n <= 0 || s.cfg.DataDir == "" || s.cfg.SnapshotEvery <= 0 {
-		return
+// barrier is the one durability barrier: flush the WAL (fsync when
+// configured), degrade the server when that fails — state may be ahead
+// of the log, so every later mutation is refused — and count the ops
+// the flush made durable toward the periodic snapshot trigger. Nothing
+// is acknowledged before the barrier covering its ops returns nil.
+func (s *Server) barrier() error {
+	n, err := s.wal.flush()
+	if err != nil {
+		s.walBroken.Store(true)
+		s.met.walErrors.Inc()
+		return errWALFailed
 	}
-	if s.opsSinceSnap.Add(n) >= s.cfg.SnapshotEvery {
+	if n > 0 && s.cfg.DataDir != "" && s.cfg.SnapshotEvery > 0 &&
+		s.opsSinceSnap.Add(n) >= s.cfg.SnapshotEvery {
 		select {
 		case s.snapCh <- struct{}{}:
 		default: // a cut is already pending
 		}
 	}
+	return nil
 }
 
 func (s *Server) initMetrics(o *obs.Observer) {
@@ -460,71 +446,64 @@ func (s *Server) pmShard(pmID int) int { return int(hashID(pmID) % uint32(len(s.
 // first.
 func (s *Server) vmShard(vmID int) int { return int(hashID(vmID) % uint32(len(s.shards))) }
 
-// toOpAssign converts a concrete assignment to its WAL encoding.
-func toOpAssign(a resource.Assignment) []record.OpAssign {
-	if len(a) == 0 {
-		return nil
+// apply is the one function that changes the daemon's state: the only
+// caller of Cluster.Host, Release and Retire and, with the log-only
+// OnMove hook, the only editor of loc, sh.pms and sh.retired. WAL
+// replay, snapshot load and the live path (through commit) all go
+// through it, so what recovery rebuilds is what serving built. The live
+// path hands in the VM and assignment it already materialised for a
+// place; with a zero h they are rebuilt from the op. It returns the
+// hosting record placed or released. Callers hold the lock of the
+// shard owning op.PM (recovery is single-threaded).
+func (s *Server) apply(op record.Op, h placement.Hosted) (placement.Hosted, error) {
+	sh := s.shards[s.pmShard(op.PM)]
+	if op.Kind == record.OpRelease {
+		released, err := sh.cluster.Release(op.VM)
+		if err == nil {
+			s.loc.Delete(op.VM)
+		}
+		return released, err
 	}
-	out := make([]record.OpAssign, len(a))
-	for i, du := range a {
-		out[i] = record.OpAssign{Dim: du.Dim, Units: du.Units}
+	pm, ok := sh.pms[op.PM]
+	if !ok {
+		return h, fmt.Errorf("%w: pm %d not in inventory", errUnknownPM, op.PM)
 	}
-	return out
-}
-
-// fromOpAssign converts a WAL assignment back to the placement form.
-func fromOpAssign(a []record.OpAssign) resource.Assignment {
-	if len(a) == 0 {
-		return nil
-	}
-	out := make(resource.Assignment, len(a))
-	for i, du := range a {
-		out[i] = resource.DimUnits{Dim: du.Dim, Units: du.Units}
-	}
-	return out
-}
-
-// applyOp applies one WAL op to the in-memory state. It is the replay
-// half of the durability contract: the live path records exactly what
-// it applied, this path applies exactly what was recorded. Callers
-// serialize (recovery is single-threaded).
-func (s *Server) applyOp(op record.Op) error {
 	switch op.Kind {
 	case record.OpPlace:
-		sh := s.shards[s.pmShard(op.PM)]
-		pm, ok := sh.pms[op.PM]
-		if !ok {
-			return fmt.Errorf("serve: replay seq %d: pm %d not in inventory", op.Seq, op.PM)
+		if h.VM == nil {
+			vm, err := s.cfg.NewVM(op.VM, op.VMType)
+			if err != nil {
+				return h, err
+			}
+			h = placement.Hosted{VM: vm, Assign: record.Assignment(op.Assign)}
 		}
-		vm, err := s.cfg.NewVM(op.VM, op.VMType)
-		if err != nil {
-			return fmt.Errorf("serve: replay seq %d: %w", op.Seq, err)
-		}
-		if err := sh.cluster.Host(pm, vm, fromOpAssign(op.Assign)); err != nil {
-			return fmt.Errorf("serve: replay seq %d: %w", op.Seq, err)
+		if err := sh.cluster.Host(pm, h.VM, h.Assign); err != nil {
+			return h, err
 		}
 		s.loc.Store(op.VM, locEntry{shard: sh.idx, pm: pm.ID})
-	case record.OpRelease:
-		sh := s.shards[s.pmShard(op.PM)]
-		if _, err := sh.cluster.Release(op.VM); err != nil {
-			return fmt.Errorf("serve: replay seq %d: %w", op.Seq, err)
-		}
-		s.loc.Delete(op.VM)
 	case record.OpRetire:
-		sh := s.shards[s.pmShard(op.PM)]
-		pm, ok := sh.pms[op.PM]
-		if !ok {
-			return fmt.Errorf("serve: replay seq %d: pm %d not in inventory", op.Seq, op.PM)
-		}
 		if err := sh.cluster.Retire(pm); err != nil {
-			return fmt.Errorf("serve: replay seq %d: %w", op.Seq, err)
+			return h, err
 		}
 		delete(sh.pms, op.PM)
 		sh.retired = append(sh.retired, op.PM)
 	default:
-		return fmt.Errorf("serve: replay seq %d: unknown op kind %q", op.Seq, op.Kind)
+		return h, fmt.Errorf("serve: unknown op kind %q", op.Kind)
 	}
-	return nil
+	return h, nil
+}
+
+// commit is the live path's state change: apply the op, then append it
+// to the WAL — so the log records exactly what was applied — both under
+// the owning shard's lock, which keeps per-PM WAL order equal to apply
+// order. It returns the op's seq; the caller runs barrier before
+// acknowledging it.
+func (s *Server) commit(op record.Op, h placement.Hosted) (placement.Hosted, int64, error) {
+	h, err := s.apply(op, h)
+	if err != nil {
+		return h, 0, err
+	}
+	return h, s.wal.appendOp(op), nil
 }
 
 // numVMs counts placed VMs across shards (callers hold no locks; exact
@@ -537,16 +516,4 @@ func (s *Server) numVMs() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// sortedVMIDs returns the ids of a PM's hosted VMs in ascending order —
-// the deterministic iteration order for snapshots and status listings.
-func sortedVMIDs(pm *placement.PM) []int {
-	vms := pm.VMs()
-	ids := make([]int, 0, len(vms))
-	for id := range vms {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }

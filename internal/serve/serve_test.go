@@ -272,7 +272,7 @@ func stateFingerprint(s *Server) string {
 		for _, pm := range sh.cluster.UsedPMs() {
 			fmt.Fprintf(&b, "pm %d used %v\n", pm.ID, pm.Used())
 			vms := pm.VMs()
-			for _, id := range sortedVMIDs(pm) {
+			for _, id := range pm.VMIDs() {
 				h := vms[id]
 				fmt.Fprintf(&b, "  vm %d %s assign %v\n", id, h.VM.Type, h.Assign)
 			}

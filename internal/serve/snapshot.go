@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"pagerankvm/internal/obs/record"
+	"pagerankvm/internal/placement"
 )
 
 // Snapshot file framing. Like WAL segments, snapshots are named by
@@ -149,12 +150,12 @@ func (s *Server) capture(cut int64) snapshotFile {
 			st.Used = append(st.Used, pm.ID)
 			sp := snapPM{ID: pm.ID}
 			vms := pm.VMs()
-			for _, vmID := range sortedVMIDs(pm) {
+			for _, vmID := range pm.VMIDs() {
 				h := vms[vmID]
 				sp.VMs = append(sp.VMs, snapVM{
 					ID:     vmID,
 					Type:   h.VM.Type,
-					Assign: toOpAssign(h.Assign),
+					Assign: record.AssignOf(h.Assign),
 				})
 			}
 			st.PMs = append(st.PMs, sp)
@@ -295,8 +296,8 @@ func (s *Server) recover(dir string) (RecoveryInfo, error) {
 			if op.Seq != maxSeq+1 {
 				return fmt.Errorf("serve: recover: seq gap: %d after %d (segment %s)", op.Seq, maxSeq, name)
 			}
-			if err := s.applyOp(op); err != nil {
-				return err
+			if _, err := s.apply(op, placement.Hosted{}); err != nil {
+				return fmt.Errorf("serve: replay seq %d: %w", op.Seq, err)
 			}
 			maxSeq = op.Seq
 			info.ReplayedOps++
@@ -318,9 +319,12 @@ func (s *Server) recover(dir string) (RecoveryInfo, error) {
 	return info, nil
 }
 
-// applySnapshot replays a snapshot into the (empty) sharded state:
-// host every VM in used-list order — recreating the used lists — then
-// restore the unused-list orders and watermarks via Cluster.Reorder.
+// applySnapshot replays a snapshot into the (empty) sharded state as
+// the ops it stands for, through the same apply as the WAL tail: retire
+// what was retired, host every VM in used-list order — recreating the
+// used lists — then restore the unused-list orders and watermarks via
+// Cluster.Reorder. apply routes by PM-id hash; the membership checks
+// hold the snapshot to the same partition.
 func (s *Server) applySnapshot(snap snapshotFile) error {
 	if snap.Shards != len(s.shards) {
 		return fmt.Errorf("serve: snapshot has %d shards, server configured for %d (re-sharding requires a fresh data dir)", snap.Shards, len(s.shards))
@@ -330,30 +334,22 @@ func (s *Server) applySnapshot(snap snapshotFile) error {
 		// Retire first: retired PMs are out of the inventory, so the
 		// used/unused Reorder below must not see them.
 		for _, pmID := range st.Retired {
-			pm, ok := sh.pms[pmID]
-			if !ok {
+			if _, ok := sh.pms[pmID]; !ok {
 				return fmt.Errorf("serve: snapshot retired pm %d not in shard %d inventory", pmID, i)
 			}
-			if err := sh.cluster.Retire(pm); err != nil {
+			if _, err := s.apply(record.Op{Kind: record.OpRetire, PM: pmID}, placement.Hosted{}); err != nil {
 				return fmt.Errorf("serve: snapshot retired pm %d: %w", pmID, err)
 			}
-			delete(sh.pms, pmID)
-			sh.retired = append(sh.retired, pmID)
 		}
 		for _, sp := range st.PMs {
-			pm, ok := sh.pms[sp.ID]
-			if !ok {
+			if _, ok := sh.pms[sp.ID]; !ok {
 				return fmt.Errorf("serve: snapshot pm %d not in shard %d inventory", sp.ID, i)
 			}
 			for _, sv := range sp.VMs {
-				vm, err := s.cfg.NewVM(sv.ID, sv.Type)
-				if err != nil {
+				op := record.Op{Kind: record.OpPlace, VM: sv.ID, VMType: sv.Type, PM: sp.ID, Assign: sv.Assign}
+				if _, err := s.apply(op, placement.Hosted{}); err != nil {
 					return fmt.Errorf("serve: snapshot vm %d: %w", sv.ID, err)
 				}
-				if err := sh.cluster.Host(pm, vm, fromOpAssign(sv.Assign)); err != nil {
-					return fmt.Errorf("serve: snapshot vm %d: %w", sv.ID, err)
-				}
-				s.loc.Store(sv.ID, locEntry{shard: i, pm: sp.ID})
 			}
 		}
 		if err := sh.cluster.Reorder(st.Used, st.Unused); err != nil {

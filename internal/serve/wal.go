@@ -62,15 +62,21 @@ func listSegments(dir string) ([]string, error) {
 // segment whose op lines carry the recording-wide seq, rotated at
 // snapshot cuts so old segments become garbage-collectable.
 //
-// Locking: appendOp is called under the owning shard's lock, which is
-// what makes per-PM WAL order equal apply order; wal.mu only serializes
-// appenders on different shards against each other and against
-// flush/rotate. Lock order is shard.mu -> wal.mu, never the reverse.
+// Locking: appendOp is called under the owning shard's lock (by commit
+// and the descheduler's OnMove hook), which is what makes per-PM WAL
+// order equal apply order; wal.mu only serializes appenders on different
+// shards against each other and against flush/rotate. flush is called
+// by barrier alone — off the shard locks on the request paths, under
+// one where a round or a compensation must be durable before the shard
+// moves on. Lock order is shard.mu -> wal.mu, never the reverse.
 type wal struct {
 	mu    sync.Mutex
 	dir   string // "" = discard mode (no durability)
 	fsync bool
 	rec   *record.Recorder
+	// pending counts ops appended since the last flush — what the next
+	// successful flush makes durable.
+	pending int64
 }
 
 // walMeta stamps WAL segment headers so recordings are self-describing
@@ -116,24 +122,33 @@ func openWAL(dir string, startSeq int64, fsync bool) (*wal, error) {
 }
 
 // appendOp appends one op and returns its assigned seq. The caller must
-// hold the lock of the shard the op mutates and must call flush before
-// acknowledging.
+// hold the lock of the shard the op mutates and must pass the barrier
+// before acknowledging.
 func (w *wal) appendOp(op record.Op) int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.pending++
 	return w.rec.RecordOp(op)
 }
 
-// flush is the durability barrier: buffered ops reach the OS (and
-// stable storage when fsync is configured). Called once per batch, off
-// the shard locks.
-func (w *wal) flush() error {
+// flush pushes buffered ops to the OS (and to stable storage when fsync
+// is configured) and returns how many ops that made durable: every
+// append since the previous flush, whichever shard made it.
+func (w *wal) flush() (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	var err error
 	if w.fsync {
-		return w.rec.Sync()
+		err = w.rec.Sync()
+	} else {
+		err = w.rec.Flush()
 	}
-	return w.rec.Flush()
+	if err != nil {
+		return 0, err
+	}
+	n := w.pending
+	w.pending = 0
+	return n, nil
 }
 
 // nextSeq returns the seq the next appended op will be assigned.

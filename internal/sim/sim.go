@@ -20,7 +20,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -252,6 +251,16 @@ func (s *Simulation) place(vm *placement.VM, exclude *placement.PM) (*placement.
 		s.met.placements.Inc()
 	}
 	return pm, assign, err
+}
+
+// migrator hands the timed place to placement.Cluster.Migrate, so
+// sim.place_seconds sees migrations like every other decision.
+type migrator struct{ s *Simulation }
+
+func (m migrator) Name() string { return m.s.placer.Name() }
+
+func (m migrator) Place(_ *placement.Cluster, vm *placement.VM, exclude *placement.PM) (*placement.PM, resource.Assignment, error) {
+	return m.s.place(vm, exclude)
 }
 
 // New validates and assembles a simulation.
@@ -491,26 +500,11 @@ func (s *Simulation) tick(step int, meter *energy.Meter, res *Result) error {
 // no destination the evacuation stops (partially drained PMs simply
 // try again next interval).
 func (s *Simulation) consolidate(pm *placement.PM, res *Result) {
-	// Snapshot ids: Release mutates the map we would range over.
-	ids := make([]int, 0, pm.NumVMs())
-	for id := range pm.VMs() {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		h, err := s.cluster.Release(id)
-		if err != nil {
-			return
-		}
-		dest, assign, err := s.place(h.VM, pm)
-		if err != nil || !dest.Active() {
-			// Only consolidate onto already-running PMs; powering a
-			// fresh PM on would defeat the purpose.
-			s.rehost(pm, h)
-			return
-		}
-		if err := s.cluster.Host(dest, h.VM, assign); err != nil {
-			s.rehost(pm, h)
+	for _, id := range pm.VMIDs() {
+		// Only consolidate onto already-running PMs; powering a fresh
+		// PM on would defeat the purpose.
+		_, dest, _ := s.cluster.Migrate(migrator{s}, id, func(_ placement.Hosted, dest *placement.PM) bool { return dest.Active() })
+		if dest == nil {
 			return
 		}
 		res.Migrations++
@@ -532,13 +526,8 @@ func (s *Simulation) actualCPU(pm *placement.PM, step int) []float64 {
 	// so summing in map order would make the load (and every threshold
 	// decision downstream) differ bit-for-bit between runs of one seed.
 	vms := pm.VMs()
-	ids := make([]int, 0, len(vms))
-	for id := range vms {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	load := make([]float64, hi-lo)
-	for _, id := range ids {
+	for _, id := range pm.VMIDs() {
 		u := s.loads[id].At(step)
 		for _, du := range vms[id].Assign {
 			if du.Dim >= lo && du.Dim < hi {
@@ -570,20 +559,8 @@ func (s *Simulation) relieve(pm *placement.PM, step int, res *Result) {
 		if !ok {
 			return
 		}
-		h, err := s.cluster.Release(victimID)
-		if err != nil {
-			return
-		}
-		dest, assign, err := s.place(h.VM, pm)
-		if err != nil {
+		if _, dest, _ := s.cluster.Migrate(migrator{s}, victimID, nil); dest == nil {
 			// No destination: the VM stays where it was.
-			s.rehost(pm, h)
-			res.FailedMigrations++
-			s.met.failedMoves.Inc()
-			return
-		}
-		if err := s.cluster.Host(dest, h.VM, assign); err != nil {
-			s.rehost(pm, h)
 			res.FailedMigrations++
 			s.met.failedMoves.Inc()
 			return
@@ -592,16 +569,3 @@ func (s *Simulation) relieve(pm *placement.PM, step int, res *Result) {
 		s.met.relieveMoves.Inc()
 	}
 }
-
-// rehost puts a released VM back on its source PM with its original
-// assignment (always feasible: the resources were just freed).
-func (s *Simulation) rehost(pm *placement.PM, h Hosted) {
-	if err := s.cluster.Host(pm, h.VM, h.Assign); err != nil {
-		// The source had the capacity a moment ago; failure here is a
-		// bookkeeping bug worth crashing loudly on in development.
-		panic(fmt.Sprintf("sim: rehost on pm %d failed: %v", pm.ID, err))
-	}
-}
-
-// Hosted aliases placement.Hosted for the package API surface.
-type Hosted = placement.Hosted

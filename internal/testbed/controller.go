@@ -442,13 +442,8 @@ func (c *Controller) markDead(pmID int, res *Result) []*placement.VM {
 	if pm == nil {
 		return nil
 	}
-	ids := make([]int, 0, len(pm.VMs()))
-	for id := range pm.VMs() {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	orphans := make([]*placement.VM, 0, len(ids))
-	for _, id := range ids {
+	orphans := make([]*placement.VM, 0, pm.NumVMs())
+	for _, id := range pm.VMIDs() {
 		h, err := c.cluster.Release(id)
 		if err != nil {
 			continue
