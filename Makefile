@@ -66,8 +66,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadTable -fuzztime 10s ./internal/ranktable
 
 # Hot-path micro-benchmark gate: runs the PlaceLookup / PlaceScan /
-# SpaceWire / RanksCSR / RecordOverhead / TableCache / RebalanceStep
-# micro-benchmarks and re-records the allocs/ns baseline BENCH.json
+# SpaceWire / FactoredRegistryBuildM3C3 / RanksCSR / RecordOverhead /
+# TableCache / RebalanceStep micro-benchmarks and re-records the
+# allocs/ns baseline BENCH.json
 # (see README "Benchmarks"; end-to-end numbers come from benchmarks/).
 bench:
 	$(GO) run ./cmd/prvm-bench -out BENCH.json
@@ -75,9 +76,10 @@ bench:
 # Bench-regression gate: re-run the micro-benchmarks briefly and diff
 # against the recorded baseline. Allocs/op must not regress (many-alloc
 # paths get a one-alloc scheduler-jitter slack, whole lattice builds
-# half their baseline for pool refills after a GC); ns/op gets a loose
-# tolerance because the baseline was recorded on different hardware
-# than CI runners (see cmd/prvm-bench doc comment).
+# half their baseline for pool refills after a GC, and their B/op may
+# grow 10 %); ns/op gets a loose tolerance because the baseline was
+# recorded on different hardware than CI runners (see cmd/prvm-bench
+# doc comment).
 bench-compare:
 	$(GO) run ./cmd/prvm-bench -out /tmp/bench_compare.json -benchtime 0.2s \
 		-compare BENCH.json -tolerance 1.0

@@ -10,6 +10,7 @@ package pagerankvm_test
 // AllocsPerRun.
 
 import (
+	"runtime"
 	"testing"
 
 	"pagerankvm/internal/experiments"
@@ -91,8 +92,8 @@ func TestScoreOnZeroAllocs(t *testing.T) {
 }
 
 // TestPlaceScanAllocs holds a steady-state Place over 1000 used PMs to
-// what binding the winner costs — the materialized move and its
-// alignment to the PM's dimension order, two allocations — however
+// what binding the winner costs — the materialized move, one
+// allocation, aligned to the PM's dimension order in place — however
 // many candidates the scan considers.
 func TestPlaceScanAllocs(t *testing.T) {
 	f := newChurnFixture(t, 1000)
@@ -112,8 +113,31 @@ func TestPlaceScanAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if allocs > 2 {
-		t.Fatalf("Place over %d used PMs allocates %.1f times per call, want <= 2 (the winner's assignment)", f.cluster.NumUsed(), allocs)
+	if allocs > 1 {
+		t.Fatalf("Place over %d used PMs allocates %.1f times per call, want <= 1 (the winner's assignment)", f.cluster.NumUsed(), allocs)
+	}
+}
+
+// TestRegistryRetainedHeap holds the production registry to what
+// Algorithm 2 reads — scores, one winning move per (node, type), the
+// union graph — measured the way benchmarks/ measures live_heap_mb: two
+// collections, then the HeapAlloc delta. With every feasible
+// permutation of every (profile, VM type) retained it was 72.7 MB.
+func TestRegistryRetainedHeap(t *testing.T) {
+	cat, err := experiments.AmazonCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := liveHeapMB()
+	reg, err := cat.BuildRegistry(ranktable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := liveHeapMB() - before
+	runtime.KeepAlive(reg)
+	t.Logf("registry retains %.1f MB", retained)
+	if retained > 20 {
+		t.Fatalf("registry retains %.1f MB, want <= 20", retained)
 	}
 }
 

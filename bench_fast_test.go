@@ -271,14 +271,25 @@ func BenchmarkRecordOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkSpaceWire builds the heaviest production sub-lattice (the
-// M3 disk group: C(35,4) = 52360 nodes) serially and with all cores.
+// BenchmarkSpaceWire builds the heaviest production sub-lattice — the
+// disk group, C(35,4) = 52360 nodes, under the six Table I VM types
+// projected onto it (units 1; 4; 5,5; 10,10; 2,2; 5,5: m3.xlarge and
+// c3.xlarge repeat a demand) — serially and with all cores.
 func BenchmarkSpaceWire(b *testing.B) {
-	shape := resource.MustShape(resource.Group{Name: "disk", Dims: 4, Cap: 31})
-	types := []resource.VMType{
-		resource.NewVMType("m3.large", resource.Demand{Group: "disk", Units: []int{5}}),
-		resource.NewVMType("m3.xlarge", resource.Demand{Group: "disk", Units: []int{5, 5}}),
-		resource.NewVMType("m3.2xlarge", resource.Demand{Group: "disk", Units: []int{10, 10}}),
+	cat, err := experiments.AmazonCatalog()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m3, _ := cat.Shape("M3")
+	gi := m3.GroupIndex(experiments.GroupDisk)
+	shape := m3.SubShape(gi)
+	var types []resource.VMType
+	for _, vm := range cat.VMs {
+		if d, ok := cat.Demand("M3", vm.Name); ok {
+			if p, ok := d.Project(experiments.GroupDisk); ok {
+				types = append(types, p)
+			}
+		}
 	}
 	run := func(b *testing.B, workers int) {
 		b.Helper()

@@ -16,7 +16,9 @@
 // pooled wiring scratch, so its count moves by a refill — a few tens —
 // from run to run and gets half its baseline as slack. A real
 // regression on either kind of path adds allocations per item: for a
-// build, tens of thousands per op.
+// build, tens of thousands per op. Those build-sized ops are also the
+// ones whose B/op means something — the arenas a lattice or registry
+// build allocates — so for them B/op is gated too, at +10 %.
 //
 // Usage:
 //
@@ -67,7 +69,7 @@ type report struct {
 func run(args []string) error {
 	fs := flag.NewFlagSet("prvm-bench", flag.ContinueOnError)
 	var (
-		benchRe   = fs.String("bench", "BenchmarkPlaceLookup|BenchmarkPlaceScan|BenchmarkSpaceWire|BenchmarkRanksCSR|BenchmarkRecordOverhead|BenchmarkTableCache|BenchmarkRebalanceStep", "benchmark regex passed to go test -bench")
+		benchRe   = fs.String("bench", "BenchmarkPlaceLookup|BenchmarkPlaceScan|BenchmarkSpaceWire|BenchmarkFactoredRegistryBuildM3C3|BenchmarkRanksCSR|BenchmarkRecordOverhead|BenchmarkTableCache|BenchmarkRebalanceStep", "benchmark regex passed to go test -bench")
 		pkg       = fs.String("pkg", ".", "package pattern to benchmark")
 		benchtime = fs.String("benchtime", "", "go test -benchtime value (empty = default)")
 		count     = fs.Int("count", 1, "go test -count value")
@@ -139,8 +141,9 @@ func run(args []string) error {
 
 // compareBaseline gates the current run against a recorded report:
 // every benchmark present in both fails the run when its ns/op
-// regresses by more than tol (fractional) or its allocs/op increases
-// at all. Benchmarks present only on one side are reported but never
+// regresses by more than tol (fractional), its allocs/op increases
+// at all, or — build-sized ops only — its B/op grows past 10 %.
+// Benchmarks present only on one side are reported but never
 // fail — the gate must not break when benchmarks are added or retired.
 func compareBaseline(path string, cur report, tol float64) error {
 	data, err := os.ReadFile(path)
@@ -168,6 +171,7 @@ func compareBaseline(path string, cur report, tol float64) error {
 			fails = append(fails, fmt.Sprintf("%s: %.4g ns/op vs baseline %.4g (+%.0f%%, tolerance %.0f%%)",
 				r.Name, r.NsPerOp, b.NsPerOp, 100*(r.NsPerOp/b.NsPerOp-1), 100*tol))
 		}
+		buildSized := b.NsPerOp >= 10e6
 		if b.AllocsPer != nil && r.AllocsPer != nil {
 			// Zero- and few-alloc hot paths compare exactly; paths
 			// already paying many allocs/op jitter by ±1 with goroutine
@@ -176,7 +180,7 @@ func compareBaseline(path string, cur report, tol float64) error {
 			// real regression on those adds allocations per item.
 			slack := 0.0
 			switch {
-			case b.NsPerOp >= 10e6:
+			case buildSized:
 				slack = *b.AllocsPer / 2
 			case *b.AllocsPer >= 16:
 				slack = 1
@@ -186,6 +190,10 @@ func compareBaseline(path string, cur report, tol float64) error {
 					r.Name, *r.AllocsPer, *b.AllocsPer))
 			}
 		}
+		if buildSized && b.BytesPerOp != nil && r.BytesPerOp != nil && *r.BytesPerOp > *b.BytesPerOp*1.10 {
+			fails = append(fails, fmt.Sprintf("%s: %.4g B/op vs baseline %.4g (+%.0f%%, build-sized ops tolerate 10%%)",
+				r.Name, *r.BytesPerOp, *b.BytesPerOp, 100*(*r.BytesPerOp / *b.BytesPerOp - 1)))
+		}
 	}
 	if len(fails) > 0 {
 		for _, f := range fails {
@@ -193,7 +201,7 @@ func compareBaseline(path string, cur report, tol float64) error {
 		}
 		return fmt.Errorf("compare: %d regression(s) vs %s", len(fails), path)
 	}
-	fmt.Fprintf(os.Stderr, "prvm-bench: compare OK — %d benchmarks within %.0f%% of %s, no alloc regressions\n",
+	fmt.Fprintf(os.Stderr, "prvm-bench: compare OK — %d benchmarks within %.0f%% of %s, no alloc or build B/op regressions\n",
 		compared, 100*tol, path)
 	return nil
 }

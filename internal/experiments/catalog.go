@@ -124,17 +124,22 @@ type Catalog struct {
 	VMs []VMTypeSpec
 	PMs []PMTypeSpec
 
-	shapes  map[string]*resource.Shape
-	demands map[string]map[string]resource.VMType // pm type -> vm type -> demand
+	shapes map[string]*resource.Shape
+	// reqs is vm type -> pm type -> demand, read-only after NewCatalog:
+	// NewVM hands each inner map out as the VM's Req.
+	reqs map[string]map[string]resource.VMType
 }
 
 // NewCatalog derives shapes and quantized demands for the given specs.
 func NewCatalog(vms []VMTypeSpec, pms []PMTypeSpec) (*Catalog, error) {
 	c := &Catalog{
-		VMs:     vms,
-		PMs:     pms,
-		shapes:  make(map[string]*resource.Shape, len(pms)),
-		demands: make(map[string]map[string]resource.VMType, len(pms)),
+		VMs:    vms,
+		PMs:    pms,
+		shapes: make(map[string]*resource.Shape, len(pms)),
+		reqs:   make(map[string]map[string]resource.VMType, len(vms)),
+	}
+	for _, vm := range vms {
+		c.reqs[vm.Name] = make(map[string]resource.VMType, len(pms))
 	}
 	for _, pm := range pms {
 		shape, err := pm.Shape()
@@ -142,11 +147,9 @@ func NewCatalog(vms []VMTypeSpec, pms []PMTypeSpec) (*Catalog, error) {
 			return nil, fmt.Errorf("experiments: pm type %s: %w", pm.Name, err)
 		}
 		c.shapes[pm.Name] = shape
-		byVM := make(map[string]resource.VMType, len(vms))
 		for _, vm := range vms {
-			byVM[vm.Name] = pm.Quantize(vm)
+			c.reqs[vm.Name][pm.Name] = pm.Quantize(vm)
 		}
-		c.demands[pm.Name] = byVM
 	}
 	return c, nil
 }
@@ -199,25 +202,15 @@ func (c *Catalog) Shape(pmType string) (*resource.Shape, bool) {
 
 // Demand returns the quantized demand of a VM type on a PM type.
 func (c *Catalog) Demand(pmType, vmType string) (resource.VMType, bool) {
-	byVM, ok := c.demands[pmType]
-	if !ok {
-		return resource.VMType{}, false
-	}
-	d, ok := byVM[vmType]
+	d, ok := c.reqs[vmType][pmType]
 	return d, ok
 }
 
-// NewVM builds a placement request for one instance of a VM type.
+// NewVM builds a placement request for one instance of a VM type. All
+// VMs of a type share one read-only Req map (see placement.VM.Req).
 func (c *Catalog) NewVM(id int, vmType string) (*placement.VM, error) {
-	req := make(map[string]resource.VMType, len(c.PMs))
-	found := false
-	for pmName, byVM := range c.demands {
-		if d, ok := byVM[vmType]; ok {
-			req[pmName] = d
-			found = true
-		}
-	}
-	if !found {
+	req, ok := c.reqs[vmType]
+	if !ok || len(req) == 0 {
 		return nil, fmt.Errorf("experiments: unknown vm type %q", vmType)
 	}
 	return &placement.VM{ID: id, Type: vmType, Req: req}, nil
@@ -255,7 +248,7 @@ func (c *Catalog) BuildRegistry(opts ranktable.Options) (*ranktable.Registry, er
 	for _, pm := range c.PMs {
 		var types []resource.VMType
 		for _, vm := range c.VMs {
-			d := c.demands[pm.Name][vm.Name]
+			d := c.reqs[vm.Name][pm.Name]
 			// A VM type whose demand can never fit this PM type (e.g.
 			// m3.xlarge memory on a C3 host) contributes no edges.
 			if d.Validate(c.shapes[pm.Name]) != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -96,6 +97,26 @@ func TestNewVM(t *testing.T) {
 	}
 	if _, err := cat.NewVM(8, "nope"); err == nil {
 		t.Fatal("unknown type accepted")
+	}
+	// One read-only Req map per VM type, handed to every VM of it: a new
+	// VM costs its own struct and nothing else.
+	other, err := cat.NewVM(9, "m3.medium")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.ValueOf(vm.Req).Pointer() != reflect.ValueOf(other.Req).Pointer() {
+		t.Fatal("two VMs of one type do not share the Req map")
+	}
+	if want, _ := cat.Demand("C3", "m3.medium"); !vm.Req["C3"].Equal(want) {
+		t.Fatalf("Req[C3] = %v, want %v", vm.Req["C3"], want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := cat.NewVM(1, "c3.large"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("NewVM allocates %.1f times, want <= 1", allocs)
 	}
 }
 

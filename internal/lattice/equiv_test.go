@@ -21,7 +21,7 @@ type legacySpace struct {
 	succ    []int32
 	tOff    []int32
 	tSucc   []int32
-	tAssign []resource.Assignment
+	assigns []resource.Assignment
 }
 
 func legacyBuild(t *testing.T, shape *resource.Shape, vmTypes []resource.VMType) *legacySpace {
@@ -84,7 +84,7 @@ func legacyBuild(t *testing.T, shape *resource.Shape, vmTypes []resource.VMType)
 			for _, pl := range pls {
 				j := int32(ls.index[pl.Key])
 				ls.tSucc = append(ls.tSucc, j)
-				ls.tAssign = append(ls.tAssign, pl.Assign)
+				ls.assigns = append(ls.assigns, pl.Assign)
 				dup := false
 				for _, e := range union {
 					if e == j {
@@ -150,21 +150,19 @@ func TestArenaLegacyEquivalence(t *testing.T) {
 			if !equalEdges(got.succ, ref.succ) {
 				t.Fatalf("trial %d workers=%d: union edges differ", trial, workers)
 			}
-			if !got.HasTyped() {
-				t.Fatalf("trial %d: typed arenas not built", trial)
-			}
-			if !reflect.DeepEqual(got.tOff, ref.tOff) {
+			typed := decodeTyped(t, got)
+			if !reflect.DeepEqual(typed.off, ref.tOff) {
 				t.Fatalf("trial %d workers=%d: typed offsets differ", trial, workers)
 			}
-			if !equalEdges(got.tSucc, ref.tSucc) {
+			if !equalEdges(typed.succ, ref.tSucc) {
 				t.Fatalf("trial %d workers=%d: typed edges differ", trial, workers)
 			}
-			if len(got.tAssign) != len(ref.tAssign) {
-				t.Fatalf("trial %d: %d assignments, want %d", trial, len(got.tAssign), len(ref.tAssign))
+			if len(typed.assign) != len(ref.assigns) {
+				t.Fatalf("trial %d: %d assignments, want %d", trial, len(typed.assign), len(ref.assigns))
 			}
-			for k := range ref.tAssign {
-				if !reflect.DeepEqual(got.tAssign[k], ref.tAssign[k]) {
-					t.Fatalf("trial %d: assignment %d = %v, want %v", trial, k, got.tAssign[k], ref.tAssign[k])
+			for k := range ref.assigns {
+				if !reflect.DeepEqual(typed.assign[k], ref.assigns[k]) {
+					t.Fatalf("trial %d: assignment %d = %v, want %v", trial, k, typed.assign[k], ref.assigns[k])
 				}
 			}
 		}
@@ -204,8 +202,7 @@ func TestWireGOMAXPROCSDeterministic(t *testing.T) {
 	}
 	a, b := builds[0], builds[1]
 	if !reflect.DeepEqual(a.succOff, b.succOff) || !equalEdges(a.succ, b.succ) ||
-		!reflect.DeepEqual(a.tOff, b.tOff) || !equalEdges(a.tSucc, b.tSucc) ||
-		!reflect.DeepEqual(a.tAssign, b.tAssign) {
+		!reflect.DeepEqual(decodeTyped(t, a), decodeTyped(t, b)) {
 		t.Fatal("wire output differs between GOMAXPROCS 1 and 4")
 	}
 }

@@ -10,11 +10,13 @@
 //
 // The successor graph is stored in CSR form (one offsets arena, one
 // edge arena) so the PageRank/absorption iteration streams it without
-// pointer chasing, and — alongside the union graph — the space keeps
-// per-VM-type labeled successor lists with one representative
-// anti-collocation assignment per edge. The labeled lists are what
-// turn Algorithm 2's candidate scoring into an O(1) table lookup (see
-// internal/ranktable and DESIGN.md "Indexing & concurrency model").
+// pointer chasing. Alongside the union graph the wire phase records
+// per-VM-type labeled successor lists — each edge a successor id plus
+// the dimension index every demanded unit landed on. They are
+// build-time state: internal/ranktable reduces them to one winning
+// move per (node, type), which is what turns Algorithm 2's candidate
+// scoring into an O(1) table lookup, and then releases them (see
+// DESIGN.md "Indexing & concurrency model").
 //
 // Construction is arena-backed (DESIGN.md §13): node profiles live in
 // one flat int arena, node ids are computed arithmetically from the
@@ -34,7 +36,10 @@ import (
 )
 
 // Space is the enumerated profile graph for one PM shape and one VM
-// type set. It is immutable after New and safe for concurrent readers.
+// type set. Nodes, union CSR and the type set never change after New
+// and are safe for concurrent readers; the typed lists are the one
+// exception — their owner may drop them once with ReleaseTyped, before
+// sharing the space.
 type Space struct {
 	shape *resource.Shape
 	rank  shapeRank
@@ -47,20 +52,27 @@ type Space struct {
 	succOff []int32 // n+1
 	succ    []int32 // edge arena
 
-	// Per-VM-type labeled successors: for node i and active type t the
-	// reachable profiles are tSucc[tOff[i*T+t]:tOff[i*T+t+1]] in
-	// enumeration order, with tAssign holding the representative
-	// anti-collocation assignment (in canonical coordinates) of each.
-	// nil when the lattice is too large (see maxTypedEntries).
+	// Per-VM-type labeled successors, one typedList per demand class:
+	// active types whose demands are equal unit for unit (classOf) are
+	// enumerated once and share a list. nil when the lattice declines
+	// them (see maxTypedEntries, maxTypedDims) and after ReleaseTyped.
 	types   []resource.VMType // active types, in wiring order
-	typeIdx map[string]int    // type name -> index into types
-	tOff    []int32           // n*len(types)+1
-	tSucc   []int32
-	tAssign []resource.Assignment
-	// assignUnits is the flat backing arena every tAssign slice points
-	// into: edge assignments of one type all have the same length, so
-	// the headers are reconstructed with fixed per-type strides.
-	assignUnits []resource.DimUnits
+	typeIdx map[string]int    // type name -> index of its first occurrence in types
+	classOf []int32           // active type -> index into typed
+	typed   []typedList
+}
+
+// typedList holds one demand class's labeled successors: from node i
+// the reachable profiles are succ[off[i]:off[i+1]] in enumeration
+// order, and edge e placed the demand's units — demands in order, units
+// in order, as placeUnit walks them — on the canonical dimensions
+// dims[e*stride:(e+1)*stride]. The unit amounts are the VM type's own,
+// so a dimension index per unit is the whole representative assignment.
+type typedList struct {
+	stride int
+	off    []int32 // n+1
+	succ   []int32
+	dims   []uint8
 }
 
 // MaxNodes bounds the lattice size New is willing to enumerate. The
@@ -69,12 +81,16 @@ type Space struct {
 // above this bound.
 const MaxNodes = 4 << 20
 
-// maxTypedEntries bounds the per-type labeled successor arenas: above
-// len(nodes)*len(types) entries the typed lists (and their assignment
-// arena) are skipped and only the union CSR is built, keeping memory
-// proportional to the graph itself. Rankers then offer no precomputed
-// moves and the placer enumerates resource.Placements per candidate.
-const maxTypedEntries = 8 << 20
+// maxTypedEntries bounds the per-type labeled successor lists: above
+// len(nodes)*len(types) entries they are skipped and only the union CSR
+// is built, keeping memory proportional to the graph itself. Rankers
+// then offer no precomputed moves and the placer enumerates
+// resource.Placements per candidate. maxTypedDims declines them the
+// same way for a shape whose dimension indices do not fit a byte.
+const (
+	maxTypedEntries = 8 << 20
+	maxTypedDims    = 1 << 8
+)
 
 // chunksPerWorker oversubscribes the wire phase: low-usage nodes have
 // far more feasible placements than nearly-full ones, so equal node
@@ -111,23 +127,49 @@ func NewSpace(shape *resource.Shape, vmTypes []resource.VMType, opts Options) (*
 		if err := vt.Validate(shape); err != nil {
 			return nil, err
 		}
-		touches := false
-		for _, d := range vt.Demands {
-			if shape.GroupIndex(d.Group) >= 0 && len(d.Units) > 0 {
-				touches = true
-				break
-			}
-		}
-		if touches {
+		if vt.NumUnits() > 0 {
 			active = append(active, vt)
 		}
 	}
 
 	s := &Space{shape: shape, dims: shape.NumDims(), n: int(np)}
+	classes, err := s.classify(active)
+	if err != nil {
+		return nil, err
+	}
 	s.rank = newShapeRank(shape)
 	s.enumerate()
-	s.wire(active, opts.Workers)
+	s.wire(classes, opts.Workers)
 	return s, nil
+}
+
+// classify registers the active types and sorts them into demand
+// classes: types whose demands are equal unit for unit wire identical
+// typed lists, so one representative per class — the return value — is
+// enumerated and the rest share its list. Two types sharing a name must
+// be such repeats: rankers resolve a VM type by name, and would serve
+// one type's moves for the other's demand.
+func (s *Space) classify(active []resource.VMType) ([]resource.VMType, error) {
+	s.types = active
+	s.typeIdx = make(map[string]int, len(active))
+	s.classOf = make([]int32, len(active))
+	var classes []resource.VMType
+	for t, vt := range active {
+		if u, dup := s.typeIdx[vt.Name]; !dup {
+			s.typeIdx[vt.Name] = t
+		} else if !active[u].SameDemands(vt) {
+			return nil, fmt.Errorf("lattice: vm type name given with two different demands: %v and %v", active[u], vt)
+		}
+		c := 0
+		for c < len(classes) && !classes[c].SameDemands(vt) {
+			c++
+		}
+		if c == len(classes) {
+			classes = append(classes, vt)
+		}
+		s.classOf[t] = int32(c)
+	}
+	return classes, nil
 }
 
 // enumerate writes all canonical profiles (non-decreasing within each
@@ -169,15 +211,14 @@ func (s *Space) enumerate() {
 	}
 }
 
-// typePlan is the per-VM-type wiring plan shared read-only by every
-// worker: demand ranges resolved against the shape, the distinct
-// groups the type touches (only those contribute to the successor id
-// delta), and the fixed assignment length of every placement.
+// typePlan is the per-demand-class wiring plan shared read-only by
+// every worker: demand ranges resolved against the shape, the distinct
+// groups the class touches (only those contribute to the successor id
+// delta), and the fixed number of units every placement assigns.
 type typePlan struct {
 	demands []demandPlan
 	touched []int // distinct group indices, in demand order
-	stride  int   // assignment entries per placement: sum of unit counts
-	dead    bool  // a demand names a group absent from the shape
+	stride  int   // dimension indices per placement: the demands' unit count
 }
 
 type demandPlan struct {
@@ -185,24 +226,18 @@ type demandPlan struct {
 	lo, hi, cap int
 }
 
-func buildTypePlans(shape *resource.Shape, vmTypes []resource.VMType) []typePlan {
-	plans := make([]typePlan, len(vmTypes))
-	for t, vt := range vmTypes {
-		p := &plans[t]
+func buildTypePlans(shape *resource.Shape, classes []resource.VMType) []typePlan {
+	plans := make([]typePlan, len(classes))
+	for k, vt := range classes {
+		p := &plans[k]
+		p.stride = vt.NumUnits()
 		for _, d := range vt.Demands {
-			gi := shape.GroupIndex(d.Group)
-			if gi < 0 {
-				// NewSpace validated the type, so this only happens for
-				// literal-constructed types fed to wire in tests; such a
-				// demand makes every placement infeasible.
-				*p = typePlan{dead: true}
-				break
-			}
+			gi := shape.GroupIndex(d.Group) // NewSpace validated the type: never -1
 			lo, hi := shape.GroupRange(gi)
 			p.demands = append(p.demands, demandPlan{units: d.Units, lo: lo, hi: hi, cap: shape.Group(gi).Cap})
 			known := false
-			for _, k := range p.touched {
-				if k == gi {
+			for _, g := range p.touched {
+				if g == gi {
 					known = true
 					break
 				}
@@ -210,7 +245,6 @@ func buildTypePlans(shape *resource.Shape, vmTypes []resource.VMType) []typePlan
 			if !known {
 				p.touched = append(p.touched, gi)
 			}
-			p.stride += len(d.Units)
 		}
 	}
 	return plans
@@ -220,20 +254,28 @@ func buildTypePlans(shape *resource.Shape, vmTypes []resource.VMType) []typePlan
 // scratch, pooled across chunks and across builds: after warmup a
 // build's only allocations are the final exact-size arenas.
 type wireBufs struct {
-	succ    []int32 // union edges, deduped, per node in range
-	succCnt []int32 // union out-degree per node in range
-	tSucc   []int32 // typed edges (enumeration order) per (node, type)
-	tCnt    []int32 // typed out-degree per (node, type)
-	tUnits  []resource.DimUnits
-	sc      wireScratch
+	union typedBuf   // the union CSR's share, deduped per node; no dims
+	typed []typedBuf // per demand class; a pooled buffer may hold more than the build has
+	sc    wireScratch
 }
 
+// typedBuf is one chunk's share of a typedList: the edges in
+// enumeration order, the out-degree per node in range, and stride
+// dimension indices per edge.
+type typedBuf struct {
+	succ []int32
+	cnt  []int32
+	dims []uint8
+}
+
+func (tb *typedBuf) reset() { tb.succ, tb.cnt, tb.dims = tb.succ[:0], tb.cnt[:0], tb.dims[:0] }
+
 // wireScratch backs the in-place placement enumeration. The recursion
-// restores work/used/assign on every backtrack, so between nodes the
+// restores work/used/dims on every backtrack, so between nodes the
 // scratch is all-zero/all-false by invariant and never needs clearing.
 type wireScratch struct {
 	work   []int
-	assign []resource.DimUnits
+	dims   []uint8  // the dimension each unit placed so far landed on
 	used   [][]bool // one flag array per demand index (demands may share a group)
 	sorted []int
 }
@@ -241,65 +283,41 @@ type wireScratch struct {
 var wireBufPool = sync.Pool{New: func() any { return new(wireBufs) }}
 
 func (b *wireBufs) reset(s *Space, plans []typePlan) {
-	b.succ = b.succ[:0]
-	b.succCnt = b.succCnt[:0]
-	b.tSucc = b.tSucc[:0]
-	b.tCnt = b.tCnt[:0]
-	b.tUnits = b.tUnits[:0]
-
-	maxDemands, maxStride := 0, 0
+	b.union.reset()
+	for len(b.typed) < len(plans) {
+		b.typed = append(b.typed, typedBuf{})
+	}
+	for k := range b.typed {
+		b.typed[k].reset()
+	}
+	// Scratch as wide as the shape is wide enough for any group of it.
+	sc := &b.sc
+	if cap(sc.work) < s.dims {
+		sc.work, sc.sorted = make([]int, s.dims), make([]int, s.dims)
+	}
+	sc.work, sc.sorted, sc.dims = sc.work[:s.dims], sc.sorted[:s.dims], sc.dims[:0]
 	for i := range plans {
-		if n := len(plans[i].demands); n > maxDemands {
-			maxDemands = n
-		}
-		if plans[i].stride > maxStride {
-			maxStride = plans[i].stride
+		for len(sc.used) < len(plans[i].demands) {
+			sc.used = append(sc.used, nil)
 		}
 	}
-	maxGroup := 0
-	for gi := range s.rank.groups {
-		if d := s.rank.groups[gi].dims; d > maxGroup {
-			maxGroup = d
-		}
-	}
-	if cap(b.sc.work) < s.dims {
-		b.sc.work = make([]int, s.dims)
-	}
-	b.sc.work = b.sc.work[:s.dims]
-	if cap(b.sc.sorted) < maxGroup {
-		b.sc.sorted = make([]int, maxGroup)
-	}
-	b.sc.sorted = b.sc.sorted[:maxGroup]
-	if cap(b.sc.assign) < maxStride {
-		b.sc.assign = make([]resource.DimUnits, 0, maxStride)
-	}
-	b.sc.assign = b.sc.assign[:0]
-	for len(b.sc.used) < maxDemands {
-		b.sc.used = append(b.sc.used, nil)
-	}
-	for i := 0; i < maxDemands; i++ {
-		if len(b.sc.used[i]) < maxGroup {
-			b.sc.used[i] = make([]bool, maxGroup)
+	for i := range sc.used {
+		if len(sc.used[i]) < s.dims {
+			sc.used[i] = make([]bool, s.dims)
 		}
 	}
 }
 
-// wire computes the union CSR and the per-type labeled successor
-// arenas. Chunks of the node range are wired in parallel under a
-// work-stealing counter; each chunk writes only its own pooled
-// buffers, so the hot path takes no locks and the stitched output is
-// identical for every worker count.
-func (s *Space) wire(vmTypes []resource.VMType, workers int) {
-	n := s.n
-	s.types = vmTypes
-	s.typeIdx = make(map[string]int, len(vmTypes))
-	for t, vt := range vmTypes {
-		s.typeIdx[vt.Name] = t
-	}
-	T := len(vmTypes)
-	typed := T > 0 && n <= maxTypedEntries/T
+// wire computes the union CSR and one typed list per demand class.
+// Chunks of the node range are wired in parallel under a work-stealing
+// counter; each chunk writes only its own pooled buffers, so the hot
+// path takes no locks and the stitched output is identical for every
+// worker count.
+func (s *Space) wire(classes []resource.VMType, workers int) {
+	n, T := s.n, len(s.types)
+	typed := T > 0 && n <= maxTypedEntries/T && s.dims <= maxTypedDims
 
-	plans := buildTypePlans(s.shape, vmTypes)
+	plans := buildTypePlans(s.shape, classes)
 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -344,93 +362,88 @@ func (s *Space) wire(vmTypes []resource.VMType, workers int) {
 	}
 	wg.Wait()
 
-	// Stitch: chunk order is node order, so the arenas concatenate and
-	// the offsets are running sums of the per-node counts. Sizes are
-	// known exactly, so every final arena is allocated once.
-	totalE, totalT, totalU := 0, 0, 0
-	for _, b := range bufs {
-		totalE += len(b.succ)
-		totalT += len(b.tSucc)
-		totalU += len(b.tUnits)
-	}
-	s.succOff = make([]int32, n+1)
-	s.succ = make([]int32, totalE)
+	union := stitch(n, 0, bufs, func(b *wireBufs) *typedBuf { return &b.union })
+	s.succOff, s.succ = union.off, union.succ
 	if typed {
-		s.tOff = make([]int32, n*T+1)
-		s.tSucc = make([]int32, totalT)
-		s.tAssign = make([]resource.Assignment, totalT)
-		s.assignUnits = make([]resource.DimUnits, totalU)
+		s.typed = make([]typedList, len(plans))
 	}
-	ePos, ni, tPos, ti, uPos := 0, 0, 0, 0, 0
+	for k := range s.typed {
+		s.typed[k] = stitch(n, plans[k].stride, bufs, func(b *wireBufs) *typedBuf { return &b.typed[k] })
+	}
 	for _, b := range bufs {
-		copy(s.succ[ePos:], b.succ)
-		ePos += len(b.succ)
-		for _, cnt := range b.succCnt {
-			s.succOff[ni+1] = s.succOff[ni] + cnt
-			ni++
-		}
-		if typed {
-			copy(s.tSucc[tPos:], b.tSucc)
-			copy(s.assignUnits[uPos:], b.tUnits)
-			for k, cnt := range b.tCnt {
-				s.tOff[ti+1] = s.tOff[ti] + cnt
-				ti++
-				stride := plans[k%T].stride
-				for e := int32(0); e < cnt; e++ {
-					s.tAssign[tPos] = resource.Assignment(s.assignUnits[uPos : uPos+stride : uPos+stride])
-					tPos++
-					uPos += stride
-				}
-			}
-		}
 		wireBufPool.Put(b)
 	}
 }
 
-// wireCtx is the per-(node, type) enumeration state. It mirrors
-// resource.Placements exactly — same recursion order, same symmetric-
-// duplicate pruning, same first-seen dedup of canonical outcomes — but
-// computes successor ids arithmetically from the mutated work profile
-// instead of materializing result vectors and string keys.
+// stitch joins the chunks' shares of one edge list: chunk order is node
+// order, so the arenas concatenate and the offsets are running sums of
+// the per-node counts. Sizes are known exactly, so every final arena is
+// allocated once.
+func stitch(n, stride int, bufs []*wireBufs, share func(*wireBufs) *typedBuf) typedList {
+	total := 0
+	for _, b := range bufs {
+		total += len(share(b).succ)
+	}
+	tl := typedList{stride: stride, off: make([]int32, n+1), succ: make([]int32, total), dims: make([]uint8, total*stride)}
+	pos, ni := 0, 0
+	for _, b := range bufs {
+		tb := share(b)
+		copy(tl.succ[pos:], tb.succ)
+		copy(tl.dims[pos*stride:], tb.dims)
+		pos += len(tb.succ)
+		for _, cnt := range tb.cnt {
+			tl.off[ni+1] = tl.off[ni] + cnt
+			ni++
+		}
+	}
+	return tl
+}
+
+// wireCtx is the per-(node, class) enumeration state. It walks the
+// order resource.Placements defines — same recursion, same first-seen
+// dedup of canonical outcomes — but prunes subtrees that can only
+// repeat outcomes (see placeUnit) and computes successor ids
+// arithmetically from the mutated work profile instead of
+// materializing result vectors and string keys.
 type wireCtx struct {
 	s      *Space
 	b      *wireBufs
 	p      *typePlan
-	base   int // node id minus the touched groups' rank contributions
-	uStart int // start of the current node's union segment in b.succ
-	tStart int // start of the current (node, type) segment in b.tSucc
-	typed  bool
+	base   int       // node id minus the touched groups' rank contributions
+	uStart int       // start of the current node's segment in b.union.succ
+	tb     *typedBuf // the current class's typed output; nil when typed lists are declined
+	tStart int       // start of the current node's segment in tb.succ
 }
 
 func (s *Space) wireRange(b *wireBufs, plans []typePlan, lo, hi int, typed bool) {
 	b.reset(s, plans)
-	c := wireCtx{s: s, b: b, typed: typed}
+	c := wireCtx{s: s, b: b}
 	for i := lo; i < hi; i++ {
 		node := s.vals[i*s.dims : (i+1)*s.dims]
-		c.uStart = len(b.succ)
-		for t := range plans {
-			p := &plans[t]
-			c.tStart = len(b.tSucc)
-			if !p.dead && len(p.demands) > 0 {
-				copy(b.sc.work, node)
-				base := i
-				for _, gi := range p.touched {
-					g := &s.rank.groups[gi]
-					base -= ((i / g.radix) % g.count) * g.radix
-				}
-				c.p, c.base = p, base
-				b.sc.assign = b.sc.assign[:0]
-				c.place(0)
-			}
+		c.uStart = len(b.union.succ)
+		for k := range plans {
+			p := &plans[k]
 			if typed {
-				b.tCnt = append(b.tCnt, int32(len(b.tSucc)-c.tStart))
+				c.tb = &b.typed[k]
+				c.tStart = len(c.tb.succ)
+			}
+			copy(b.sc.work, node)
+			base := i
+			for _, gi := range p.touched {
+				g := &s.rank.groups[gi]
+				base -= ((i / g.radix) % g.count) * g.radix
+			}
+			c.p, c.base = p, base
+			c.place(0)
+			if typed {
+				c.tb.cnt = append(c.tb.cnt, int32(len(c.tb.succ)-c.tStart))
 			}
 		}
-		b.succCnt = append(b.succCnt, int32(len(b.succ)-c.uStart))
+		b.union.cnt = append(b.union.cnt, int32(len(b.union.succ)-c.uStart))
 	}
 }
 
-// place recurses over the type's demands; at the leaf every demand has
+// place recurses over the class's demands; at the leaf every demand has
 // been assigned and work holds the (non-canonical) successor profile.
 func (c *wireCtx) place(di int) {
 	if di == len(c.p.demands) {
@@ -443,7 +456,13 @@ func (c *wireCtx) place(di int) {
 // placeUnit places unit unitIdx of demand di on a distinct dimension
 // of the demand's group. Units are sorted descending (NewVMType);
 // identical consecutive units are forced onto increasing dimension
-// indices to avoid enumerating symmetric duplicates.
+// indices to avoid enumerating symmetric duplicates. A free dimension
+// holding the same value as the one tried before it is skipped too:
+// swapping the two in any completion gives a placement the earlier
+// dimension's subtree already enumerated, with the same canonical
+// outcome, so everything below it would be dropped by leaf's dedup —
+// list order and first-seen representatives are exactly those of
+// resource.Placements (DESIGN.md §9).
 func (c *wireCtx) placeUnit(di, unitIdx, minDim int) {
 	d := &c.p.demands[di]
 	if unitIdx == len(d.units) {
@@ -455,52 +474,60 @@ func (c *wireCtx) placeUnit(di, unitIdx, minDim int) {
 	if unitIdx > 0 && d.units[unitIdx-1] == u {
 		start = minDim
 	}
-	used := c.b.sc.used[di]
-	work := c.b.sc.work
+	sc := &c.b.sc
+	used, work := sc.used[di], sc.work
+	tried := -1 // value of the last free dimension recursed into
 	for dim := start; dim < d.hi; dim++ {
-		if used[dim-d.lo] || work[dim]+u > d.cap {
+		if used[dim-d.lo] || work[dim]+u > d.cap || work[dim] == tried {
 			continue
 		}
+		tried = work[dim]
 		used[dim-d.lo] = true
 		work[dim] += u
-		c.b.sc.assign = append(c.b.sc.assign, resource.DimUnits{Dim: dim, Units: u})
+		sc.dims = append(sc.dims, uint8(dim))
 		c.placeUnit(di, unitIdx+1, dim+1)
-		c.b.sc.assign = c.b.sc.assign[:len(c.b.sc.assign)-1]
+		sc.dims = sc.dims[:len(sc.dims)-1]
 		work[dim] -= u
 		used[dim-d.lo] = false
 	}
 }
 
 // leaf ranks the successor profile and appends the edge unless its
-// canonical outcome was already seen — per type for the labeled list
-// (first-seen representative assignment, like resource.Placements) and
-// per node for the union CSR.
+// canonical outcome was already seen — per class for the typed list
+// (first-seen representative, like resource.Placements) and per node
+// for the union CSR. The pruning in placeUnit removes the duplicates
+// symmetry explains; others remain (units 3,2,1 on values 0,1,2 reach
+// 3,3,3 six ways).
 func (c *wireCtx) leaf() {
 	sc := &c.b.sc
 	id := c.base
 	for _, gi := range c.p.touched {
 		g := &c.s.rank.groups[gi]
 		sg := sc.sorted[:g.dims]
-		copy(sg, sc.work[g.lo:g.hi])
+		for k, v := range sc.work[g.lo:g.hi] { // a few values: a memmove call costs more than the loop
+			sg[k] = v
+		}
 		insertionSort(sg)
 		id += g.rankSorted(sg) * g.radix
 	}
-	b := c.b
-	if c.typed {
-		for _, e := range b.tSucc[c.tStart:] {
+	if tb := c.tb; tb != nil {
+		for _, e := range tb.succ[c.tStart:] {
 			if e == int32(id) {
 				return
 			}
 		}
-		b.tSucc = append(b.tSucc, int32(id))
-		b.tUnits = append(b.tUnits, sc.assign...)
+		tb.succ = append(tb.succ, int32(id))
+		for _, dim := range sc.dims { // likewise
+			tb.dims = append(tb.dims, dim)
+		}
 	}
-	for _, e := range b.succ[c.uStart:] {
+	u := &c.b.union
+	for _, e := range u.succ[c.uStart:] {
 		if e == int32(id) {
 			return
 		}
 	}
-	b.succ = append(b.succ, int32(id))
+	u.succ = append(u.succ, int32(id))
 }
 
 // Shape returns the PM shape of the space.
@@ -542,25 +569,32 @@ func (s *Space) TypeIndex(name string) int {
 	return -1
 }
 
-// HasTyped reports whether the per-type labeled successor arenas were
-// built (they are skipped above maxTypedEntries).
-func (s *Space) HasTyped() bool { return s.tOff != nil }
+// HasTyped reports whether the space holds typed successor lists: they
+// are declined above maxTypedEntries and maxTypedDims, and gone after
+// ReleaseTyped.
+func (s *Space) HasTyped() bool { return s.typed != nil }
+
+// ReleaseTyped drops the typed successor lists. They exist to be
+// reduced once (ranktable keeps the winning move per node and type);
+// the owner calls this before sharing the space with other goroutines.
+func (s *Space) ReleaseTyped() { s.typed = nil }
 
 // TypedSucc returns the successor ids reachable from node i by placing
 // one VM of active type t, in enumeration order. The slice aliases the
 // arena and must not be modified.
 func (s *Space) TypedSucc(i, t int) []int32 {
-	k := i*len(s.types) + t
-	return s.tSucc[s.tOff[k]:s.tOff[k+1]]
+	tl := &s.typed[s.classOf[t]]
+	return tl.succ[tl.off[i]:tl.off[i+1]]
 }
 
-// TypedAssign returns the representative anti-collocation assignments
-// parallel to TypedSucc(i, t). Assignments are in canonical
-// coordinates (the node's profile is sorted within each group) and
-// must not be modified.
-func (s *Space) TypedAssign(i, t int) []resource.Assignment {
-	k := i*len(s.types) + t
-	return s.tAssign[s.tOff[k]:s.tOff[k+1]]
+// TypedDims returns the representative anti-collocation assignments
+// parallel to TypedSucc(i, t), flattened: edge k put the type's units —
+// demands in order, units in order, NumUnits of them — on the
+// dimensions at [k*NumUnits, (k+1)*NumUnits), in canonical coordinates
+// (the node's profile is sorted within each group). Read-only.
+func (s *Space) TypedDims(i, t int) []uint8 {
+	tl := &s.typed[s.classOf[t]]
+	return tl.dims[int(tl.off[i])*tl.stride : int(tl.off[i+1])*tl.stride]
 }
 
 // Index returns the node id of a (not necessarily canonical) profile,

@@ -202,3 +202,86 @@ func TestMultiGroupSpace(t *testing.T) {
 		t.Fatalf("zero has %d successors, want 1", got)
 	}
 }
+
+// diskTypes are the six Table I VM types projected onto the disk group
+// (8 GB units): m3.xlarge and c3.xlarge ask for the same two 5-unit
+// volumes.
+func diskTypes() []resource.VMType {
+	var types []resource.VMType
+	for _, vt := range []struct {
+		name  string
+		units []int
+	}{
+		{"m3.medium", []int{1}}, {"m3.large", []int{4}}, {"m3.xlarge", []int{5, 5}},
+		{"m3.2xlarge", []int{10, 10}}, {"c3.large", []int{2, 2}}, {"c3.xlarge", []int{5, 5}},
+	} {
+		types = append(types, resource.NewVMType(vt.name, resource.Demand{Group: "disk", Units: vt.units}))
+	}
+	return types
+}
+
+// TestDemandClasses: each distinct demand is enumerated once per node —
+// five typed lists for the catalog's six disk types — and the types of
+// one class read the same list.
+func TestDemandClasses(t *testing.T) {
+	shape := resource.MustShape(resource.Group{Name: "disk", Dims: 4, Cap: 31})
+	s, err := New(shape, diskTypes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumTypes() != 6 || len(s.typed) != 5 {
+		t.Fatalf("%d types in %d demand classes, want 6 in 5", s.NumTypes(), len(s.typed))
+	}
+	xl, cxl := s.TypeIndex("m3.xlarge"), s.TypeIndex("c3.xlarge")
+	if s.classOf[xl] != s.classOf[cxl] {
+		t.Fatalf("m3.xlarge and c3.xlarge are in classes %d and %d, want one", s.classOf[xl], s.classOf[cxl])
+	}
+	for i := 0; i < s.Len(); i += 997 {
+		if a, b := s.TypedSucc(i, xl), s.TypedSucc(i, cxl); len(a) > 0 && &a[0] != &b[0] {
+			t.Fatalf("node %d: the two types of one class read different lists", i)
+		}
+	}
+	s.ReleaseTyped()
+	if s.HasTyped() {
+		t.Fatal("typed lists held after ReleaseTyped")
+	}
+}
+
+// TestSameNameTypes: a name given twice must mean one demand. An exact
+// repeat is kept (both entries resolve to the same lists); a different
+// demand under the same name is an error, because rankers resolve VM
+// types by name.
+func TestSameNameTypes(t *testing.T) {
+	shape := resource.MustShape(resource.Group{Name: "cpu", Dims: 3, Cap: 4})
+	a1 := resource.NewVMType("a", resource.Demand{Group: "cpu", Units: []int{1}})
+	a2 := resource.NewVMType("a", resource.Demand{Group: "cpu", Units: []int{2, 2}})
+	if _, err := New(shape, []resource.VMType{a1, a2}); err == nil {
+		t.Fatal("New accepted one name with two different demands")
+	}
+	s, err := New(shape, []resource.VMType{a1, {Name: "b", Demands: a2.Demands}, a1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumTypes() != 3 || len(s.typed) != 2 || s.TypeIndex("a") != 0 {
+		t.Fatalf("%d types, %d classes, TypeIndex(a) = %d; want 3, 2, 0", s.NumTypes(), len(s.typed), s.TypeIndex("a"))
+	}
+}
+
+// TestWideShapeDeclinesTyped: dimension indices are recorded in a byte,
+// so a shape with more than 256 dimensions gets the union graph only.
+func TestWideShapeDeclinesTyped(t *testing.T) {
+	types := []resource.VMType{resource.NewVMType("v", resource.Demand{Group: "cpu", Units: []int{1, 1}})}
+	for dims, want := range map[int]bool{254: true, 255: false} {
+		shape := resource.MustShape(
+			resource.Group{Name: "cpu", Dims: 2, Cap: 2},
+			resource.Group{Name: "pad", Dims: dims, Cap: 1},
+		)
+		s, err := New(shape, types)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.HasTyped() != want || s.Edges() == 0 {
+			t.Fatalf("%d dimensions: HasTyped = %v, want %v (%d edges)", shape.NumDims(), s.HasTyped(), want, s.Edges())
+		}
+	}
+}

@@ -10,15 +10,27 @@ import (
 )
 
 // randomSetup draws a small random shape and VM-type set (seeded; the
-// detrand analyzer forbids the global source).
+// detrand analyzer forbids the global source). Beyond independent
+// draws it produces what the demand-class pass and the pruning in
+// placeUnit act on: a second demand on a group the type already
+// demands, an earlier type's demands repeated under a new name, and an
+// earlier type repeated whole; the low capacities give every lattice
+// profiles with many equal values.
 func randomSetup(rng *rand.Rand) (*resource.Shape, []resource.VMType) {
 	groups := []resource.Group{
-		{Name: "cpu", Dims: 1 + rng.Intn(3), Cap: 2 + rng.Intn(3)},
+		{Name: "cpu", Dims: 1 + rng.Intn(4), Cap: 2 + rng.Intn(3)},
 	}
 	if rng.Intn(2) == 0 {
 		groups = append(groups, resource.Group{Name: "mem", Dims: 1 + rng.Intn(2), Cap: 2 + rng.Intn(3)})
 	}
 	shape := resource.MustShape(groups...)
+	draw := func(g resource.Group) resource.Demand {
+		units := make([]int, 1+rng.Intn(g.Dims))
+		for u := range units {
+			units[u] = 1 + rng.Intn(g.Cap)
+		}
+		return resource.Demand{Group: g.Name, Units: units}
+	}
 	var types []resource.VMType
 	for k := 0; k < 1+rng.Intn(3); k++ {
 		var demands []resource.Demand
@@ -26,15 +38,64 @@ func randomSetup(rng *rand.Rand) (*resource.Shape, []resource.VMType) {
 			if rng.Intn(3) == 0 && len(demands) > 0 {
 				continue
 			}
-			units := make([]int, 1+rng.Intn(g.Dims))
-			for u := range units {
-				units[u] = 1 + rng.Intn(g.Cap)
+			demands = append(demands, draw(g))
+			if rng.Intn(4) == 0 {
+				demands = append(demands, draw(g))
 			}
-			demands = append(demands, resource.Demand{Group: g.Name, Units: units})
 		}
 		types = append(types, resource.NewVMType(string(rune('a'+k)), demands...))
 	}
+	switch src := types[rng.Intn(len(types))]; rng.Intn(3) {
+	case 0:
+		types = append(types, resource.VMType{Name: "again", Demands: src.Demands})
+	case 1:
+		types = append(types, src)
+	}
 	return shape, types
+}
+
+// typedArenas is every typed list of a space, decoded and laid out
+// (node, type)-major: the segment of node i and type t is
+// [off[i*T+t], off[i*T+t+1]), each edge its successor id and its full
+// representative assignment. Equal arenas mean equal typed lists.
+type typedArenas struct {
+	off    []int32
+	succ   []int32
+	assign []resource.Assignment
+}
+
+func decodeTyped(t *testing.T, s *Space) typedArenas {
+	t.Helper()
+	if !s.HasTyped() {
+		t.Fatal("typed lists not built for a small lattice")
+	}
+	a := typedArenas{off: make([]int32, 1, s.Len()*s.NumTypes()+1)}
+	for i := 0; i < s.Len(); i++ {
+		for ty := 0; ty < s.NumTypes(); ty++ {
+			a.succ = append(a.succ, s.TypedSucc(i, ty)...)
+			a.assign = append(a.assign, typedAssign(s, i, ty)...)
+			a.off = append(a.off, int32(len(a.succ)))
+		}
+	}
+	return a
+}
+
+// typedAssign decodes TypedDims(i, ty) the way ranktable does: the
+// units are the type's own, demands in order.
+func typedAssign(s *Space, i, ty int) []resource.Assignment {
+	dims, vt := s.TypedDims(i, ty), s.TypeAt(ty)
+	out := make([]resource.Assignment, 0, len(s.TypedSucc(i, ty)))
+	for len(dims) > 0 {
+		var a resource.Assignment
+		for _, d := range vt.Demands {
+			for _, u := range d.Units {
+				a = append(a, resource.DimUnits{Dim: int(dims[0]), Units: u})
+				dims = dims[1:]
+			}
+		}
+		out = append(out, a)
+	}
+	return out
 }
 
 // TestWireParallelDeterministic is the tentpole's determinism
@@ -49,6 +110,7 @@ func TestWireParallelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: serial build: %v", trial, err)
 		}
+		refTyped := decodeTyped(t, ref)
 		for _, workers := range []int{2, 3, 7, 0} {
 			got, err := NewSpace(shape, types, Options{Workers: workers})
 			if err != nil {
@@ -57,8 +119,7 @@ func TestWireParallelDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(got.succOff, ref.succOff) || !reflect.DeepEqual(got.succ, ref.succ) {
 				t.Fatalf("trial %d: workers=%d: union CSR differs from serial build", trial, workers)
 			}
-			if !reflect.DeepEqual(got.tOff, ref.tOff) || !reflect.DeepEqual(got.tSucc, ref.tSucc) ||
-				!reflect.DeepEqual(got.tAssign, ref.tAssign) {
+			if !reflect.DeepEqual(decodeTyped(t, got), refTyped) {
 				t.Fatalf("trial %d: workers=%d: typed arenas differ from serial build", trial, workers)
 			}
 		}
@@ -107,10 +168,10 @@ func TestTypedSuccessors(t *testing.T) {
 			for ty := 0; ty < s.NumTypes(); ty++ {
 				pls := resource.Placements(shape, node, s.TypeAt(ty))
 				succ := s.TypedSucc(i, ty)
-				assigns := s.TypedAssign(i, ty)
-				if len(succ) != len(pls) {
-					t.Fatalf("trial %d node %v type %s: %d typed successors, want %d",
-						trial, node, s.TypeAt(ty).Name, len(succ), len(pls))
+				assigns := typedAssign(s, i, ty)
+				if len(succ) != len(pls) || len(assigns) != len(pls) {
+					t.Fatalf("trial %d node %v type %s: %d typed successors with %d assignments, want %d",
+						trial, node, s.TypeAt(ty).Name, len(succ), len(assigns), len(pls))
 				}
 				for k, pl := range pls {
 					if want := s.Index(pl.Result); int(succ[k]) != want {

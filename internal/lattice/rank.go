@@ -92,14 +92,6 @@ func (g *groupRank) rankSorted(v []int) int {
 	return r
 }
 
-// nodeRank extracts group gi's rank from a joint node id.
-//
-//prvm:hotpath
-func (rk *shapeRank) nodeRank(id, gi int) int {
-	g := &rk.groups[gi]
-	return (id / g.radix) % g.count
-}
-
 // insertionSort sorts a small int slice ascending — group widths are
 // single digits, where insertion sort beats sort.Ints and, unlike it,
 // does not box its argument into an interface.

@@ -31,7 +31,9 @@ type VM struct {
 	// Type is the catalog VM type name (e.g. "m3.large").
 	Type string
 	// Req maps a PM type name to the quantized demand of this VM on
-	// that PM type.
+	// that PM type. The library only ever indexes and ranges it, and a
+	// catalog hands the same map to every VM of a type: it is shared
+	// and must not be written.
 	Req map[string]resource.VMType
 }
 

@@ -508,35 +508,81 @@ func TestLoadedTableTrajectory(t *testing.T) {
 	}
 }
 
+// TestWideShapeEnumerates: typed successor lists record dimension
+// indices in a byte, so a joint table over more than 256 dimensions
+// builds without a move table, says so (Fast() == false), and the
+// placer serves it through enumerate — with the decisions of a control
+// fleet whose shape is the same cpu group alone and whose table is
+// fast. The padding group is never demanded and sized so that total
+// capacity, hence every utilization, is the control's times a power of
+// two: the wide table's scores are the control's scaled exactly, and
+// the two runs must agree PM for PM and profile for profile.
+func TestWideShapeEnumerates(t *testing.T) {
+	cpu := resource.Group{Name: "cpu", Dims: 3, Cap: 2}
+	const shift = 6 // (6 + 378) units = 6 << shift
+	vmTypes := []resource.VMType{
+		resource.NewVMType("1", resource.Demand{Group: "cpu", Units: []int{1}}),
+		resource.NewVMType("11", resource.Demand{Group: "cpu", Units: []int{1, 1}}),
+		resource.NewVMType("21", resource.Demand{Group: "cpu", Units: []int{2, 1}}),
+	}
+	run := func(shape *resource.Shape, wantFast bool) trajResult {
+		table, err := ranktable.NewJoint(shape, vmTypes, ranktable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if table.Fast() != wantFast {
+			t.Fatalf("%d-dimension table: Fast() = %v, want %v", shape.NumDims(), table.Fast(), wantFast)
+		}
+		reg := ranktable.NewRegistry()
+		reg.Add("pm", table)
+		spec := trajSpec{fleets: []trajFleet{{"pm", shape, vmTypes}}, numPMs: 6, steps: 150, churn: true}
+		return runTrajectory(t, reg, spec, 5)
+	}
+	control := run(resource.MustShape(cpu), true)
+	wide := run(resource.MustShape(cpu, resource.Group{Name: "pad", Dims: 378, Cap: 1}), false)
+	if wide.memoHits+wide.memoMisses != 0 || control.memoHits == 0 {
+		t.Fatalf("memo use: wide %d hits %d misses (want none: it enumerates), control %d hits",
+			wide.memoHits, wide.memoMisses, control.memoHits)
+	}
+	if len(wide.steps) != len(control.steps) || len(wide.steps) == 0 {
+		t.Fatalf("wide shape made %d decisions, control %d", len(wide.steps), len(control.steps))
+	}
+	scale := func(bits uint64) uint64 {
+		return math.Float64bits(math.Ldexp(math.Float64frombits(bits), -shift*ranktable.DefaultRewardExponent))
+	}
+	for i, w := range wide.steps {
+		c := control.steps[i]
+		if w.pmID != c.pmID || w.profile[:cpu.Dims] != c.profile || w.accom != scale(c.accom) || w.score != scale(c.score) {
+			t.Fatalf("step %d: wide shape chose pm %d → %q scoring %x, control pm %d → %q scoring %x",
+				i, w.pmID, w.profile[:cpu.Dims], w.accom, c.pmID, c.profile, c.accom)
+		}
+	}
+}
+
 // TestAlignAssign pins the canonical→actual translation on a profile
-// that is far from canonical order.
+// that is far from canonical order. alignAssign works in place, so
+// every call gets its own copy of the canonical move.
 func TestAlignAssign(t *testing.T) {
 	shape := resource.MustShape(resource.Group{Name: "cpu", Dims: 4, Cap: 4})
 	used := resource.Vec{4, 0, 3, 1} // canonical: [0,1,3,4], perm = [1,3,2,0]
-	canon := resource.Assignment{{Dim: 0, Units: 2}, {Dim: 1, Units: 1}}
-	got := alignAssign(shape, used, canon)
-	want := resource.Assignment{{Dim: 1, Units: 2}, {Dim: 3, Units: 1}}
-	if len(got) != len(want) {
-		t.Fatalf("alignAssign = %v, want %v", got, want)
+	canon := func() resource.Assignment {
+		return resource.Assignment{{Dim: 0, Units: 2}, {Dim: 1, Units: 1}}
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("alignAssign = %v, want %v", got, want)
-		}
+	got := alignAssign(shape, used, canon())
+	want := resource.Assignment{{Dim: 1, Units: 2}, {Dim: 3, Units: 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("alignAssign = %v, want %v", got, want)
 	}
 	// The aligned result must have the same canonical form as the
 	// canonical move applied to the canonical profile.
 	result := shape.Canon(used.Add(got.Vec(shape)))
-	wantResult := shape.Canon(shape.Canon(used).Add(canon.Vec(shape)))
+	wantResult := shape.Canon(shape.Canon(used).Add(canon().Vec(shape)))
 	if !result.Equal(wantResult) {
 		t.Fatalf("aligned result %v, want %v", result, wantResult)
 	}
 	// An already-canonical profile passes through unchanged.
-	id := alignAssign(shape, resource.Vec{0, 1, 3, 4}, canon)
-	for i := range canon {
-		if id[i] != canon[i] {
-			t.Fatalf("canonical profile changed the assignment: %v", id)
-		}
+	if id := alignAssign(shape, resource.Vec{0, 1, 3, 4}, canon()); !reflect.DeepEqual(id, canon()) {
+		t.Fatalf("canonical profile changed the assignment: %v", id)
 	}
 }
 

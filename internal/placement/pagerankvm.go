@@ -532,9 +532,10 @@ func (p *PageRankVM) enumerate(b *binding, pm *PM) (float64, resource.Assignment
 
 // materialize produces the winner's assignment in the PM's actual
 // dimension order: canon is the enumerated move, or nil for a fast-path
-// winner, whose move is read from the table. nil means the move cannot
-// be realized (a scored evaluate rules that out; the enumeration
-// fallback is defensive).
+// winner, whose move is read from the table — either way memory this
+// call owns, aligned in place. nil means the move cannot be realized
+// (a scored evaluate rules that out; the enumeration fallback is
+// defensive).
 func (p *PageRankVM) materialize(b *binding, pm *PM, canon resource.Assignment) resource.Assignment {
 	if canon == nil && b.fast {
 		if ids, ok := pmNodeIDs(pm, b); ok {
@@ -551,15 +552,14 @@ func (p *PageRankVM) materialize(b *binding, pm *PM, canon resource.Assignment) 
 
 // alignAssign translates an assignment expressed in canonical
 // coordinates (positions within each group's sorted profile) to the
-// PM's actual dimension order: canonical position k of a group maps to
-// the actual dimension holding the k-th smallest used value, ties by
-// dimension index — the same stable order the canonical sort applies.
+// PM's actual dimension order, in place: canonical position k of a
+// group maps to the actual dimension holding the k-th smallest used
+// value, ties by dimension index — the same stable order the canonical
+// sort applies.
 // The aligned assignment is valid against used and yields a profile
 // whose canonical form is exactly the lattice successor the move was
 // scored on.
-func alignAssign(shape *resource.Shape, used resource.Vec, canon resource.Assignment) resource.Assignment {
-	out := make(resource.Assignment, len(canon))
-	copy(out, canon)
+func alignAssign(shape *resource.Shape, used resource.Vec, out resource.Assignment) resource.Assignment {
 	var perm [16]int
 	for gi := 0; gi < shape.NumGroups(); gi++ {
 		lo, hi := shape.GroupRange(gi)

@@ -50,8 +50,8 @@ type FastRanker interface {
 	// Materialize returns a representative anti-collocation assignment
 	// realizing BestMove's score, in canonical coordinates (the
 	// caller translates to the PM's actual dimension order; see
-	// placement.alignAssign). The assignment aliases a shared arena
-	// and must not be modified.
+	// placement.alignAssign). The assignment is freshly allocated and
+	// the caller's to modify.
 	Materialize(ids []int32, ref TypeRef) (resource.Assignment, bool)
 	// ScoreIDs returns the score of the profile identified by ids —
 	// the id-indexed equivalent of Score.
@@ -101,19 +101,36 @@ func (t *Table) NumTypes() int { return t.space.NumTypes() }
 //prvm:hotpath
 func (t *Table) BestMove(ids []int32, ref TypeRef) (float64, int, bool) {
 	m := t.best[int(ids[0])*t.space.NumTypes()+int(ref.id)]
-	if m.arg < 0 {
+	if m.count == 0 {
 		return 0, 0, false
 	}
 	return m.score, int(m.count), true
 }
 
-// Materialize returns the winning move's representative assignment.
+// Materialize decodes the winning move's representative assignment.
 func (t *Table) Materialize(ids []int32, ref TypeRef) (resource.Assignment, bool) {
-	m := t.best[int(ids[0])*t.space.NumTypes()+int(ref.id)]
-	if m.arg < 0 {
+	out := make(resource.Assignment, 0, t.dimOff[ref.id+1]-t.dimOff[ref.id])
+	return t.appendMove(out, ids[0], ref.id, 0)
+}
+
+// appendMove appends the winning move of type tid from node id to out,
+// its dimensions shifted by lo: the units are the type's own, demands in
+// order, and the move table holds the dimension each one landed on. ok
+// is false when the type cannot be placed on the node.
+func (t *Table) appendMove(out resource.Assignment, id, tid int32, lo int) (resource.Assignment, bool) {
+	nt := len(t.dimOff) - 1
+	if t.best[int(id)*nt+int(tid)].count == 0 {
 		return nil, false
 	}
-	return t.space.TypedAssign(int(ids[0]), int(ref.id))[m.arg], true
+	dims := t.moveDims[int(id)*int(t.dimOff[nt])+int(t.dimOff[tid]):]
+	k := 0
+	for _, d := range t.space.TypeAt(int(tid)).Demands {
+		for _, u := range d.Units {
+			out = append(out, resource.DimUnits{Dim: lo + int(dims[k]), Units: u})
+			k++
+		}
+	}
+	return out, true
 }
 
 // ScoreIDs returns the score of node ids[0].
@@ -190,7 +207,7 @@ func (f *Factored) BestMove(ids []int32, ref TypeRef) (float64, int, bool) {
 			continue
 		}
 		m := tb.best[int(ids[gi])*tb.space.NumTypes()+int(tid)]
-		if m.arg < 0 {
+		if m.count == 0 {
 			return 0, 0, false
 		}
 		score *= m.score
@@ -199,25 +216,17 @@ func (f *Factored) BestMove(ids []int32, ref TypeRef) (float64, int, bool) {
 	return score, count, true
 }
 
-// Materialize concatenates the winning per-group assignments, shifting
-// each group's dimensions to their joint-shape positions. The result
-// is freshly allocated (group arenas cannot be aliased across groups).
+// Materialize concatenates the winning per-group moves, each decoded
+// straight into the result at its group's joint-shape position.
 func (f *Factored) Materialize(ids []int32, ref TypeRef) (resource.Assignment, bool) {
 	ti := int(ref.id)
-	vt := f.types[ti]
-	out := make(resource.Assignment, 0, vt.TotalUnits())
+	out := make(resource.Assignment, 0, f.types[ti].NumUnits())
 	for _, g := range f.dem[ti] {
 		gi := int(g)
-		tb := f.groups[gi]
-		tid := f.gtid[ti][gi]
-		m := tb.best[int(ids[gi])*tb.space.NumTypes()+int(tid)]
-		if m.arg < 0 {
-			return nil, false
-		}
-		ga := tb.space.TypedAssign(int(ids[gi]), int(tid))[m.arg]
 		lo, _ := f.shape.GroupRange(gi)
-		for _, du := range ga {
-			out = append(out, resource.DimUnits{Dim: lo + du.Dim, Units: du.Units})
+		var ok bool
+		if out, ok = f.groups[gi].appendMove(out, ids[gi], f.gtid[ti][gi], lo); !ok {
+			return nil, false
 		}
 	}
 	return out, true

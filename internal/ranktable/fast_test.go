@@ -298,3 +298,119 @@ func TestNewFactoredParallelDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestWinnerTableMatchesEnumeration pins the winner-only move table to
+// the executable spec: for random shapes and every (node, type) of a
+// joint table and a factored ranker, BestMove's score (bitwise) and
+// count and Materialize's assignment are those of the first maximum of
+// a scan over resource.Placements + Score from the canonical profile.
+// The type sets carry what the lattice's demand classes and pruning
+// act on: a demand repeated under another name and a type with two
+// demands on one group (which only the joint table resolves).
+func TestWinnerTableMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 12; trial++ {
+		groups := []resource.Group{
+			{Name: "cpu", Dims: 2 + rng.Intn(3), Cap: 2 + rng.Intn(2)},
+			{Name: "mem", Dims: 1 + rng.Intn(2), Cap: 2 + rng.Intn(3)},
+		}
+		shape := resource.MustShape(groups...)
+		draw := func(g resource.Group) resource.Demand {
+			units := make([]int, 1+rng.Intn(g.Dims))
+			for u := range units {
+				units[u] = 1 + rng.Intn(g.Cap)
+			}
+			return resource.Demand{Group: g.Name, Units: units}
+		}
+		var types []resource.VMType
+		for k := 0; k < 2+rng.Intn(2); k++ {
+			demands := []resource.Demand{draw(groups[0])}
+			if rng.Intn(3) > 0 {
+				demands = append(demands, draw(groups[1]))
+			}
+			if rng.Intn(4) == 0 {
+				demands = append(demands, draw(groups[0]))
+			}
+			types = append(types, resource.NewVMType(string(rune('a'+k)), demands...))
+		}
+		types = append(types, resource.VMType{Name: "again", Demands: types[rng.Intn(len(types))].Demands})
+
+		joint, err := NewJoint(shape, types, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		factored, err := NewFactored(shape, types, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if joint.space.HasTyped() {
+			t.Fatalf("trial %d: the built table still holds the typed successor lists", trial)
+		}
+		var ids []int32
+		for _, fr := range []FastRanker{joint, factored} {
+			if !fr.Fast() {
+				t.Fatalf("trial %d: %T does not offer the fast path", trial, fr)
+			}
+			for id := 0; id < joint.Len(); id++ {
+				p := joint.space.Node(id)
+				ids, _ = fr.NodeIDs(p, ids)
+				for _, vt := range types {
+					ref, ok := fr.ResolveType(vt)
+					if !ok {
+						if fr == FastRanker(joint) {
+							t.Fatalf("trial %d: joint table does not resolve %v", trial, vt)
+						}
+						continue // two demands on one group: a Factored declines
+					}
+					pls := resource.Placements(shape, p, vt)
+					var want resource.Assignment
+					wantScore := -1.0
+					for _, pl := range pls {
+						if s, _ := fr.Score(pl.Result); s > wantScore {
+							wantScore, want = s, pl.Assign
+						}
+					}
+					score, count, ok := fr.BestMove(ids, ref)
+					got, mok := fr.Materialize(ids, ref)
+					if ok != (want != nil) || mok != ok {
+						t.Fatalf("trial %d %T %v on %v: BestMove ok = %v, Materialize ok = %v, enumeration found %d", trial, fr, vt, p, ok, mok, len(pls))
+					}
+					if !ok {
+						continue
+					}
+					if count != len(pls) || math.Float64bits(score) != math.Float64bits(wantScore) || !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d %T %v on %v: move %v scoring %v of %d, enumeration's first maximum is %v scoring %v of %d",
+							trial, fr, vt, p, got, score, count, want, wantScore, len(pls))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSameNameTypesRejected: two VM types sharing a name but not
+// demands used to bind the first one's demands to the last one's moves
+// — BestMove scored another VM's demand and Materialize returned an
+// assignment of the wrong size. Every builder now refuses the set; an
+// exact repeat is harmless and still builds.
+func TestSameNameTypesRejected(t *testing.T) {
+	shape := resource.MustShape(
+		resource.Group{Name: "cpu", Dims: 3, Cap: 4},
+		resource.Group{Name: "mem", Dims: 1, Cap: 8},
+	)
+	small := resource.NewVMType("a",
+		resource.Demand{Group: "cpu", Units: []int{1}}, resource.Demand{Group: "mem", Units: []int{1}})
+	large := resource.NewVMType("a",
+		resource.Demand{Group: "cpu", Units: []int{2, 2}}, resource.Demand{Group: "mem", Units: []int{3}})
+	if _, err := NewFactored(shape, []resource.VMType{small, large}, Options{}); err == nil {
+		t.Error("NewFactored accepted one name with two different demands")
+	}
+	if _, err := NewJoint(shape, []resource.VMType{small, large}, Options{Cache: NewCache(0, nil)}); err == nil {
+		t.Error("NewJoint accepted one name with two different demands")
+	}
+	f, err := NewFactored(shape, []resource.VMType{small, small}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFastAgainstEnumeration(t, f, shape, []resource.VMType{small}, latticeProfiles(t, shape))
+}

@@ -56,9 +56,17 @@ type BuildStats struct {
 type Table struct {
 	shape *resource.Shape
 	ids   []float64      // score by node id
-	space *lattice.Space // the lattice the ids index
-	best  []move         // argmax per (node id, type id); see buildBest
+	space *lattice.Space // the lattice the ids index; its typed lists are released
 	stats BuildStats
+
+	// The winner-only move table (buildBest): best holds the argmax per
+	// (node id, type id), and the winning edge's dimension indices sit
+	// in moveDims at node*dimOff[nt] + dimOff[type] — one byte per
+	// demanded unit, the amounts being the VM type's own. nil when the
+	// lattice declined typed lists.
+	best     []move
+	moveDims []uint8
+	dimOff   []int32 // nt+1: running sum of the types' unit counts
 
 	// hits/misses count Score lookups when the table was built with
 	// Options.Obs; nil (free) otherwise.
@@ -66,12 +74,11 @@ type Table struct {
 }
 
 // move is the precomputed answer to "what is the best accommodation of
-// VM type t from profile node i": the index of the winning successor
-// in the lattice's typed list, the number of candidate profiles, and
-// the winning score. One move per (node, type) makes Algorithm 2's
-// per-candidate work a single array read.
+// VM type t from profile node i": the number of candidate profiles
+// (zero when the type cannot be placed) and the winning score. One move
+// per (node, type) makes Algorithm 2's per-candidate work a single
+// array read.
 type move struct {
-	arg   int32 // index into lattice.TypedSucc(i, t); -1 when the type cannot be placed
 	count int32
 	score float64
 }
@@ -247,32 +254,44 @@ func fromSpace(space *lattice.Space, opts Options) (*Table, error) {
 	return t, nil
 }
 
-// buildBest precomputes, for every (node, active VM type) pair, the
-// argmax of the id-indexed scores over the lattice's typed successor
-// list. Ties keep the first maximum in enumeration order — the same
-// winner a linear scan over resource.Placements picks.
+// buildBest reduces the lattice's typed successor lists to the move
+// table — for every (node, active VM type) pair the argmax of the
+// id-indexed scores and the dimensions that edge assigned — and then
+// releases the lists: Algorithm 2 only ever materializes the winner.
+// Ties keep the first maximum in enumeration order — the same winner a
+// linear scan over resource.Placements picks. It runs inside the build
+// (and inside LoadTable), before the table can be shared.
 func (t *Table) buildBest() {
 	sp := t.space
 	if !sp.HasTyped() {
 		return
 	}
 	n, nt := sp.Len(), sp.NumTypes()
-	if nt == 0 {
-		return
+	t.dimOff = make([]int32, nt+1)
+	for ty := 0; ty < nt; ty++ {
+		t.dimOff[ty+1] = t.dimOff[ty] + int32(sp.TypeAt(ty).NumUnits())
 	}
+	row := int(t.dimOff[nt])
 	t.best = make([]move, n*nt)
+	t.moveDims = make([]uint8, n*row)
 	for i := 0; i < n; i++ {
 		for ty := 0; ty < nt; ty++ {
 			succ := sp.TypedSucc(i, ty)
-			m := move{arg: -1, count: int32(len(succ))}
-			for k, j := range succ {
-				if s := t.ids[j]; m.arg < 0 || s > m.score {
-					m.arg, m.score = int32(k), s
+			if len(succ) == 0 {
+				continue
+			}
+			arg, best := 0, t.ids[succ[0]]
+			for k, j := range succ[1:] {
+				if s := t.ids[j]; s > best {
+					arg, best = k+1, s
 				}
 			}
-			t.best[i*nt+ty] = m
+			t.best[i*nt+ty] = move{count: int32(len(succ)), score: best}
+			lo, hi := int(t.dimOff[ty]), int(t.dimOff[ty+1])
+			copy(t.moveDims[i*row+lo:i*row+hi], sp.TypedDims(i, ty)[arg*(hi-lo):])
 		}
 	}
+	sp.ReleaseTyped()
 }
 
 // Shape returns the PM shape of the table.

@@ -92,13 +92,29 @@ func (t VMType) TotalUnits() int {
 	return total
 }
 
+// NumUnits returns how many units the type demands across all groups:
+// the length of any assignment that places it.
+func (t VMType) NumUnits() int {
+	n := 0
+	for _, d := range t.Demands {
+		n += len(d.Units)
+	}
+	return n
+}
+
 // Equal reports whether two VM types have the same name and identical
-// demands (group names, unit counts and amounts, in order). The
-// placer's id-indexed fast path uses it to verify that a VM's demand
-// really is the type a rank table precomputed, rather than trusting
-// the name alone.
+// demands. The placer's id-indexed fast path uses it to verify that a
+// VM's demand really is the type a rank table precomputed, rather than
+// trusting the name alone.
 func (t VMType) Equal(o VMType) bool {
-	if t.Name != o.Name || len(t.Demands) != len(o.Demands) {
+	return t.Name == o.Name && t.SameDemands(o)
+}
+
+// SameDemands reports whether two VM types demand the same thing
+// (group names, unit counts and amounts, in order) under whatever
+// names: every placement of one is a placement of the other.
+func (t VMType) SameDemands(o VMType) bool {
+	if len(t.Demands) != len(o.Demands) {
 		return false
 	}
 	for i, d := range t.Demands {
