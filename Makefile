@@ -60,15 +60,20 @@ chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/testbed/
 	$(GO) test -race -count=1 -run 'KillRecover' ./internal/serve/
 
-# Native fuzzing of the rank-table decoder (ranktable.LoadTable): ten
-# seconds on top of the checked-in corpus, which `go test` always runs.
+# Native fuzzing of the decoders — the rank-table file
+# (ranktable.LoadTable), the WAL op line against encoding/json
+# (record.Reader.Next, appendOpLine) and WAL-tail recovery
+# (serve.readSegmentOps) — ten seconds each on top of the checked-in
+# corpora, which `go test` always runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadTable -fuzztime 10s ./internal/ranktable
+	$(GO) test -run '^$$' -fuzz FuzzOpLine -fuzztime 10s ./internal/obs/record
+	$(GO) test -run '^$$' -fuzz FuzzWALTail -fuzztime 10s ./internal/serve
 
 # Hot-path micro-benchmark gate: runs the PlaceLookup / PlaceScan /
 # SpaceWire / FactoredRegistryBuildM3C3 / RanksCSR / RecordOverhead /
-# TableCache / RebalanceStep micro-benchmarks and re-records the
-# allocs/ns baseline BENCH.json
+# TableCache / RebalanceStep / OpLine / WALReplay micro-benchmarks and
+# re-records the allocs/ns baseline BENCH.json
 # (see README "Benchmarks"; end-to-end numbers come from benchmarks/).
 bench:
 	$(GO) run ./cmd/prvm-bench -out BENCH.json

@@ -10,10 +10,12 @@ package pagerankvm_test
 // AllocsPerRun.
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
 	"pagerankvm/internal/experiments"
+	"pagerankvm/internal/obs/record"
 	"pagerankvm/internal/placement"
 	"pagerankvm/internal/ranktable"
 	"pagerankvm/internal/resource"
@@ -176,5 +178,22 @@ func TestCacheHitZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cache-hit table lookup allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestRecordOpZeroAllocs holds the WAL append to the line scratch the
+// Recorder owns: an op whose names need no JSON escape never reaches
+// encoding/json, so nothing is boxed and nothing reflected over.
+func TestRecordOpZeroAllocs(t *testing.T) {
+	rec, err := record.NewWriter(io.Discard, record.RunMeta{Kind: "alloc-gate"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() { rec.RecordOp(benchOp) })
+	if allocs != 0 {
+		t.Fatalf("RecordOp allocates %.1f times per op, want 0", allocs)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -105,8 +105,8 @@ func run(args []string) error {
 	}
 	if *dataDir != "" {
 		info := s.Recovery()
-		fmt.Fprintf(os.Stderr, "recovered %d VMs (snapshot seq %d, %d WAL ops replayed, truncated=%v)\n",
-			info.VMs, info.SnapshotSeq, info.ReplayedOps, info.Truncated)
+		fmt.Fprintf(os.Stderr, "recovered %d VMs (snapshot seq %d in %.3fs, %d WAL ops replayed in %.3fs, %d through encoding/json, truncated=%v)\n",
+			info.VMs, info.SnapshotSeq, info.SnapshotLoadSeconds, info.ReplayedOps, info.ReplaySeconds, info.SlowLines, info.Truncated)
 	}
 
 	hs := &http.Server{Addr: *addr, Handler: s}

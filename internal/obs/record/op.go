@@ -128,7 +128,14 @@ func (r *Recorder) RecordOp(op Op) int64 {
 	if r.err != nil {
 		return op.Seq
 	}
-	if err := r.enc.Encode(opLine{T: lineOp, Op: op}); err != nil {
+	var err error
+	if line, ok := appendOpLine(r.line[:0], &op); ok {
+		r.line = line
+		_, err = r.bw.Write(line)
+	} else {
+		err = r.enc.Encode(opLine{T: lineOp, Op: op})
+	}
+	if err != nil {
 		r.err = fmt.Errorf("record: write op: %w", err)
 	}
 	return op.Seq

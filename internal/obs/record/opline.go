@@ -1,0 +1,239 @@
+package record
+
+import (
+	"math"
+	"strconv"
+)
+
+// The op-line codec (DESIGN.md §11 "Format"). A WAL is op lines and
+// nothing else, and reflecting over one costs encoding/json ~10x what
+// applying it costs. appendOpLine writes and parseOpLine reads exactly
+// one form — encoding/json's bytes for opLine{T: "o", Op} when every
+// string is plain:
+//
+//	{"t":"o","seq":N,"kind":"S","vm":N[,"vm_type":"S"],"pm":N
+//	 [,"pm_type":"S"][,"assign":[{"dim":N,"units":N},...]]
+//	 [,"score":F][,"opened":true]}
+//
+// N: an integer without leading zeros, "-0" or a 19th digit. S:
+// printable ASCII without " \ < > &. F: a JSON number ParseFloat takes.
+// The codec recognises what it wrote and encoding/json decides
+// everything else: anything outside that form is declined, not guessed.
+
+// plain reports whether encoding/json writes c inside a string as
+// itself, and reads it back as itself.
+func plain(c byte) bool {
+	return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
+func plainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !plain(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// lit appends s to the recorder's line scratch.
+//
+//prvm:hotpath
+func lit(b []byte, s string) []byte {
+	//prvmlint:allow hotalloc — appends into the Recorder's reused scratch; steady state never grows it
+	return append(b, s...)
+}
+
+// appendOpLine appends op's line, newline included. It declines
+// (ok false, b's contents undefined) an op whose JSON form needs an
+// escape or that encoding/json refuses to write.
+//
+//prvm:hotpath
+func appendOpLine(b []byte, op *Op) (_ []byte, ok bool) {
+	if !plainString(op.Kind) || !plainString(op.VMType) || !plainString(op.PMType) ||
+		math.IsInf(op.Score, 0) || math.IsNaN(op.Score) {
+		return b, false
+	}
+	b = strconv.AppendInt(lit(b, `{"t":"o","seq":`), op.Seq, 10)
+	b = lit(lit(lit(b, `,"kind":"`), op.Kind), `"`)
+	b = strconv.AppendInt(lit(b, `,"vm":`), int64(op.VM), 10)
+	if op.VMType != "" {
+		b = lit(lit(lit(b, `,"vm_type":"`), op.VMType), `"`)
+	}
+	b = strconv.AppendInt(lit(b, `,"pm":`), int64(op.PM), 10)
+	if op.PMType != "" {
+		b = lit(lit(lit(b, `,"pm_type":"`), op.PMType), `"`)
+	}
+	for i, a := range op.Assign {
+		sep := `,{"dim":`
+		if i == 0 {
+			sep = `,"assign":[{"dim":`
+		}
+		b = strconv.AppendInt(lit(b, sep), int64(a.Dim), 10)
+		b = lit(strconv.AppendInt(lit(b, `,"units":`), int64(a.Units), 10), `}`)
+	}
+	if len(op.Assign) > 0 {
+		b = lit(b, `]`)
+	}
+	if op.Score > 0 || op.Score < 0 { // omitempty drops both zeros
+		// ES6 number form, as encoding/json: exponent outside
+		// [1e-6, 1e21), "e-07" cleaned up to "e-7".
+		format := byte('f')
+		if abs := math.Abs(op.Score); abs < 1e-6 || abs >= 1e21 {
+			format = 'e'
+		}
+		b = strconv.AppendFloat(lit(b, `,"score":`), op.Score, format, -1, 64)
+		if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	if op.Opened {
+		b = lit(b, `,"opened":true`)
+	}
+	return lit(b, "}\n"), true
+}
+
+// opParser is a cursor over one line; ok goes false at the first byte
+// outside the canonical form and every later step is a no-op.
+type opParser struct {
+	b  []byte
+	ok bool
+}
+
+// has consumes s when the line continues with it; want requires it.
+func (p *opParser) has(s string) bool {
+	if !p.ok || len(p.b) < len(s) || string(p.b[:len(s)]) != s {
+		return false
+	}
+	p.b = p.b[len(s):]
+	return true
+}
+
+func (p *opParser) want(s string) { p.ok = p.has(s) }
+
+// digits returns the length of the digit run at p.b[i:].
+func (p *opParser) digits(i int) int {
+	n := 0
+	for i+n < len(p.b) && p.b[i+n]-'0' <= 9 {
+		n++
+	}
+	return n
+}
+
+// integer consumes a canonical integer that fits bits bits.
+func (p *opParser) integer(bits int) int64 {
+	neg := 0
+	if len(p.b) > 0 && p.b[0] == '-' {
+		neg = 1
+	}
+	n := p.digits(neg)
+	if p.ok = p.ok && n > 0 && n <= 18 && (p.b[neg] != '0' || n+neg == 1); !p.ok {
+		return 0
+	}
+	var v int64
+	for _, c := range p.b[neg : neg+n] {
+		v = v*10 + int64(c-'0')
+	}
+	if neg == 1 {
+		v = -v
+	}
+	p.b = p.b[neg+n:]
+	p.ok = bits == 64 || v == int64(int32(v))
+	return v
+}
+
+// number consumes a JSON number and converts it the way encoding/json
+// converts one into a float64 field.
+func (p *opParser) number() float64 {
+	i := 0
+	if len(p.b) > 0 && p.b[0] == '-' {
+		i = 1
+	}
+	n := p.digits(i)
+	p.ok = p.ok && n > 0 && (p.b[i] != '0' || n == 1)
+	if i += n; i < len(p.b) && p.b[i] == '.' {
+		n = p.digits(i + 1)
+		p.ok, i = p.ok && n > 0, i+1+n
+	}
+	if i < len(p.b) && p.b[i]|0x20 == 'e' {
+		if i++; i < len(p.b) && (p.b[i] == '+' || p.b[i] == '-') {
+			i++
+		}
+		n = p.digits(i)
+		p.ok, i = p.ok && n > 0, i+n
+	}
+	if !p.ok {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(p.b[:i]), 64)
+	p.b, p.ok = p.b[i:], err == nil
+	return f
+}
+
+// str consumes a plain string through its closing quote. Names repeat
+// line after line, so each distinct one is allocated once per reader
+// (up to a bound no catalog reaches).
+func (p *opParser) str(names map[string]string) string {
+	for i := 0; p.ok && i < len(p.b); i++ {
+		if p.b[i] == '"' {
+			s, seen := names[string(p.b[:i])]
+			if !seen {
+				s = string(p.b[:i])
+				if len(names) < 256 {
+					names[s] = s
+				}
+			}
+			p.b = p.b[i+1:]
+			return s
+		}
+		if !plain(p.b[i]) {
+			break
+		}
+	}
+	p.ok = false
+	return ""
+}
+
+// parseOpLine decodes raw when it is in the canonical form — then op is
+// what json.Unmarshal(raw, &op) yields — and declines (nil) otherwise.
+func (r *Reader) parseOpLine(raw []byte) *Op {
+	p := opParser{b: raw, ok: true}
+	if !p.has(`{"t":"o","seq":`) {
+		return nil // not an op line: do not build one
+	}
+	var op Op
+	op.Seq = p.integer(64)
+	p.want(`,"kind":"`)
+	op.Kind = p.str(r.names)
+	p.want(`,"vm":`)
+	op.VM = int(p.integer(strconv.IntSize))
+	if p.has(`,"vm_type":"`) {
+		op.VMType = p.str(r.names)
+	}
+	p.want(`,"pm":`)
+	op.PM = int(p.integer(strconv.IntSize))
+	if p.has(`,"pm_type":"`) {
+		op.PMType = p.str(r.names)
+	}
+	if p.has(`,"assign":[`) {
+		r.assign = r.assign[:0]
+		for more := true; more && p.ok; more = p.has(`,`) {
+			p.want(`{"dim":`)
+			dim := p.integer(strconv.IntSize)
+			p.want(`,"units":`)
+			r.assign = append(r.assign, OpAssign{Dim: int(dim), Units: int(p.integer(strconv.IntSize))})
+			p.want(`}`)
+		}
+		p.want(`]`)
+		op.Assign = append([]OpAssign(nil), r.assign...)
+	}
+	if p.has(`,"score":`) {
+		op.Score = p.number()
+	}
+	op.Opened = p.has(`,"opened":true`)
+	p.want(`}`)
+	if !p.ok || len(p.b) != 0 {
+		return nil
+	}
+	return &op
+}

@@ -2,6 +2,7 @@ package record
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
@@ -17,6 +18,15 @@ type Reader struct {
 	sc      *bufio.Scanner
 	line    int
 	closers []io.Closer
+
+	// read counts stream bytes scanned, line ends included; offset is
+	// its value before the line the latest Next read. slow counts op
+	// lines parseOpLine declined; names and assign are its interning
+	// table and scratch.
+	read, offset int64
+	slow         int
+	names        map[string]string
+	assign       []OpAssign
 }
 
 // Open reads the recording at path.
@@ -50,7 +60,12 @@ func NewReader(src io.Reader) (*Reader, error) {
 func newReader(src io.Reader, c io.Closer) (*Reader, error) {
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	r := &Reader{sc: sc}
+	r := &Reader{sc: sc, names: make(map[string]string)}
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		advance, token, err := bufio.ScanLines(data, atEOF)
+		r.read += int64(advance)
+		return advance, token, err
+	})
 	if c != nil {
 		r.closers = append(r.closers, c)
 	}
@@ -81,6 +96,12 @@ func (r *Reader) Header() Header {
 	return r.hdr
 }
 
+// What the Recorder writes ahead of a decision's and a span's fields.
+var (
+	decisionPrefix = []byte(`{"t":"` + lineDecision + `",`)
+	spanPrefix     = []byte(`{"t":"` + lineSpan + `",`)
+)
+
 // Entry is one post-header line: exactly one of Decision, Span or Op
 // is non-nil.
 type Entry struct {
@@ -95,6 +116,7 @@ func (r *Reader) Next() (Entry, error) {
 		return Entry{}, io.EOF
 	}
 	for {
+		r.offset = r.read
 		if !r.sc.Scan() {
 			if err := r.sc.Err(); err != nil {
 				return Entry{}, fmt.Errorf("record: line %d: %w", r.line, err)
@@ -105,6 +127,24 @@ func (r *Reader) Next() (Entry, error) {
 		raw := r.sc.Bytes()
 		if len(raw) == 0 {
 			continue
+		}
+		if op := r.parseOpLine(raw); op != nil {
+			return Entry{Op: op}, nil
+		}
+		// The Recorder leads with the discriminator, so a decision or a
+		// span needs one parse, not a probe and then one; the decoded
+		// "t" confirms the prefix (a later duplicate key would win).
+		// What fails here is decided, and reported, by the path below.
+		if bytes.HasPrefix(raw, decisionPrefix) {
+			var l decisionLine
+			if json.Unmarshal(raw, &l) == nil && l.T == lineDecision {
+				return Entry{Decision: &l.Decision}, nil
+			}
+		} else if bytes.HasPrefix(raw, spanPrefix) {
+			var l spanLine
+			if json.Unmarshal(raw, &l) == nil && l.T == lineSpan {
+				return Entry{Span: &l.Span}, nil
+			}
 		}
 		var probe struct {
 			T string `json:"t"`
@@ -126,6 +166,7 @@ func (r *Reader) Next() (Entry, error) {
 			}
 			return Entry{Span: &s}, nil
 		case lineOp:
+			r.slow++
 			var o Op
 			if err := json.Unmarshal(raw, &o); err != nil {
 				return Entry{}, fmt.Errorf("record: line %d: %w", r.line, err)
@@ -138,6 +179,25 @@ func (r *Reader) Next() (Entry, error) {
 			continue
 		}
 	}
+}
+
+// Offset returns the stream offset (after gzip, when framed) of the
+// line the latest Next call read. After Next fails it is the length of
+// the prefix that decoded: where a torn tail begins.
+func (r *Reader) Offset() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.offset
+}
+
+// SlowLines returns how many op lines so far were not in the form the
+// Recorder writes and went through encoding/json.
+func (r *Reader) SlowLines() int {
+	if r == nil {
+		return 0
+	}
+	return r.slow
 }
 
 // Close releases the underlying file and gzip layers.

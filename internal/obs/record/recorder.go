@@ -30,6 +30,7 @@ type Recorder struct {
 	bw     *bufio.Writer
 	gz     *gzip.Writer
 	closer io.Closer
+	line   []byte // appendOpLine's scratch
 
 	// Collector sink (replay verification, tests).
 	collect   bool

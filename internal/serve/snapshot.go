@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"pagerankvm/internal/obs/record"
 	"pagerankvm/internal/placement"
@@ -267,6 +268,7 @@ func (s *Server) recover(dir string) (RecoveryInfo, error) {
 	}
 	var info RecoveryInfo
 
+	start := time.Now()
 	snap, haveSnap, err := loadLatestSnapshot(dir)
 	if err != nil {
 		return RecoveryInfo{}, err
@@ -277,6 +279,7 @@ func (s *Server) recover(dir string) (RecoveryInfo, error) {
 		}
 		info.SnapshotSeq = snap.Seq
 	}
+	info.SnapshotLoadSeconds = time.Since(start).Seconds()
 
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -285,7 +288,8 @@ func (s *Server) recover(dir string) (RecoveryInfo, error) {
 	maxSeq := snap.Seq - 1 // highest applied seq; snapshot covers < snap.Seq
 	for i, name := range segs {
 		last := i == len(segs)-1
-		truncated, err := readSegmentOps(filepath.Join(dir, name), last, func(op record.Op) error {
+		path := filepath.Join(dir, name)
+		scan, err := readSegmentOps(path, last, func(op record.Op) error {
 			if op.Seq < snap.Seq {
 				// Pre-cut ops are already in the snapshot. (Only the
 				// segment containing the cut can hold them; earlier
@@ -306,10 +310,19 @@ func (s *Server) recover(dir string) (RecoveryInfo, error) {
 		if err != nil {
 			return RecoveryInfo{}, err
 		}
-		if truncated {
+		info.SlowLines += scan.slowLines
+		if scan.truncated {
 			info.Truncated = true
+			// A torn header heals itself: the new segment takes this
+			// one's name. Torn ops would outlive it, so they go now.
+			if scan.whole > 0 {
+				if err := cutTornTail(path, scan.whole); err != nil {
+					return RecoveryInfo{}, err
+				}
+			}
 		}
 	}
+	info.ReplaySeconds = time.Since(start).Seconds() - info.SnapshotLoadSeconds
 
 	info.NextSeq = maxSeq + 1
 	if info.NextSeq < snap.Seq {

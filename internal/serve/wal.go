@@ -190,39 +190,105 @@ func (w *wal) close() error {
 	return w.rec.Close()
 }
 
+// segmentScan is what reading one segment found besides its ops.
+type segmentScan struct {
+	// truncated: the scan stopped at a line that does not decode, and
+	// was told to tolerate one (a torn tail). whole is then the length
+	// of the prefix that decoded — 0 when not even the header did.
+	truncated bool
+	whole     int64
+	// slowLines counts op lines that decoded through encoding/json.
+	slowLines int
+}
+
+// opBatch is one hand-off from the decoding goroutine: ops in file
+// order and, on the batch that ends the scan, why it ended.
+type opBatch struct {
+	ops []*record.Op
+	err error
+}
+
+// batchOps sizes a hand-off: enough ops that the channel costs nothing
+// per op, few enough that the decoded-but-unapplied stay ~100 KB.
+const batchOps = 256
+
 // readSegmentOps streams the ops of one segment to fn in file order,
-// starting the scan at the segment's header. A decode error with
-// tolerateTail set is treated as a torn tail — the scan stops and
-// truncated is reported — which is only legal for the final segment of
-// a recovery scan; earlier segments were sealed by rotation and must
-// parse completely.
-func readSegmentOps(path string, tolerateTail bool, fn func(record.Op) error) (truncated bool, err error) {
+// starting the scan at the segment's header. Reading and decoding run
+// a bounded distance ahead on their own goroutine; fn runs on the
+// caller's, so replay's apply stays single-threaded and in seq order
+// (DESIGN.md §14 says why it must); an error from fn ends the scan. A
+// decode error with tolerateTail set is treated as a torn tail — the
+// scan stops and truncated is reported — which is only legal for the
+// final segment of a recovery scan; earlier segments were sealed by
+// rotation and must parse completely.
+func readSegmentOps(path string, tolerateTail bool, fn func(record.Op) error) (segmentScan, error) {
 	r, err := record.Open(path)
 	if err != nil {
 		if tolerateTail {
 			// A crash can tear even the header of a just-rotated
 			// segment; nothing acknowledged can live in it.
-			return true, nil
+			return segmentScan{truncated: true}, nil
 		}
-		return false, err
+		return segmentScan{}, err
 	}
 	defer func() { _ = r.Close() }() // read-only close; scan error is the story
-	for {
-		e, nerr := r.Next()
-		if nerr == io.EOF {
-			return false, nil
-		}
-		if nerr != nil {
-			if tolerateTail {
-				return true, nil
+
+	// Two queued batches keep the decoder busy while one is applied.
+	batches := make(chan opBatch, 2)
+	stop := make(chan struct{})
+	go func() {
+		defer close(batches)
+		for err := error(nil); err == nil; {
+			b := opBatch{ops: make([]*record.Op, 0, batchOps)}
+			for b.err == nil && len(b.ops) < batchOps {
+				var e record.Entry
+				if e, b.err = r.Next(); b.err == nil && e.Op != nil {
+					b.ops = append(b.ops, e.Op)
+				}
 			}
-			return false, nerr
+			select {
+			case batches <- b:
+				err = b.err
+			case <-stop:
+				return
+			}
 		}
-		if e.Op == nil {
-			continue
+	}()
+	var scanErr, fnErr error
+	for b := range batches { // to the close: the decoder owns r until then
+		for i := 0; fnErr == nil && i < len(b.ops); i++ {
+			if fnErr = fn(*b.ops[i]); fnErr != nil {
+				close(stop)
+			}
 		}
-		if ferr := fn(*e.Op); ferr != nil {
-			return false, ferr
+		scanErr = b.err
+	}
+	scan := segmentScan{slowLines: r.SlowLines()}
+	switch {
+	case fnErr != nil || scanErr == io.EOF:
+		return scan, fnErr
+	case tolerateTail:
+		scan.truncated, scan.whole = true, r.Offset()
+		return scan, nil
+	}
+	return scan, scanErr
+}
+
+// cutTornTail shortens the final segment to the prefix that decoded,
+// durably, before a newer segment is created: every file but the last
+// is read strictly, and this one is about to stop being the last.
+func cutTornTail(path string, whole int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err == nil {
+		if err = f.Truncate(whole); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 	}
+	if err != nil {
+		return fmt.Errorf("serve: cut torn wal tail: %w", err)
+	}
+	return nil
 }
