@@ -163,9 +163,11 @@ func (f *churnFixture) hitRatio(hits0, misses0 int64) float64 {
 // function of used-PM count" row: one churn step (release a random
 // resident, Place + Host a fresh VMMix request) with `used` PMs in the
 // used list, every one of which Algorithm 2 considers. ns/pm divides
-// the step by the list length — the per-candidate cost, memo hit or
-// miss — and hit% is the share of evaluations the per-PM memo served
-// (DESIGN.md §16).
+// the step by the used-list length — visited or closed, so the number
+// stays comparable across BENCH.json recordings — open/op is the mean
+// length of the open list, which is what the scan visits, and hit% the
+// share of the evaluations on it that the per-PM memo served (DESIGN.md
+// §16).
 func BenchmarkPlaceScan(b *testing.B) {
 	for _, used := range []int{100, 1000, 10000} {
 		// One aged cluster per size, kept across the b.N ramp-up
@@ -180,14 +182,17 @@ func BenchmarkPlaceScan(b *testing.B) {
 			hits0 := f.obs.Counter("placement.memo_hits").Value()
 			misses0 := f.obs.Counter("placement.memo_misses").Value()
 			scanned0 := f.obs.Counter("placement.pms_scanned").Value()
+			usedPMs := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f.step(b)
+				usedPMs += f.cluster.NumUsed()
 			}
 			b.StopTimer()
 			scanned := f.obs.Counter("placement.pms_scanned").Value() - scanned0
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/pm")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(usedPMs), "ns/pm")
+			b.ReportMetric(float64(scanned)/float64(b.N), "open/op")
 			b.ReportMetric(100*f.hitRatio(hits0, misses0), "hit%")
 		})
 	}
@@ -196,20 +201,27 @@ func BenchmarkPlaceScan(b *testing.B) {
 // TestMemoHitRatioSteadyState pins the property the incremental scan
 // depends on (DESIGN.md §16): between two scans for the same VM type
 // only the handful of PMs that were mutated miss, so at steady-state
-// churn on 1000 used PMs the memo serves at least 95 % of candidate
-// evaluations.
+// churn on 1000 used PMs a Place re-evaluates at most 5 % of the used
+// list (50 PMs; it reads 9.7). Up to the open list this was stated as a
+// ratio — the memo serves >= 0.95 of candidate evaluations, reading
+// 0.9905 — but the scan no longer visits closed PMs, every one of which
+// was a hit: the same 9.7 misses per Place now stand against 175 hits
+// instead of 1 016, and the ratio reads 0.9473 with nothing recomputed
+// that was not before. Hence the same guarantee as a bound on misses.
 func TestMemoHitRatioSteadyState(t *testing.T) {
 	f := newChurnFixture(t, 1000)
-	hits0 := f.obs.Counter("placement.memo_hits").Value()
 	misses0 := f.obs.Counter("placement.memo_misses").Value()
-	for i := 0; i < 2000; i++ {
+	const steps = 2000
+	for i := 0; i < steps; i++ {
 		f.step(t)
 	}
-	if used := f.cluster.NumUsed(); used < 900 {
+	used := f.cluster.NumUsed()
+	if used < 900 {
 		t.Fatalf("fixture drifted to %d used PMs, want ~1000", used)
 	}
-	if ratio := f.hitRatio(hits0, misses0); ratio < 0.95 {
-		t.Fatalf("memo hit ratio %.4f at steady-state churn, want >= 0.95", ratio)
+	perPlace := float64(f.obs.Counter("placement.memo_misses").Value()-misses0) / steps
+	if perPlace > 0.05*float64(used) {
+		t.Fatalf("%.1f memo misses per Place at steady-state churn on %d used PMs, want <= 5 %% of them", perPlace, used)
 	}
 }
 

@@ -13,6 +13,7 @@ package placement
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pagerankvm/internal/obs/record"
@@ -67,6 +68,15 @@ type PM struct {
 	// succeeds (compensation paths re-host a released VM explicitly).
 	cordon bool
 
+	// The open list's per-PM state (DESIGN.md §16 "The open list"), kept
+	// beside the fields a scan reads anyway. rejects counts the memo
+	// entries holding a reject: once it equals len(memo) the profile
+	// takes no VM type of bind's rank table, and the scan that sees that
+	// sets closed and drops the PM from Cluster.open until the profile
+	// next mutates.
+	closed  bool
+	rejects int32
+
 	// gen counts profile mutations (host/remove) and is the single
 	// invalidation point of everything a fast-path placer remembers
 	// about the PM (DESIGN.md §16): the lattice node ids of the used
@@ -82,6 +92,11 @@ type PM struct {
 	rankIDs  []int32
 	rankDone bool // rankIDs/rankOK resolved since the last reset
 	rankOK   bool
+
+	// seq is the first-use number stamped when the PM entered the used
+	// list: the used list and the open list are sorted by it, which is
+	// how a PM is found, or put back in order, by binary search.
+	seq uint64
 }
 
 // stage is where a candidate leaves Algorithm 2's loop: the ordered
@@ -121,7 +136,7 @@ type memoEntry struct {
 // resetRank hands the PM's placer caches to b at the current gen,
 // dropping whatever another binding or an older profile left.
 func (p *PM) resetRank(b *binding) {
-	p.bind, p.rankGen, p.rankDone = b, p.gen, false
+	p.bind, p.rankGen, p.rankDone, p.rejects = b, p.gen, false, 0
 	if n := b.fr.NumTypes(); cap(p.memo) < n {
 		p.memo = make([]memoEntry, n)
 	} else {
@@ -144,6 +159,14 @@ func pmNodeIDs(pm *PM, b *binding) ([]int32, bool) {
 		pm.rankDone = true
 	}
 	return pm.rankIDs, pm.rankOK
+}
+
+// rejectsAll reports whether p's memo proves the PM closed: filled by
+// one of placer's live bindings at the current gen, and holding a reject
+// for every VM type of that binding's rank table.
+func (p *PM) rejectsAll(placer *PageRankVM) bool {
+	return p.rejects > 0 && int(p.rejects) == len(p.memo) &&
+		p.rankGen == p.gen && p.bind != nil && p.bind.owner == placer
 }
 
 // NewPM returns an empty PM.
@@ -240,6 +263,18 @@ type Cluster struct {
 	unused []*PM
 	loc    map[int]*PM // vm id -> hosting PM
 
+	// open is the subsequence of used, in the same order, of the PMs not
+	// closed — what Algorithm 2 has to visit (DESIGN.md §16 "The open
+	// list"). The closures rest on the memo of one placer, openBy, at its
+	// binding epoch openEpoch; openFor reopens everything for any other.
+	// nextSeq is the next first-use number; reopened tallies PMs put
+	// back, until a placer moves it into placement.pms_reopened.
+	open      []*PM
+	openBy    *PageRankVM
+	openEpoch uint64
+	nextSeq   uint64
+	reopened  int64
+
 	// MaxUsed tracks the high-water mark of simultaneously used PMs —
 	// the paper's "number of PMs used" metric.
 	MaxUsed int
@@ -290,11 +325,16 @@ func (c *Cluster) Host(pm *PM, vm *VM, assign resource.Assignment) error {
 	}
 	c.loc[vm.ID] = pm
 	if !wasActive {
+		pm.seq = c.nextSeq
+		c.nextSeq++
 		c.used = append(c.used, pm)
+		c.open = append(c.open, pm)
 		c.removeUnused(pm)
 		if len(c.used) > c.MaxUsed {
 			c.MaxUsed = len(c.used)
 		}
+	} else if pm.closed {
+		c.reopen(pm)
 	}
 	return nil
 }
@@ -319,6 +359,8 @@ func (c *Cluster) releaseFrom(pm *PM, vmID int) (Hosted, error) {
 	if !pm.Active() {
 		c.removeUsed(pm)
 		c.unused = append(c.unused, pm)
+	} else if pm.closed {
+		c.reopen(pm)
 	}
 	return h, nil
 }
@@ -368,8 +410,7 @@ func (c *Cluster) Retire(pm *PM) error {
 	if pm.Active() {
 		return fmt.Errorf("placement: retire pm %d: still hosts %d VMs", pm.ID, pm.NumVMs())
 	}
-	c.removeUsed(pm)
-	c.removeUnused(pm)
+	c.removeUnused(pm) // inactive, so on no other list
 	pms := make([]*PM, 0, len(c.pms))
 	for _, p := range c.pms {
 		if p != pm {
@@ -386,7 +427,8 @@ func (c *Cluster) Retire(pm *PM) error {
 // so a recovered cluster must restore both orders — not just the same
 // membership — to keep post-recovery decisions bit-identical to an
 // uninterrupted run. Each argument must be a permutation of the
-// corresponding current list.
+// corresponding current list. First-use numbers are reissued along the
+// new used order and every closed PM is reopened.
 func (c *Cluster) Reorder(usedIDs, unusedIDs []int) error {
 	used, err := c.permute(c.used, usedIDs, "used")
 	if err != nil {
@@ -398,6 +440,11 @@ func (c *Cluster) Reorder(usedIDs, unusedIDs []int) error {
 	}
 	c.used = used
 	c.unused = unused
+	for i, pm := range used {
+		pm.seq = uint64(i)
+	}
+	c.nextSeq = uint64(len(used))
+	c.reopenAll()
 	return nil
 }
 
@@ -432,13 +479,66 @@ func (c *Cluster) removeUnused(pm *PM) {
 	}
 }
 
+// removeUsed takes an emptied PM off the used list and, unless it was
+// closed, off the open list.
 func (c *Cluster) removeUsed(pm *PM) {
-	for i, p := range c.used {
-		if p == pm {
-			c.used = append(c.used[:i], c.used[i+1:]...)
-			return
+	i := seqIndex(c.used, pm.seq)
+	c.used = append(c.used[:i], c.used[i+1:]...)
+	if !pm.closed {
+		i = seqIndex(c.open, pm.seq)
+		c.open = append(c.open[:i], c.open[i+1:]...)
+	}
+	pm.closed = false
+}
+
+// seqIndex returns the position of first-use number seq in list, a
+// subsequence of the used list: the index of the first PM numbered seq
+// or later.
+func seqIndex(list []*PM, seq uint64) int {
+	return sort.Search(len(list), func(i int) bool { return list[i].seq >= seq })
+}
+
+// reopen puts a closed PM whose profile just mutated back on the open
+// list, at its first-use position.
+func (c *Cluster) reopen(pm *PM) {
+	c.open = slices.Insert(c.open, seqIndex(c.open, pm.seq), pm)
+	pm.closed = false
+	c.reopened++
+}
+
+// reopenAll resets the open list to the whole used list.
+func (c *Cluster) reopenAll() {
+	c.reopened += int64(len(c.used) - len(c.open))
+	c.open = append(c.open[:0], c.used...)
+	for _, pm := range c.used {
+		pm.closed = false
+	}
+}
+
+// openFor returns the open list for a scan by p. Closures prove
+// something about one placer's rank tables only, so a placer other than
+// the one that made them, or the same one after the registry replaced a
+// ranker under it, starts from the whole used list again.
+func (c *Cluster) openFor(p *PageRankVM) []*PM {
+	if c.openBy != p || c.openEpoch != p.epoch {
+		c.openBy, c.openEpoch = p, p.epoch
+		if len(c.open) != len(c.used) {
+			c.reopenAll()
 		}
 	}
+	return c.open
+}
+
+// closeScanned finishes the in-place compaction of a scan over the open
+// list that visited open[:visited] and kept open[:kept] of them, and
+// returns how many PMs that closed.
+func (c *Cluster) closeScanned(kept, visited int) int64 {
+	if kept != visited {
+		n := kept + copy(c.open[kept:], c.open[visited:])
+		clear(c.open[n:])
+		c.open = c.open[:n]
+	}
+	return int64(visited - kept)
 }
 
 // Placer selects a PM and a concrete assignment for a VM without

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pagerankvm/internal/obs"
+	"pagerankvm/internal/obs/record"
 	"pagerankvm/internal/ranktable"
 	"pagerankvm/internal/resource"
 )
@@ -53,11 +54,16 @@ type trajFleet struct {
 // departures every trajectory has, everything else that touches a PM
 // or the lists between two scans: migrations (Place with exclude),
 // tentative release → re-Host, cordon and uncordon, Retire, Reorder.
+// built names the VM types the rank tables were built over where the
+// requests are not drawn from exactly those (nil: fleets); record
+// attaches a decision recorder to the placer.
 type trajSpec struct {
 	fleets []trajFleet
+	built  []trajFleet
 	numPMs int // interleaved across the fleets
 	steps  int
 	churn  bool
+	record bool
 }
 
 // trajStep records one placement decision.
@@ -66,14 +72,21 @@ type trajStep struct {
 	accom   uint64 // Float64bits of the placer's ScoreOn for the chosen PM
 	score   uint64 // Float64bits of the resulting profile's rank
 	profile string // canonical profile key of the chosen PM after hosting
+	ties    int64  // what the decision added to placement.ties_broken
 }
 
-// trajResult is everything two engines must agree on.
+// trajResult is everything two engines must agree on — and, from
+// usedSeen on, what they need not: an engine that scans the open list
+// visits fewer PMs than the used list holds.
 type trajResult struct {
-	steps                   []trajStep
-	maxUsed                 int
-	scanned, profiles, ties int64 // the placement.* counter totals
-	memoHits, memoMisses    int64
+	steps          []trajStep
+	maxUsed        int
+	profiles, ties int64 // the placement.* counter totals
+	rngNext        int64 // the tie-break generator's next draw after the run
+
+	usedSeen, scanned    int64 // used-list lengths summed over the Place calls; placement.pms_scanned
+	closed, reopened     int64
+	memoHits, memoMisses int64
 }
 
 // runTrajectory drives a seeded operation sequence through a placer and
@@ -91,7 +104,18 @@ func runTrajectory(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed in
 	}
 	c := NewCluster(pms)
 	o := obs.New()
-	p := NewPageRankVM(reg, WithSeed(99), WithObserver(o))
+	opts := []PageRankOption{WithSeed(99), WithObserver(o)}
+	if spec.record {
+		opts = append(opts, WithRecorder(record.NewCollector()))
+	}
+	p := NewPageRankVM(reg, opts...)
+	if spec.built == nil {
+		spec.built = spec.fleets
+	}
+	built := map[string][]resource.VMType{}
+	for _, f := range spec.built {
+		built[f.pmType] = f.vmTypes
+	}
 
 	// The VM type names, in first-seen order, and each one's demands.
 	var names []string
@@ -112,7 +136,10 @@ func runTrajectory(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed in
 	retired := 0
 	// decide asks the placer where vm goes (excluding src, if any) and
 	// records the decision; commit hosts it there.
+	tiesBroken := o.Counter("placement.ties_broken")
 	decide := func(vm *VM, exclude *PM, commit bool) bool {
+		res.usedSeen += int64(c.NumUsed())
+		ties0 := tiesBroken.Value()
 		pm, assign, err := p.Place(c, vm, exclude)
 		if err != nil {
 			if err == ErrNoCapacity {
@@ -135,6 +162,7 @@ func runTrajectory(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed in
 			accom:   math.Float64bits(accom),
 			score:   math.Float64bits(score),
 			profile: pm.Shape.Key(after),
+			ties:    tiesBroken.Value() - ties0,
 		})
 		if commit {
 			if err := c.Host(pm, vm, assign); err != nil {
@@ -202,11 +230,15 @@ func runTrajectory(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed in
 				t.Fatal(err)
 			}
 		}
+		checkOpenList(t, c, built)
 	}
 	res.maxUsed = c.MaxUsed
+	res.rngNext = p.rng.Int63()
 	res.scanned = o.Counter("placement.pms_scanned").Value()
+	res.closed = o.Counter("placement.pms_closed").Value()
+	res.reopened = o.Counter("placement.pms_reopened").Value()
 	res.profiles = o.Counter("placement.profiles_enumerated").Value()
-	res.ties = o.Counter("placement.ties_broken").Value()
+	res.ties = tiesBroken.Value()
 	res.memoHits = o.Counter("placement.memo_hits").Value()
 	res.memoMisses = o.Counter("placement.memo_misses").Value()
 	return res
@@ -217,8 +249,11 @@ func runTrajectory(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed in
 // differential oracle: it never touches the memo) and requires
 // identical decisions —
 // PM choice, bitwise accommodation and resulting scores, canonical
-// resulting profile, the MaxUsed metric — and identical placement.*
-// counter totals, which pins the candidate order and the tie draws.
+// resulting profile, ties broken, the MaxUsed metric — identical
+// profiles_enumerated and ties_broken totals and the same next draw of
+// the tie-break generator, which pins the candidate order and the tie
+// draws. The enumerating placer visits every used PM on every call; the
+// memoised one at most that (closed PMs drop out of its scan).
 func checkEquivalence(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed int64) trajResult {
 	t.Helper()
 	fast := runTrajectory(t, reg, spec, seed)
@@ -237,13 +272,23 @@ func checkEquivalence(t *testing.T, reg *ranktable.Registry, spec trajSpec, seed
 		if f.profile != s.profile {
 			t.Fatalf("seed %d step %d: resulting canonical profiles differ on pm %d", seed, i, f.pmID)
 		}
+		if f.ties != s.ties {
+			t.Fatalf("seed %d step %d: fast broke %d ties, slow %d", seed, i, f.ties, s.ties)
+		}
 	}
 	if fast.maxUsed != slow.maxUsed {
 		t.Fatalf("seed %d: MaxUsed differs: fast %d, slow %d", seed, fast.maxUsed, slow.maxUsed)
 	}
-	if fast.scanned != slow.scanned || fast.profiles != slow.profiles || fast.ties != slow.ties {
-		t.Fatalf("seed %d: counters differ: pms_scanned %d/%d, profiles_enumerated %d/%d, ties_broken %d/%d",
-			seed, fast.scanned, slow.scanned, fast.profiles, slow.profiles, fast.ties, slow.ties)
+	if fast.profiles != slow.profiles || fast.ties != slow.ties || fast.rngNext != slow.rngNext {
+		t.Fatalf("seed %d: counters differ: profiles_enumerated %d/%d, ties_broken %d/%d, next rng draw %d/%d",
+			seed, fast.profiles, slow.profiles, fast.ties, slow.ties, fast.rngNext, slow.rngNext)
+	}
+	if fast.usedSeen != slow.usedSeen || slow.scanned != slow.usedSeen || fast.scanned > fast.usedSeen {
+		t.Fatalf("seed %d: pms_scanned %d (fast) and %d (slow) of %d/%d used PMs met; want at most all, and all",
+			seed, fast.scanned, slow.scanned, fast.usedSeen, slow.usedSeen)
+	}
+	if slow.closed+slow.reopened != 0 {
+		t.Fatalf("seed %d: the enumerating placer closed %d PMs and reopened %d", seed, slow.closed, slow.reopened)
 	}
 	if slow.memoHits+slow.memoMisses != 0 {
 		t.Fatalf("seed %d: the enumerating placer touched the memo (%d hits, %d misses)", seed, slow.memoHits, slow.memoMisses)
@@ -340,7 +385,11 @@ func churnFleets(t *testing.T, opts ranktable.Options) ([]trajFleet, *ranktable.
 // with the source excluded, tentative release → re-Host, cordon and
 // uncordon, Retire, Reorder — must leave the memoised placer and the
 // enumerating one in bit-for-bit agreement, and the memo must have
-// actually served most of those scans.
+// actually served most of those scans. The open list (§16 "The open
+// list") rides the same trajectories: runTrajectory checks its
+// invariants after every step, the enumerating placer is the
+// full-used-list oracle, and the trajectory must have closed and
+// reopened PMs for that to mean anything.
 func TestMemoChurnEquivalence(t *testing.T) {
 	fleets, reg := churnFleets(t, ranktable.Options{})
 	spec := trajSpec{fleets: fleets, numPMs: 40, steps: 2000, churn: true}
@@ -349,6 +398,10 @@ func TestMemoChurnEquivalence(t *testing.T) {
 		if fast.memoHits <= fast.memoMisses {
 			t.Fatalf("seed %d: memo served %d of %d evaluations; the trajectory does not exercise it",
 				seed, fast.memoHits, fast.memoHits+fast.memoMisses)
+		}
+		if fast.closed == 0 || fast.reopened == 0 || fast.scanned >= fast.usedSeen {
+			t.Fatalf("seed %d: %d PMs closed, %d reopened, %d of %d used PMs visited; the trajectory does not exercise the open list",
+				seed, fast.closed, fast.reopened, fast.scanned, fast.usedSeen)
 		}
 	}
 }
@@ -450,6 +503,25 @@ func TestFallbackOutsideBuildSet(t *testing.T) {
 	reg := ranktable.NewRegistry()
 	reg.Add(fleet.pmType, f)
 	checkFallback(t, reg, trajSpec{fleets: []trajFleet{fleet}, numPMs: 5, steps: 120})
+
+	// A closed PM is closed for the table's VM types only: a VM of any
+	// other type gets the whole used list. PM 0 of the fixture is
+	// closed with room for exactly one [2]; then the same, mixed into
+	// trajectories of the table's own types, against the enumerating
+	// placer.
+	fix, pms := twoFreeFixture(t)
+	if got := fix.check(fix.p, two, nil); got != pms[0] {
+		t.Fatalf("a [2] went to pm %d, want closed pm 0, the one used PM it fits", idOf(got))
+	}
+	fix.wantClosed(true, pms[0])
+	built := trajFleet{pmSmall, smallShape(), smallVMTypes()}
+	mixed := trajFleet{pmSmall, smallShape(), append(smallVMTypes(), outside...)}
+	spec := trajSpec{fleets: []trajFleet{mixed}, built: []trajFleet{built}, numPMs: 30, steps: 1500, churn: true}
+	for seed := int64(1); seed <= 3; seed++ {
+		if got := checkEquivalence(t, smallRegistry(t), spec, seed); got.closed == 0 {
+			t.Fatalf("seed %d: no PM was ever closed; the trajectory does not test the fallback against the open list", seed)
+		}
+	}
 }
 
 // TestFallbackDuplicateGroupDemand: a demand naming one group twice

@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"pagerankvm/internal/obs"
@@ -30,10 +31,14 @@ type PageRankVM struct {
 	// better one.
 	twoChoice bool
 
-	// binds holds one binding per PM type met; memoHits and memoMisses
-	// tally evaluate's memo outcomes until Place flushes them into
-	// placement.memo_{hits,misses} (one Add per call, not per candidate).
-	binds                map[string]*binding
+	// binds holds one binding per PM type met, and epoch counts the ones
+	// replaced because the registry's ranker changed — which voids every
+	// open-list closure this placer made (Cluster.openFor). memoHits and
+	// memoMisses tally evaluate's memo outcomes until Place flushes them
+	// into placement.memo_{hits,misses} (one Add per call, not per
+	// candidate).
+	binds                []*binding
+	epoch                uint64
 	memoHits, memoMisses int64
 
 	// obs and the pre-resolved met counters are nil without
@@ -74,6 +79,8 @@ type binding struct {
 type placeMetrics struct {
 	placeCalls      *obs.Counter // placement.place_calls
 	pmsScanned      *obs.Counter // placement.pms_scanned
+	pmsClosed       *obs.Counter // placement.pms_closed
+	pmsReopened     *obs.Counter // placement.pms_reopened
 	profilesScored  *obs.Counter // placement.profiles_enumerated
 	tiesBroken      *obs.Counter // placement.ties_broken
 	twoChoiceDraws  *obs.Counter // placement.two_choice_samples
@@ -99,6 +106,8 @@ func newPlaceMetrics(o *obs.Observer) placeMetrics {
 	return placeMetrics{
 		placeCalls:      o.Counter("placement.place_calls"),
 		pmsScanned:      o.Counter("placement.pms_scanned"),
+		pmsClosed:       o.Counter("placement.pms_closed"),
+		pmsReopened:     o.Counter("placement.pms_reopened"),
 		profilesScored:  o.Counter("placement.profiles_enumerated"),
 		tiesBroken:      o.Counter("placement.ties_broken"),
 		twoChoiceDraws:  o.Counter("placement.two_choice_samples"),
@@ -169,7 +178,6 @@ func NewPageRankVM(rankers *ranktable.Registry, opts ...PageRankOption) *PageRan
 	p := &PageRankVM{
 		rankers: rankers,
 		rng:     rand.New(rand.NewSource(1)),
-		binds:   make(map[string]*binding),
 	}
 	for _, o := range opts {
 		o.apply(p)
@@ -218,22 +226,37 @@ type scan struct {
 func (p *PageRankVM) Place(c *Cluster, vm *VM, exclude *PM) (*PM, resource.Assignment, error) {
 	p.met.placeCalls.Inc()
 	defer p.flushMemoStats()
+	// The pass over the used list visits its open subsequence: a closed
+	// PM rejects every VM type of its rank table, so it is no candidate,
+	// no member of a tied set and no rng draw. Three callers still get
+	// the whole list: a recorder (a Decision names every used PM),
+	// 2-choice (it samples the used list) and a VM outside some rank
+	// table's types (closed says nothing about it).
+	recording := p.rec.Active()
 	used := c.UsedPMs()
-	if p.twoChoice && len(used) > 2 {
-		used = p.sample(used)
-		p.met.twoChoiceDraws.Inc()
+	var open *Cluster // c, when used is its open list
+	switch {
+	case p.twoChoice:
+		if len(used) > 2 {
+			used = p.sample(used)
+			p.met.twoChoiceDraws.Inc()
+		}
+	case !recording && p.fastOnAll(vm):
+		used, open = c.openFor(p), c
+		p.met.pmsReopened.Add(c.reopened)
+		c.reopened = 0
 	}
 
 	// s.ph gates every recording expense — candidate-set assembly,
 	// tie-path tracking, phase clocks — behind one nil check.
 	s := scan{vm: vm, exclude: exclude, scanned: len(used), score: -1}
-	if p.rec.Active() {
+	if recording {
 		s.cands, s.tied, s.ph, s.start = p.recCands[:0], p.recTied[:0], new(record.Phases), time.Now()
 	}
 
 	// Lines 3-16: the used list is scanned whole and the best score wins.
 	// Lines 17-24: failing that, the first unused PM that fits is opened.
-	if err := p.scanList(&s, used, false); err != nil {
+	if err := p.scanList(&s, used, open, false); err != nil {
 		return nil, nil, err
 	}
 	p.met.pmsScanned.Add(int64(s.scanned))
@@ -243,7 +266,7 @@ func (p *PageRankVM) Place(c *Cluster, vm *VM, exclude *PM) (*PM, resource.Assig
 		}
 		return nil, nil, fmt.Errorf("placement: cannot materialize assignment on pm %d", s.pm.ID)
 	}
-	if err := p.scanList(&s, c.UnusedPMs(), true); err != nil {
+	if err := p.scanList(&s, c.UnusedPMs(), nil, true); err != nil {
 		return nil, nil, err
 	}
 	if s.assign != nil {
@@ -263,18 +286,35 @@ func (p *PageRankVM) Place(c *Cluster, vm *VM, exclude *PM) (*PM, resource.Assig
 // and cordoned here, because they are per-call and non-gen state that
 // must stay outside the memo; no-fit and no-profile in evaluate — and
 // a scored one contends for the best score (used) or is opened (unused).
-func (p *PageRankVM) scanList(s *scan, list []*PM, unused bool) error {
-	for _, pm := range list {
+// open is non-nil when list is that cluster's open list: a PM whose
+// memo now holds a reject for every VM type is then closed, and the PMs
+// that stay open are compacted to list[:kept] as the loop goes.
+func (p *PageRankVM) scanList(s *scan, list []*PM, open *Cluster, unused bool) error {
+	kept := 0
+	for i, pm := range list {
 		st, score, n, canon := stageExcluded, 0.0, 0, resource.Assignment(nil)
 		if pm != s.exclude {
 			st = stageCordoned
 			if !pm.cordon {
 				var err error
 				if st, score, n, canon, err = p.evaluate(pm, s.vm, s.ph); err != nil {
+					if open != nil {
+						p.met.pmsClosed.Add(open.closeScanned(kept, i))
+					}
 					return err
 				}
 				s.profiles += n
 			}
+		}
+		if open != nil {
+			if st != stageScored && pm.rejectsAll(p) {
+				pm.closed = true
+				continue
+			}
+			if kept != i {
+				list[kept] = pm
+			}
+			kept++
 		}
 		if s.ph != nil {
 			c := record.Candidate{PM: pm.ID, Status: stageStatus[st], Profiles: n, Unused: unused}
@@ -306,6 +346,9 @@ func (p *PageRankVM) scanList(s *scan, list []*PM, unused bool) error {
 				s.tied = append(s.tied, pm.ID)
 			}
 		}
+	}
+	if open != nil {
+		p.met.pmsClosed.Add(open.closeScanned(kept, len(list)))
 	}
 	return nil
 }
@@ -408,7 +451,13 @@ func (p *PageRankVM) tracePlace(vm *VM, pm *PM, score float64, scanned, profiles
 func (p *PageRankVM) bind(pm *PM, vm *VM) *binding {
 	b := pm.bind
 	if b == nil || b.owner != p {
-		b = p.binds[pm.Type]
+		b = nil
+		for _, have := range p.binds {
+			if have.pmType == pm.Type {
+				b = have
+				break
+			}
+		}
 	}
 	if b == nil || b.vm != vm {
 		b = p.resolve(pm.Type, b, vm)
@@ -416,11 +465,29 @@ func (p *PageRankVM) bind(pm *PM, vm *VM) *binding {
 	return b
 }
 
+// fastOnAll resolves every binding for vm and reports whether the open
+// list can stand in for the used list: on each PM type met so far, vm
+// is one of the rank table's VM types — the types closures are about —
+// or has no demand at all. (A PM of a type not met yet cannot have been
+// closed.)
+func (p *PageRankVM) fastOnAll(vm *VM) bool {
+	for _, b := range p.binds {
+		if b.vm != vm {
+			b = p.resolve(b.pmType, b, vm)
+		}
+		if !b.fast && b.hasDemand {
+			return false
+		}
+	}
+	return true
+}
+
 // resolve re-resolves pmType's binding b (nil: none yet) for vm. It
 // never fails: a PM type without a ranker resolves to a nil ranker,
 // which evaluate reports only if a fitting PM of that type is actually
 // reached. A fast ranker replaced in the registry gets a fresh binding,
-// which orphans every per-PM cache the old one filled.
+// which orphans every per-PM cache the old one filled and (epoch) every
+// closure resting on them.
 func (p *PageRankVM) resolve(pmType string, b *binding, vm *VM) *binding {
 	ranker, _ := p.rankers.Get(pmType)
 	fr, _ := ranker.(ranktable.FastRanker)
@@ -428,11 +495,15 @@ func (p *PageRankVM) resolve(pmType string, b *binding, vm *VM) *binding {
 		fr = nil
 	}
 	if b == nil || b.fr != fr {
-		if b != nil {
+		fresh := &binding{owner: p, pmType: pmType, fr: fr}
+		if b == nil {
+			p.binds = append(p.binds, fresh)
+		} else {
 			b.owner = nil
+			p.binds[slices.Index(p.binds, b)] = fresh
+			p.epoch++
 		}
-		b = &binding{owner: p, pmType: pmType, fr: fr}
-		p.binds[pmType] = b
+		b = fresh
 	}
 	b.ranker, b.vm, b.ref, b.fast = ranker, vm, ranktable.TypeRef{}, false
 	b.demand, b.hasDemand = vm.DemandOn(pmType)
@@ -486,6 +557,7 @@ func (p *PageRankVM) evaluate(pm *PM, vm *VM, ph *record.Phases) (stage, float64
 	if !fits {
 		if e != nil {
 			e.stage = stageNoFit
+			pm.rejects++
 		}
 		return stageNoFit, 0, 0, nil, nil
 	}
@@ -498,6 +570,8 @@ func (p *PageRankVM) evaluate(pm *PM, vm *VM, ph *record.Phases) (stage, float64
 			*e = memoEntry{score: score, count: int32(n), stage: stageNoProfile}
 			if ok {
 				e.stage = stageScored
+			} else {
+				pm.rejects++
 			}
 			return e.stage, score, n, nil, nil
 		}
