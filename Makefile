@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint lint-self lint-baseline docs-check build test race chaos fuzz bench bench-compare bench-all bench-e2e-check golden fmt loc
+.PHONY: check vet lint lint-self lint-baseline docs-check build test race chaos fuzz bench bench-compare bench-all bench-e2e-check bench-e2e-full golden fmt loc
 
 # The full pre-merge gate: static analysis (go vet plus the project's
 # own prvm-lint analyzers), godoc coverage, a clean build, and the test
@@ -95,6 +95,14 @@ bench-compare:
 bench-e2e-check:
 	$(GO) -C benchmarks vet ./...
 	$(GO) -C benchmarks test ./...
+
+# Every end-to-end workload at full size for one second, untraced and
+# traced, with every in-run output check: smoke sizes cannot catch a
+# check that fails, or a run that exits, only at full size. Any non-zero
+# exit fails the target.
+bench-e2e-full:
+	bash benchmarks/run.sh --seconds 1 --trace 0
+	bash benchmarks/run.sh --seconds 1 --trace 1
 
 # Golden replay regression (DESIGN.md §11): the checked-in recordings
 # under examples/ must replay bit-identically through the current code

@@ -226,7 +226,7 @@ func (s *solver) search(idx int, cost float64) {
 		s.bestAssign = make(map[int]Assignment, len(s.vms))
 		for _, vm := range s.vms {
 			pm, _ := s.cluster.Locate(vm.ID)
-			h := pm.VMs()[vm.ID]
+			h, _ := pm.Get(vm.ID)
 			assign := make(resource.Assignment, len(h.Assign))
 			copy(assign, h.Assign)
 			s.bestAssign[vm.ID] = Assignment{PM: pm.ID, Assign: assign}

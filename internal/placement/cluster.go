@@ -11,6 +11,7 @@
 package placement
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -61,7 +62,9 @@ type PM struct {
 	Shape *resource.Shape
 
 	used resource.Vec
-	vms  map[int]Hosted
+	// hosted is the hosted set in ascending VM-id order, the order
+	// everything that walks it sums or decides in.
+	hosted []Hosted
 
 	// cordon marks the PM as unavailable for new placements — the
 	// maintenance-drain state. Placers skip cordoned PMs; Host still
@@ -176,7 +179,6 @@ func NewPM(id int, pmType string, shape *resource.Shape) *PM {
 		Type:  pmType,
 		Shape: shape,
 		used:  shape.Zero(),
-		vms:   make(map[int]Hosted),
 	}
 }
 
@@ -185,25 +187,46 @@ func NewPM(id int, pmType string, shape *resource.Shape) *PM {
 func (p *PM) Used() resource.Vec { return p.used }
 
 // NumVMs returns the number of VMs hosted.
-func (p *PM) NumVMs() int { return len(p.vms) }
+func (p *PM) NumVMs() int { return len(p.hosted) }
 
 // Active reports whether the PM hosts at least one VM.
-func (p *PM) Active() bool { return len(p.vms) > 0 }
+func (p *PM) Active() bool { return len(p.hosted) > 0 }
 
-// VMs returns the hosted VMs. The returned map is shared; callers must
-// not modify it.
-func (p *PM) VMs() map[int]Hosted { return p.vms }
+// HostedVMs returns the hosted VMs in ascending VM-id order. The slice
+// is shared, must not be modified, and is valid until the PM's next
+// host or release (walk VMIDs to mutate as you go).
+func (p *PM) HostedVMs() []Hosted { return p.hosted }
 
-// VMIDs returns the hosted VM ids in ascending order — the
-// deterministic iteration order for everything that walks a hosted
-// set (and a snapshot: Release mutates the map VMs returns).
-func (p *PM) VMIDs() []int {
-	ids := make([]int, 0, len(p.vms))
-	for id := range p.vms {
-		ids = append(ids, id)
+// Get returns the hosting record of the VM with the given id.
+func (p *PM) Get(vmID int) (Hosted, bool) {
+	if i, ok := p.find(vmID); ok {
+		return p.hosted[i], true
 	}
-	sort.Ints(ids)
+	return Hosted{}, false
+}
+
+// VMs returns a copy of the hosted set keyed by VM id.
+func (p *PM) VMs() map[int]Hosted {
+	m := make(map[int]Hosted, len(p.hosted))
+	for _, h := range p.hosted {
+		m[h.VM.ID] = h
+	}
+	return m
+}
+
+// VMIDs returns the hosted VM ids in ascending order: a snapshot to
+// walk while releasing or migrating the VMs it names.
+func (p *PM) VMIDs() []int {
+	ids := make([]int, len(p.hosted))
+	for i, h := range p.hosted {
+		ids[i] = h.VM.ID
+	}
 	return ids
+}
+
+// find returns where vmID is, or would go, in the hosted set.
+func (p *PM) find(vmID int) (int, bool) {
+	return slices.BinarySearchFunc(p.hosted, vmID, func(h Hosted, id int) int { return cmp.Compare(h.VM.ID, id) })
 }
 
 // Cordoned reports whether the PM is cordoned: under maintenance
@@ -229,7 +252,8 @@ func (p *PM) Fits(vm *VM) bool {
 // host places vm with a concrete assignment. The assignment must have
 // been derived from the PM's current profile.
 func (p *PM) host(vm *VM, assign resource.Assignment) error {
-	if _, dup := p.vms[vm.ID]; dup {
+	i, dup := p.find(vm.ID)
+	if dup {
 		return fmt.Errorf("placement: vm %d already on pm %d", vm.ID, p.ID)
 	}
 	next := p.used.Add(assign.Vec(p.Shape))
@@ -237,19 +261,20 @@ func (p *PM) host(vm *VM, assign resource.Assignment) error {
 		return fmt.Errorf("placement: assignment overflows pm %d: %v", p.ID, next)
 	}
 	p.used = next
-	p.vms[vm.ID] = Hosted{VM: vm, Assign: assign}
+	p.hosted = slices.Insert(p.hosted, i, Hosted{VM: vm, Assign: assign})
 	p.gen++
 	return nil
 }
 
 // remove releases vm's resources.
 func (p *PM) remove(vmID int) (Hosted, error) {
-	h, ok := p.vms[vmID]
+	i, ok := p.find(vmID)
 	if !ok {
 		return Hosted{}, fmt.Errorf("placement: vm %d not on pm %d", vmID, p.ID)
 	}
+	h := p.hosted[i]
 	p.used = p.used.Sub(h.Assign.Vec(p.Shape))
-	delete(p.vms, vmID)
+	p.hosted = slices.Delete(p.hosted, i, i+1)
 	p.gen++
 	return h, nil
 }

@@ -3,6 +3,7 @@ package placement
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pagerankvm/internal/ranktable"
@@ -125,6 +126,84 @@ func TestPMRemoveUnknown(t *testing.T) {
 	pm := NewPM(0, pmSmall, smallShape())
 	if _, err := pm.remove(42); err == nil {
 		t.Fatal("remove of unknown VM accepted")
+	}
+}
+
+// checkHosted holds a PM's hosted set to its invariant: VM ids
+// ascending and unique; HostedVMs, Get, VMIDs and VMs agreeing; and,
+// given a cluster, every hosted VM located on this PM.
+func checkHosted(t *testing.T, c *Cluster, pm *PM) {
+	t.Helper()
+	hosted, ids, vms := pm.HostedVMs(), pm.VMIDs(), pm.VMs()
+	if len(ids) != len(hosted) || len(vms) != len(hosted) || pm.NumVMs() != len(hosted) || pm.Active() != (len(hosted) > 0) {
+		t.Fatalf("pm %d: %d hosted, %d ids, %d in the map, NumVMs %d, Active %v",
+			pm.ID, len(hosted), len(ids), len(vms), pm.NumVMs(), pm.Active())
+	}
+	for i, h := range hosted {
+		id := h.VM.ID
+		if i > 0 && id <= hosted[i-1].VM.ID {
+			t.Fatalf("pm %d: hosted ids %v not ascending and unique", pm.ID, ids)
+		}
+		if ids[i] != id {
+			t.Fatalf("pm %d: VMIDs %v disagree with the hosted set at %d (vm %d)", pm.ID, ids, i, id)
+		}
+		got, ok := pm.Get(id)
+		if !ok || got.VM != h.VM || !slices.Equal(got.Assign, h.Assign) {
+			t.Fatalf("pm %d: Get(%d) = %v, %v; hosted holds %v", pm.ID, id, got, ok, h)
+		}
+		if m := vms[id]; m.VM != h.VM || !slices.Equal(m.Assign, h.Assign) {
+			t.Fatalf("pm %d: VMs()[%d] = %v; hosted holds %v", pm.ID, id, m, h)
+		}
+		if c != nil {
+			if loc, ok := c.Locate(id); !ok || loc != pm {
+				t.Fatalf("pm %d hosts vm %d, the cluster locates it on pm %d", pm.ID, id, idOf(loc))
+			}
+		}
+	}
+}
+
+// The hosted set stays id-ordered whatever order VMs arrive and leave
+// in, and host/remove keep rejecting a duplicate or an absent id
+// without touching the set.
+func TestPMHostedOrder(t *testing.T) {
+	pm := NewPM(0, pmSmall, smallShape())
+	rng := rand.New(rand.NewSource(3))
+	ids := rng.Perm(40)[:8] // sparse, shuffled
+	one := resource.Assignment{{Dim: 0, Units: 1}}
+	for i, id := range ids {
+		one[0].Dim = i % 4
+		if err := pm.host(newVM(id, "[1,1]"), slices.Clone(one)); err != nil {
+			t.Fatal(err)
+		}
+		checkHosted(t, nil, pm)
+	}
+	before := pm.VMIDs()
+	if err := pm.host(newVM(ids[3], "[1,1]"), resource.Assignment{{Dim: 0, Units: 1}}); err == nil {
+		t.Fatalf("duplicate host of vm %d accepted", ids[3])
+	}
+	absent := 40
+	for _, id := range []int{-1, absent} {
+		if _, err := pm.remove(id); err == nil {
+			t.Fatalf("remove of absent vm %d accepted", id)
+		}
+	}
+	if got := pm.VMIDs(); !slices.Equal(got, before) {
+		t.Fatalf("rejected host/remove changed the hosted set: %v, was %v", got, before)
+	}
+	for _, id := range ids[2:6] {
+		if _, err := pm.remove(id); err != nil {
+			t.Fatal(err)
+		}
+		checkHosted(t, nil, pm)
+		if _, ok := pm.Get(id); ok {
+			t.Fatalf("Get(%d) finds a removed VM", id)
+		}
+		if _, err := pm.remove(id); err == nil {
+			t.Fatalf("second remove of vm %d accepted", id)
+		}
+	}
+	if pm.NumVMs() != len(ids)-4 {
+		t.Fatalf("NumVMs = %d, want %d", pm.NumVMs(), len(ids)-4)
 	}
 }
 

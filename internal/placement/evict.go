@@ -2,9 +2,10 @@ package placement
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"pagerankvm/internal/obs"
+	"pagerankvm/internal/resource"
 )
 
 // Evictor selects which VM to migrate away from an overloaded PM.
@@ -18,24 +19,19 @@ type Evictor interface {
 	SelectVictim(pm *PM, overloaded []int) (vmID int, ok bool)
 }
 
-// victimCandidates returns the hosted VMs that occupy at least one
-// overloaded dimension, in ascending VM id order for determinism.
-func victimCandidates(pm *PM, overloaded []int) []Hosted {
-	dims := make(map[int]bool, len(overloaded))
-	for _, d := range overloaded {
-		dims[d] = true
-	}
-	var out []Hosted
-	for _, h := range pm.VMs() {
-		for _, du := range h.Assign {
-			if dims[du.Dim] {
-				out = append(out, h)
-				break
-			}
+// overloadUnits returns how many of an assignment's units sit on the
+// overloaded dimensions, and whether any does: a VM that occupies none
+// of them is no victim, since evicting it cannot relieve the overload.
+// overloaded lists a handful of dimensions, so a linear membership
+// test beats building a set.
+func overloadUnits(assign resource.Assignment, overloaded []int) (units int, occupies bool) {
+	for _, du := range assign {
+		if slices.Contains(overloaded, du.Dim) {
+			units += du.Units
+			occupies = true
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].VM.ID < out[j].VM.ID })
-	return out
+	return units, occupies
 }
 
 // RankEvictor is the paper's overload policy for PageRankVM: "for each
@@ -61,21 +57,16 @@ func (RankEvictor) Name() string { return "rank" }
 
 // SelectVictim implements Evictor.
 func (e RankEvictor) SelectVictim(pm *PM, overloaded []int) (int, bool) {
-	dims := make(map[int]bool, len(overloaded))
-	for _, d := range overloaded {
-		dims[d] = true
-	}
 	var (
 		bestID    = -1
 		bestUnits = math.MaxInt
 		bestScore = math.Inf(-1)
 	)
-	for _, h := range victimCandidates(pm, overloaded) {
-		units := 0
-		for _, du := range h.Assign {
-			if dims[du.Dim] {
-				units += du.Units
-			}
+	// Candidates in ascending VM id order, for determinism.
+	for _, h := range pm.HostedVMs() {
+		units, occupies := overloadUnits(h.Assign, overloaded)
+		if !occupies {
+			continue
 		}
 		score, ok := e.Placer.ScoreVictim(pm, h)
 		if !ok {
@@ -123,7 +114,10 @@ func (e MMTEvictor) SelectVictim(pm *PM, overloaded []int) (int, bool) {
 		bestID   = -1
 		bestSize = math.MaxInt
 	)
-	for _, h := range victimCandidates(pm, overloaded) {
+	for _, h := range pm.HostedVMs() {
+		if _, occupies := overloadUnits(h.Assign, overloaded); !occupies {
+			continue
+		}
 		demand, ok := h.VM.DemandOn(pm.Type)
 		if !ok {
 			// No demand record on this PM type: the migration time is

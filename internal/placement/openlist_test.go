@@ -65,6 +65,9 @@ func checkOpenList(t *testing.T, c *Cluster, built map[string][]resource.VMType)
 			t.Fatalf("unused pm %d is marked closed", pm.ID)
 		}
 	}
+	for _, pm := range c.pms {
+		checkHosted(t, c, pm)
+	}
 }
 
 // idOf is pm's id, -1 for none.

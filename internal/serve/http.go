@@ -337,10 +337,11 @@ func (s *Server) releaseLocked(sh *shard, vmID int, on *placement.PM) (placement
 	if on != nil && pm != on {
 		return placement.Hosted{}, nil, 0, fmt.Errorf("serve: vm %d not on pm %d", vmID, on.ID)
 	}
+	hosted, _ := pm.Get(vmID) // located on pm, so hosted there
 	h, seq, err := s.commit(record.Op{
 		Kind:   record.OpRelease,
 		VM:     vmID,
-		VMType: pm.VMs()[vmID].VM.Type,
+		VMType: hosted.VM.Type,
 		PM:     pm.ID,
 	}, placement.Hosted{})
 	return h, pm, seq, err
@@ -579,8 +580,8 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 		if wantVMs {
 			for _, pm := range sh.cluster.UsedPMs() {
-				for _, vmID := range pm.VMIDs() {
-					resp.Placements = append(resp.Placements, VMStatus{VM: vmID, PM: pm.ID})
+				for _, h := range pm.HostedVMs() {
+					resp.Placements = append(resp.Placements, VMStatus{VM: h.VM.ID, PM: pm.ID})
 				}
 			}
 		}

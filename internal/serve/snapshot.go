@@ -150,11 +150,9 @@ func (s *Server) capture(cut int64) snapshotFile {
 		for _, pm := range sh.cluster.UsedPMs() {
 			st.Used = append(st.Used, pm.ID)
 			sp := snapPM{ID: pm.ID}
-			vms := pm.VMs()
-			for _, vmID := range pm.VMIDs() {
-				h := vms[vmID]
+			for _, h := range pm.HostedVMs() {
 				sp.VMs = append(sp.VMs, snapVM{
-					ID:     vmID,
+					ID:     h.VM.ID,
 					Type:   h.VM.Type,
 					Assign: record.AssignOf(h.Assign),
 				})

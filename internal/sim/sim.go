@@ -195,11 +195,16 @@ type Simulation struct {
 	placer  placement.Placer
 	evictor placement.Evictor
 	models  map[string]*energy.Model // PM type -> power model
-	loads   map[int]trace.Series     // vm id -> trace
-	vms     []*placement.VM          // arrivals at step 0
-	arrives map[int][]*placement.VM  // step -> arrivals (step > 0)
-	departs map[int][]int            // step -> departing vm ids
-	resched *deschedule.Engine       // nil when rebalancing is off
+	// util[step*len(col)+col[id]] is VM id's utilization at step: one
+	// contiguous row per monitoring step.
+	util    []float64
+	col     map[int]int32           // vm id -> column of util
+	load    []float64               // actualCPU's result, reused
+	active  []*placement.PM         // tick's snapshot of the used list, reused
+	vms     []*placement.VM         // arrivals at step 0
+	arrives map[int][]*placement.VM // step -> arrivals (step > 0)
+	departs map[int][]int           // step -> departing vm ids
+	resched *deschedule.Engine      // nil when rebalancing is off
 	met     simMetrics
 }
 
@@ -288,7 +293,7 @@ func New(cfg Config, cluster *placement.Cluster, placer placement.Placer,
 		placer:  placer,
 		evictor: evictor,
 		models:  models,
-		loads:   make(map[int]trace.Series, len(workloads)),
+		col:     make(map[int]int32, len(workloads)),
 		arrives: make(map[int][]*placement.VM),
 		departs: make(map[int][]int),
 		met:     newSimMetrics(cfg.Obs),
@@ -311,13 +316,13 @@ func New(cfg Config, cluster *placement.Cluster, placer placement.Placer,
 		if w.VM == nil {
 			return nil, errors.New("sim: nil VM in workload")
 		}
-		if _, dup := s.loads[w.VM.ID]; dup {
+		if _, dup := s.col[w.VM.ID]; dup {
 			return nil, fmt.Errorf("sim: duplicate VM id %d", w.VM.ID)
 		}
 		if w.Start < 0 || (w.End != 0 && w.End <= w.Start) {
 			return nil, fmt.Errorf("sim: vm %d has invalid lease [%d,%d)", w.VM.ID, w.Start, w.End)
 		}
-		s.loads[w.VM.ID] = w.Trace
+		s.col[w.VM.ID] = int32(len(s.col))
 		if w.Start == 0 {
 			s.vms = append(s.vms, w.VM)
 		} else {
@@ -327,6 +332,23 @@ func New(cfg Config, cluster *placement.Cluster, placer placement.Placer,
 			s.departs[w.End] = append(s.departs[w.End], w.VM.ID)
 		}
 	}
+	// Step by step, so the writes are sequential and each trace's cache
+	// line serves several steps.
+	n, steps := len(workloads), cfg.Steps()
+	s.util = make([]float64, n*steps)
+	for step := 0; step < steps; step++ {
+		row := s.util[step*n : (step+1)*n]
+		for i, w := range workloads {
+			row[i] = w.Trace.At(step)
+		}
+	}
+	width := 0
+	for _, pm := range cluster.PMs() {
+		if gi := pm.Shape.GroupIndex(cfg.CPUGroup); gi >= 0 {
+			width = max(width, pm.Shape.Group(gi).Dims)
+		}
+	}
+	s.load = make([]float64, width)
 	return s, nil
 }
 
@@ -426,8 +448,8 @@ func (s *Simulation) tick(step int, meter *energy.Meter, res *Result) error {
 	utilSum := 0.0
 
 	// Snapshot the used list: migrations mutate it mid-step.
-	active := append([]*placement.PM(nil), s.cluster.UsedPMs()...)
-	for _, pm := range active {
+	s.active = append(s.active[:0], s.cluster.UsedPMs()...)
+	for _, pm := range s.active {
 		if !pm.Active() {
 			continue // emptied by an earlier migration this step
 		}
@@ -515,21 +537,31 @@ func (s *Simulation) consolidate(pm *placement.PM, res *Result) {
 }
 
 // actualCPU returns the PM's per-CPU-dimension actual load in units
-// (requested units scaled by each VM's trace at the step).
+// (requested units scaled by each VM's trace at the step). The result
+// is a buffer the next call overwrites.
+//
+//prvm:hotpath
 func (s *Simulation) actualCPU(pm *placement.PM, step int) []float64 {
 	gi := pm.Shape.GroupIndex(s.cfg.CPUGroup)
 	if gi < 0 {
 		return nil
 	}
 	lo, hi := pm.Shape.GroupRange(gi)
-	// Accumulate in sorted VM order: float addition is not associative,
-	// so summing in map order would make the load (and every threshold
-	// decision downstream) differ bit-for-bit between runs of one seed.
-	vms := pm.VMs()
-	load := make([]float64, hi-lo)
-	for _, id := range pm.VMIDs() {
-		u := s.loads[id].At(step)
-		for _, du := range vms[id].Assign {
+	load := s.load[:hi-lo]
+	clear(load)
+	n := len(s.col)
+	row := s.util[step*n : (step+1)*n]
+	// Accumulate in the hosted set's ascending VM-id order: float
+	// addition is not associative, so map order would make the load (and
+	// every threshold decision downstream) differ bit-for-bit between
+	// runs of one seed. A VM without a workload has no trace.
+	for _, h := range pm.HostedVMs() {
+		c, ok := s.col[h.VM.ID]
+		if !ok {
+			continue
+		}
+		u := row[c]
+		for _, du := range h.Assign {
 			if du.Dim >= lo && du.Dim < hi {
 				load[du.Dim-lo] += float64(du.Units) * u
 			}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"pagerankvm/internal/opt"
 )
@@ -119,7 +120,7 @@ func (g PlanetLab) Series(vmID, steps int) Series {
 	}
 	// The daily peak hour is common to the whole workload (seed-
 	// derived), individual VMs jitter around it.
-	globalPhase := rand.New(rand.NewSource(g.Seed)).Float64() * 2 * math.Pi
+	globalPhase := planetLabPhase(g.Seed)
 	rng := rand.New(rand.NewSource(g.Seed*1000003 + int64(vmID)))
 
 	var (
@@ -144,6 +145,28 @@ func (g PlanetLab) Series(vmID, steps int) Series {
 		burst *= 0.5
 	}
 	return samples
+}
+
+// seededPhase is the PlanetLab daily phase of one seed.
+type seededPhase struct {
+	seed  int64
+	phase float64
+}
+
+// lastPhase caches the last seed's phase: a workload's VMs share one
+// seed, and seeding a source per VM only to draw it cost as much as
+// each series' own source.
+var lastPhase atomic.Pointer[seededPhase]
+
+// planetLabPhase returns the seed-wide daily phase. Concurrent
+// generators with different seeds only replace each other's entry.
+func planetLabPhase(seed int64) float64 {
+	if p := lastPhase.Load(); p != nil && p.seed == seed {
+		return p.phase
+	}
+	p := &seededPhase{seed, rand.New(rand.NewSource(seed)).Float64() * 2 * math.Pi}
+	lastPhase.Store(p)
+	return p.phase
 }
 
 // Google mimics the Google cluster usage trace: lower average
