@@ -84,7 +84,7 @@ func BenchmarkFigure2ProfileQuality(b *testing.B) {
 // PageRankVM and FF medians of the figure's metric.
 func benchSimFigure(b *testing.B, traceName string, metric experiments.Metric) {
 	b.Helper()
-	var last *experiments.SimSweep
+	var last *experiments.Sweep
 	for i := 0; i < b.N; i++ {
 		sweep, err := experiments.RunSimSweep(experiments.SimConfig{
 			Trace:      traceName,
@@ -98,17 +98,23 @@ func benchSimFigure(b *testing.B, traceName string, metric experiments.Metric) {
 		}
 		last = sweep
 	}
-	reportCells(b, last.Cells, metric)
+	reportCells(b, last, metric)
 }
 
-func reportCells(b *testing.B, cells []experiments.SimCell, metric experiments.Metric) {
+// reportCells reports the PageRankVM and FF medians of one metric of a
+// single-point sweep.
+func reportCells(b *testing.B, sweep *experiments.Sweep, metric experiments.Metric) {
 	b.Helper()
-	for _, c := range cells {
+	for _, c := range sweep.Cells {
+		sum, ok := c.Summaries[metric]
+		if !ok {
+			continue
+		}
 		switch c.Algorithm {
 		case "PageRankVM":
-			b.ReportMetric(c.Summary(metric).Median, "prvm")
+			b.ReportMetric(sum.Median, "prvm")
 		case "FF":
-			b.ReportMetric(c.Summary(metric).Median, "ff")
+			b.ReportMetric(sum.Median, "ff")
 		}
 	}
 }
@@ -149,7 +155,7 @@ func BenchmarkFigure7bSLOGoogle(b *testing.B) {
 
 func benchTestbedFigure(b *testing.B, metric experiments.Metric) {
 	b.Helper()
-	var last *experiments.TestbedSweep
+	var last *experiments.Sweep
 	for i := 0; i < b.N; i++ {
 		sweep, err := experiments.RunTestbedSweep(experiments.TestbedConfig{
 			NumJobs: []int{60},
@@ -162,18 +168,7 @@ func benchTestbedFigure(b *testing.B, metric experiments.Metric) {
 		}
 		last = sweep
 	}
-	for _, c := range last.Cells {
-		sum, ok := c.Summary(metric)
-		if !ok {
-			continue
-		}
-		switch c.Algorithm {
-		case "PageRankVM":
-			b.ReportMetric(sum.Median, "prvm")
-		case "FF":
-			b.ReportMetric(sum.Median, "ff")
-		}
-	}
+	reportCells(b, last, metric)
 }
 
 func BenchmarkFigure4aTestbedPMs(b *testing.B) {
@@ -410,11 +405,8 @@ func BenchmarkExtensionConsolidation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, c := range sweep.Cells {
-				if c.Algorithm == "PageRankVM" {
-					energyKWh = c.EnergyKWh.Median
-				}
-			}
+			c, _ := sweep.Cell("PageRankVM", 200)
+			energyKWh = c.Summaries[experiments.MetricEnergy].Median
 		}
 		b.ReportMetric(energyKWh, "kwh")
 	}

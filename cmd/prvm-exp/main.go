@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"pagerankvm/internal/experiments"
-	"pagerankvm/internal/ranktable"
 )
 
 func main() {
@@ -61,93 +60,12 @@ func run(args []string) error {
 	}
 
 	start := time.Now()
-	out := os.Stdout
-
-	fmt.Fprintf(out, "PageRankVM evaluation harness — reps=%d, vms=%v, jobs=%v, seed=%d\n\n",
-		*reps, vmCounts, jobCounts, *seed)
-
-	// Tables I-III.
-	for _, write := range []func() error{
-		func() error { return experiments.WriteTable1(out) },
-		func() error { return experiments.WriteTable2(out) },
-		func() error { return experiments.WriteTable3(out) },
-	} {
-		if err := write(); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-
-	// Figures 1 and 2 (profile ranking).
-	if err := experiments.WriteFigure1(out, ranktable.Options{Obs: observer}); err != nil {
+	if err := experiments.WriteEvaluation(os.Stdout,
+		experiments.SimConfig{NumVMs: vmCounts, Reps: *reps, Seed: *seed, Obs: observer},
+		experiments.TestbedConfig{NumJobs: jobCounts, Reps: *reps, Seed: *seed, Steps: *steps, Obs: observer},
+	); err != nil {
 		return err
 	}
-	fmt.Fprintln(out)
-	if err := experiments.WriteFigure2(out, ranktable.Options{Obs: observer}); err != nil {
-		return err
-	}
-	fmt.Fprintln(out)
-
-	// Simulation sweeps (Figures 3, 5, 6, 7).
-	type simFig struct {
-		metric experiments.Metric
-		title  string
-	}
-	for _, tr := range []string{"planetlab", "google"} {
-		fmt.Fprintf(os.Stderr, "simulation sweep (%s)...\n", tr)
-		sweep, err := experiments.RunSimSweep(experiments.SimConfig{
-			Trace:  tr,
-			NumVMs: vmCounts,
-			Reps:   *reps,
-			Seed:   *seed,
-			Obs:    observer,
-		})
-		if err != nil {
-			return err
-		}
-		sub := "a"
-		if tr == "google" {
-			sub = "b"
-		}
-		for _, f := range []simFig{
-			{metric: experiments.MetricPMs, title: "Figure 3(" + sub + "): PMs used"},
-			{metric: experiments.MetricEnergy, title: "Figure 5(" + sub + "): energy"},
-			{metric: experiments.MetricMigrations, title: "Figure 6(" + sub + "): migrations"},
-			{metric: experiments.MetricSLO, title: "Figure 7(" + sub + "): SLO violations"},
-		} {
-			if err := sweep.WriteFigure(out, f.metric, f.title); err != nil {
-				return err
-			}
-			fmt.Fprintln(out)
-		}
-	}
-
-	// Testbed sweeps (Figures 4 and 8).
-	fmt.Fprintln(os.Stderr, "testbed sweep...")
-	tb, err := experiments.RunTestbedSweep(experiments.TestbedConfig{
-		NumJobs: jobCounts,
-		Reps:    *reps,
-		Seed:    *seed,
-		Steps:   *steps,
-		Obs:     observer,
-	})
-	if err != nil {
-		return err
-	}
-	for _, f := range []struct {
-		metric experiments.Metric
-		title  string
-	}{
-		{metric: experiments.MetricPMs, title: "Figure 4(a): PMs used"},
-		{metric: experiments.MetricMigrations, title: "Figure 4(b): migrations"},
-		{metric: experiments.MetricSLO, title: "Figure 8: SLO violations"},
-	} {
-		if err := tb.WriteFigure(out, f.metric, f.title); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-
-	fmt.Fprintf(out, "total wall time: %v\n", time.Since(start).Round(time.Second))
+	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Second))
 	return writeMetrics()
 }

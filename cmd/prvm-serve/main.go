@@ -5,7 +5,7 @@
 // Usage:
 //
 //	prvm-serve [-addr :8080] [-data dir] [-shards n] [-pms n]
-//	           [-seed s] [-fsync] [-batch-max n]
+//	           [-seed s] [-fsync]
 //	           [-snapshot-every n] [-rebalance-every d]
 //	           [-rebalance-budget n] [-rebalance-pm-budget n]
 //	           [-drain-below f]
@@ -52,11 +52,10 @@ func run(args []string) error {
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
 		dataDir   = fs.String("data", "", "durability directory for WAL + snapshots (empty = in-memory)")
-		shards    = fs.Int("shards", 0, "state shards (0 = one per CPU, capped at 8)")
+		shards    = fs.Int("shards", 0, "state shards (0 = default, 4)")
 		pms       = fs.Int("pms", 64, "PMs per Table II type")
 		seed      = fs.Int64("seed", 1, "base placer seed")
 		fsync     = fs.Bool("fsync", false, "fsync the WAL before acknowledging (durable across power loss)")
-		batchMax  = fs.Int("batch-max", 0, "max placements per admission batch (0 = default)")
 		snapEvery = fs.Int64("snapshot-every", 0, "ops between automatic snapshots (0 = default, <0 disables)")
 		rebEvery  = fs.Duration("rebalance-every", 0, "period between background descheduler rounds (0 disables the loop)")
 		rebBudget = fs.Int("rebalance-budget", 0, "max migrations per descheduler round (0 = default)")
@@ -89,7 +88,6 @@ func run(args []string) error {
 		Seed:           *seed,
 		DataDir:        *dataDir,
 		Fsync:          *fsync,
-		BatchMax:       *batchMax,
 		SnapshotEvery:  *snapEvery,
 		Obs:            observer,
 		Sink:           ring,

@@ -34,29 +34,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
 	"pagerankvm/internal/experiments"
 )
-
-// figure maps a figure id to its trace and metric.
-var figures = map[string]struct {
-	trace  string
-	metric experiments.Metric
-	title  string
-}{
-	"3a": {trace: "planetlab", metric: experiments.MetricPMs, title: "Figure 3(a): PMs used"},
-	"3b": {trace: "google", metric: experiments.MetricPMs, title: "Figure 3(b): PMs used"},
-	"5a": {trace: "planetlab", metric: experiments.MetricEnergy, title: "Figure 5(a): energy"},
-	"5b": {trace: "google", metric: experiments.MetricEnergy, title: "Figure 5(b): energy"},
-	"6a": {trace: "planetlab", metric: experiments.MetricMigrations, title: "Figure 6(a): migrations"},
-	"6b": {trace: "google", metric: experiments.MetricMigrations, title: "Figure 6(b): migrations"},
-	"7a": {trace: "planetlab", metric: experiments.MetricSLO, title: "Figure 7(a): SLO violations"},
-	"7b": {trace: "google", metric: experiments.MetricSLO, title: "Figure 7(b): SLO violations"},
-}
-
-var figureOrder = []string{"3a", "3b", "5a", "5b", "6a", "6b", "7a", "7b"}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -92,17 +75,14 @@ func run(args []string) error {
 		return err
 	}
 
-	wanted := figureOrder
-	if *fig != "all" {
-		if _, ok := figures[*fig]; !ok {
-			return fmt.Errorf("unknown figure %q", *fig)
-		}
-		wanted = []string{*fig}
+	wanted, err := experiments.SelectFigures(*fig, false)
+	if err != nil {
+		return err
 	}
 
 	if *recPath != "" {
 		return runRecord(*recPath, experiments.RecordConfig{
-			Trace:               figures[wanted[0]].trace,
+			Trace:               wanted[0].Trace,
 			Seed:                *seed,
 			NumVMs:              counts[0],
 			PMsPerType:          *pms,
@@ -120,37 +100,18 @@ func run(args []string) error {
 	}
 
 	// One sweep per needed trace, reused by every requested figure.
-	sweeps := make(map[string]*experiments.SimSweep)
-	for _, id := range wanted {
-		tr := figures[id].trace
-		if _, done := sweeps[tr]; done {
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "running %s sweep: vms=%v reps=%d...\n", tr, counts, *reps)
-		sweep, err := experiments.RunSimSweep(experiments.SimConfig{
-			Trace:      tr,
-			NumVMs:     counts,
-			Reps:       *reps,
-			Seed:       *seed,
-			PMsPerType: *pms,
-			Obs:        observer,
-		})
-		if err != nil {
-			return err
-		}
-		sweeps[tr] = sweep
-	}
-	for i, id := range wanted {
-		if i > 0 {
-			fmt.Println()
-		}
-		f := figures[id]
-		if err := sweeps[f.trace].WriteFigure(os.Stdout, f.metric, f.title); err != nil {
-			return err
-		}
+	sweeps, err := experiments.RunFigures(os.Stdout, wanted, experiments.SimConfig{
+		NumVMs:     counts,
+		Reps:       *reps,
+		Seed:       *seed,
+		PMsPerType: *pms,
+		Obs:        observer,
+	}, experiments.TestbedConfig{})
+	if err != nil {
+		return err
 	}
 	if *series != "" {
-		tr := figures[wanted[0]].trace
+		tr := wanted[0].Trace
 		fmt.Fprintf(os.Stderr, "recording %s time series at %d VMs...\n", tr, counts[0])
 		ts, err := experiments.RunTimeSeries(experiments.SimConfig{
 			Trace:      tr,
@@ -162,36 +123,15 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		out, err := os.Create(*series)
-		if err != nil {
+		if err := experiments.WriteFile(*series, ts.WriteCSV); err != nil {
 			return err
 		}
-		if err := ts.WriteCSV(out); err != nil {
-			_ = out.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *series)
 	}
 	if *csvPath != "" {
-		out, err := os.Create(*csvPath)
+		err := experiments.WriteFile(*csvPath, func(w io.Writer) error { return experiments.WriteCSV(w, sweeps...) })
 		if err != nil {
 			return err
 		}
-		for _, sweep := range sweeps {
-			if err := sweep.WriteCSV(out); err != nil {
-				_ = out.Close()
-				return err
-			}
-		}
-		// Write path: the close error is the last chance to hear about
-		// a truncated CSV.
-		if err := out.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
 	}
 	return writeMetrics()
 }

@@ -27,23 +27,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pagerankvm/internal/experiments"
 	"pagerankvm/internal/opt"
 	"pagerankvm/internal/testbed"
 )
-
-var figures = map[string]struct {
-	metric experiments.Metric
-	title  string
-}{
-	"4a": {metric: experiments.MetricPMs, title: "Figure 4(a): PMs used"},
-	"4b": {metric: experiments.MetricMigrations, title: "Figure 4(b): migrations"},
-	"8":  {metric: experiments.MetricSLO, title: "Figure 8: SLO violations"},
-}
-
-var figureOrder = []string{"4a", "4b", "8"}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -81,12 +71,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	wanted := figureOrder
-	if *fig != "all" {
-		if _, ok := figures[*fig]; !ok {
-			return fmt.Errorf("unknown figure %q", *fig)
-		}
-		wanted = []string{*fig}
+	wanted, err := experiments.SelectFigures(*fig, true)
+	if err != nil {
+		return err
 	}
 
 	transport := testbed.TransportInMemory
@@ -104,9 +91,7 @@ func run(args []string) error {
 		}
 		faultCfg = &cfg
 	}
-	fmt.Fprintf(os.Stderr, "running testbed sweep: jobs=%v reps=%d steps=%d pms=%d...\n",
-		counts, *reps, *steps, *pms)
-	sweep, err := experiments.RunTestbedSweep(experiments.TestbedConfig{
+	sweeps, err := experiments.RunFigures(os.Stdout, wanted, experiments.SimConfig{}, experiments.TestbedConfig{
 		NumJobs:      counts,
 		Reps:         *reps,
 		Seed:         *seed,
@@ -122,30 +107,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	for i, id := range wanted {
-		if i > 0 {
-			fmt.Println()
-		}
-		f := figures[id]
-		if err := sweep.WriteFigure(os.Stdout, f.metric, f.title); err != nil {
-			return err
-		}
-	}
 	if *csvPath != "" {
-		out, err := os.Create(*csvPath)
+		err := experiments.WriteFile(*csvPath, func(w io.Writer) error { return experiments.WriteCSV(w, sweeps...) })
 		if err != nil {
 			return err
 		}
-		if err := sweep.WriteCSV(out); err != nil {
-			_ = out.Close()
-			return err
-		}
-		// Write path: the close error is the last chance to hear about
-		// a truncated CSV.
-		if err := out.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
 	}
 	return writeMetrics()
 }

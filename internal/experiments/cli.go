@@ -2,12 +2,107 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"pagerankvm/internal/obs"
+	"pagerankvm/internal/ranktable"
 )
+
+// WriteEvaluation writes every table and figure of the paper's
+// evaluation to w — prvm-exp's report: Tables I–III, Figures 1 and 2,
+// then the figures of the PlanetLab, Google and testbed sweeps, each
+// followed by a blank line. The header reports sim's reps and seed.
+func WriteEvaluation(w io.Writer, sim SimConfig, tb TestbedConfig) error {
+	fmt.Fprintf(w, "PageRankVM evaluation harness — reps=%d, vms=%v, jobs=%v, seed=%d\n\n",
+		sim.Reps, sim.NumVMs, tb.NumJobs, sim.Seed)
+	rank := ranktable.Options{Obs: sim.Obs}
+	for _, write := range []func() error{
+		func() error { return WriteTable1(w) },
+		func() error { return WriteTable2(w) },
+		func() error { return WriteTable3(w) },
+		func() error { return WriteFigure1(w, rank) },
+		func() error { return WriteFigure2(w, rank) },
+	} {
+		if err := write(); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+	}
+	var figs []Figure
+	for _, tr := range []string{"planetlab", "google", Testbed} {
+		for _, f := range Figures {
+			if f.Trace == tr {
+				figs = append(figs, f)
+			}
+		}
+	}
+	if _, err := RunFigures(w, figs, sim, tb); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintln(w)
+	return err
+}
+
+// SelectFigures returns the simulation's figures, or the testbed's
+// when testbed is set: all of them in paper order when id is "all",
+// else the one with that ID.
+func SelectFigures(id string, testbed bool) ([]Figure, error) {
+	var out []Figure
+	for _, f := range Figures {
+		if (f.Trace == Testbed) == testbed && (id == "all" || id == f.ID) {
+			out = append(out, f)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown figure %q", id)
+	}
+	return out, nil
+}
+
+// RunFigures writes the figures' tables to w, a blank line apart. It
+// runs each sweep they need once, when the first figure needs it —
+// RunSimSweep of sim at the figure's trace, or RunTestbedSweep of tb —
+// and returns the sweeps in that order.
+func RunFigures(w io.Writer, figs []Figure, sim SimConfig, tb TestbedConfig) ([]*Sweep, error) {
+	var sweeps []*Sweep
+	byTrace := map[string]*Sweep{}
+	for i, f := range figs {
+		s := byTrace[f.Trace]
+		if s == nil {
+			var err error
+			if s, err = runSweep(f.Trace, sim, tb); err != nil {
+				return nil, err
+			}
+			byTrace[f.Trace] = s
+			sweeps = append(sweeps, s)
+		}
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		if err := s.WriteFigure(w, f.Metric, f.Title); err != nil {
+			return nil, err
+		}
+	}
+	return sweeps, nil
+}
+
+// runSweep runs the sweep behind one trace (or Testbed), announcing it
+// on stderr.
+func runSweep(trace string, sim SimConfig, tb TestbedConfig) (*Sweep, error) {
+	if trace == Testbed {
+		tb = tb.withDefaults()
+		fmt.Fprintf(os.Stderr, "running testbed sweep: jobs=%v reps=%d steps=%d pms=%d...\n",
+			tb.NumJobs, tb.Reps, tb.Steps, tb.NumPMs)
+		return RunTestbedSweep(tb)
+	}
+	sim.Trace = trace
+	sim = sim.withDefaults()
+	fmt.Fprintf(os.Stderr, "running %s sweep: vms=%v reps=%d...\n", trace, sim.NumVMs, sim.Reps)
+	return RunSimSweep(sim)
+}
 
 // ParseCounts parses a comma-separated list of positive integers — the
 // -vms and -jobs flags of the sweep commands.
@@ -21,6 +116,27 @@ func ParseCounts(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
+}
+
+// WriteFile creates path, fills it with write and closes it, then
+// reports the write on stderr — the sweep commands' -csv and -series
+// outputs.
+func WriteFile(path string, write func(io.Writer) error) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(out); err != nil {
+		_ = out.Close()
+		return err
+	}
+	// Write path: the close error is the last chance to hear about a
+	// truncated file.
+	if err := out.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	return nil
 }
 
 // Telemetry is the sweep commands' -obsaddr / -metrics-out wiring. It

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pagerankvm/internal/deschedule"
-	"pagerankvm/internal/energy"
 	"pagerankvm/internal/obs/record"
 	"pagerankvm/internal/placement"
 	"pagerankvm/internal/ranktable"
@@ -124,35 +123,13 @@ func ConfigFromMeta(m record.RunMeta) (RecordConfig, error) {
 // run — useful for timing the replay itself.
 func RunRecorded(cfg RecordConfig, rec *record.Recorder) (sim.Result, error) {
 	cfg = cfg.withDefaults()
-	cat, err := AmazonCatalog()
+	in, err := newSimInputs(ranktable.Options{Recorder: rec})
 	if err != nil {
 		return sim.Result{}, err
 	}
-	reg, err := cat.BuildRegistry(ranktable.Options{Recorder: rec})
+	workloads, err := in.workloads(cfg.Trace, WorkloadConfig{}, cfg.NumVMs, cfg.Seed, cfg.Steps)
 	if err != nil {
 		return sim.Result{}, err
-	}
-	gen, err := trace.ByName(cfg.Trace, cfg.Seed)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	workloads, err := cat.GenWorkloads(gen, WorkloadConfig{
-		NumVMs: cfg.NumVMs,
-		Seed:   cfg.Seed,
-		Steps:  cfg.Steps,
-	})
-	if err != nil {
-		return sim.Result{}, err
-	}
-	placer := placement.NewPageRankVM(reg,
-		placement.WithSeed(cfg.Seed), placement.WithRecorder(rec))
-	models := map[string]*energy.Model{}
-	for _, pm := range cat.PMs {
-		m, err := energy.ByName(pm.Power)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		models[pm.Name] = m
 	}
 	scfg := sim.Config{
 		Horizon:        time.Duration(cfg.Steps) * sim.DefaultInterval,
@@ -164,12 +141,8 @@ func RunRecorded(cfg RecordConfig, rec *record.Recorder) (sim.Result, error) {
 			DrainBelow:       cfg.RebalanceDrainBelow,
 		},
 	}
-	s, err := sim.New(scfg, cat.BuildCluster(cfg.PMsPerType), placer,
-		placement.RankEvictor{Placer: placer}, models, workloads)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return s.Run()
+	return in.simulate(scfg, "PageRankVM", cfg.PMsPerType, workloads,
+		placement.WithSeed(cfg.Seed), placement.WithRecorder(rec))
 }
 
 // Replay reconstructs the run a recording header describes and returns

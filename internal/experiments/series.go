@@ -6,9 +6,8 @@ import (
 	"io"
 	"strconv"
 
-	"pagerankvm/internal/energy"
+	"pagerankvm/internal/placement"
 	"pagerankvm/internal/sim"
-	"pagerankvm/internal/trace"
 )
 
 // TimeSeries holds one simulated day's per-interval dynamics for every
@@ -24,57 +23,28 @@ type TimeSeries struct {
 // every monitoring interval via the simulator's observer hook.
 func RunTimeSeries(cfg SimConfig, numVMs int) (*TimeSeries, error) {
 	cfg = cfg.withDefaults()
-	cat, err := AmazonCatalog()
+	in, err := newSimInputs(cfg.Rank)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Rank.Obs == nil {
-		cfg.Rank.Obs = cfg.Obs
-	}
-	reg, err := cat.BuildRegistry(cfg.Rank)
+	workloads, err := in.workloads(cfg.Trace, cfg.Workload, numVMs, cfg.Seed, sim.Config{}.Steps())
 	if err != nil {
 		return nil, err
 	}
-	models := map[string]*energy.Model{}
-	for _, pm := range cat.PMs {
-		m, err := energy.ByName(pm.Power)
-		if err != nil {
-			return nil, err
-		}
-		models[pm.Name] = m
-	}
-	gen, err := trace.ByName(cfg.Trace, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	wcfg := cfg.Workload
-	wcfg.NumVMs = numVMs
-	wcfg.Seed = cfg.Seed
-	wcfg.Steps = sim.Config{}.Steps()
-	workloads, err := cat.GenWorkloads(gen, wcfg)
-	if err != nil {
-		return nil, err
-	}
-
 	out := &TimeSeries{
 		Trace:  cfg.Trace,
 		NumVMs: numVMs,
 		Steps:  make(map[string][]sim.StepStats, len(AlgorithmNames)),
 	}
 	for _, name := range AlgorithmNames {
-		placer, evictor := buildAlgorithmObserved(name, reg, cfg.Seed, cfg.Obs)
-		cluster := cat.BuildCluster(cfg.PMsPerType)
 		var steps []sim.StepStats
 		simCfg := sim.Config{
 			UnderloadThreshold: cfg.Underload,
 			Observer:           func(s sim.StepStats) { steps = append(steps, s) },
 			Obs:                cfg.Obs,
 		}
-		run, err := sim.New(simCfg, cluster, placer, evictor, models, workloads)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: series %s: %w", name, err)
-		}
-		if _, err := run.Run(); err != nil {
+		if _, err := in.simulate(simCfg, name, cfg.PMsPerType, workloads,
+			placement.WithSeed(cfg.Seed), placement.WithObserver(cfg.Obs)); err != nil {
 			return nil, fmt.Errorf("experiments: series %s: %w", name, err)
 		}
 		out.Steps[name] = steps

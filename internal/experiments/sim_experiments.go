@@ -1,24 +1,13 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"text/tabwriter"
-
 	"pagerankvm/internal/energy"
-	"pagerankvm/internal/metrics"
 	"pagerankvm/internal/obs"
 	"pagerankvm/internal/placement"
 	"pagerankvm/internal/ranktable"
 	"pagerankvm/internal/sim"
 	"pagerankvm/internal/trace"
 )
-
-// Algorithms evaluated in the paper, in its presentation order.
-var AlgorithmNames = []string{"PageRankVM", "FF", "FFDSum", "CompVM"}
 
 // SimConfig parameterizes the simulation sweeps behind Figures 3, 5,
 // 6 and 7.
@@ -64,43 +53,63 @@ func (c SimConfig) withDefaults() SimConfig {
 	if c.PMsPerType == 0 {
 		c.PMsPerType = 400
 	}
+	if c.Rank.Obs == nil {
+		c.Rank.Obs = c.Obs
+	}
 	return c
-}
-
-// SimCell is one (algorithm, numVMs) cell of a sweep: the four
-// metric summaries over the repetitions.
-type SimCell struct {
-	Algorithm  string
-	NumVMs     int
-	PMsUsed    metrics.Summary
-	EnergyKWh  metrics.Summary
-	Migrations metrics.Summary
-	SLOPct     metrics.Summary
-}
-
-// SimSweep holds the full grid for one trace — the data behind one
-// column of Figures 3, 5, 6 and 7.
-type SimSweep struct {
-	Trace string
-	Cells []SimCell
 }
 
 // RunSimSweep runs the paper's simulation grid: every algorithm at
 // every VM count, Reps times each, and summarizes the four metrics.
-func RunSimSweep(cfg SimConfig) (*SimSweep, error) {
+func RunSimSweep(cfg SimConfig) (*Sweep, error) {
 	cfg = cfg.withDefaults()
+	in, err := newSimInputs(cfg.Rank)
+	if err != nil {
+		return nil, err
+	}
+	s := &Sweep{
+		Trace:   cfg.Trace,
+		Source:  cfg.Trace + " trace",
+		Unit:    "VMs",
+		Metrics: []Metric{MetricPMs, MetricEnergy, MetricMigrations, MetricSLO},
+	}
+	err = s.run(cfg.NumVMs, cfg.Reps, cfg.Seed, func(n int, seed int64) (func(string) ([]float64, error), error) {
+		workloads, err := in.workloads(cfg.Trace, cfg.Workload, n, seed, sim.Config{}.Steps())
+		if err != nil {
+			return nil, err
+		}
+		return func(alg string) ([]float64, error) {
+			res, err := in.simulate(sim.Config{UnderloadThreshold: cfg.Underload, Obs: cfg.Obs},
+				alg, cfg.PMsPerType, workloads, placement.WithSeed(seed), placement.WithObserver(cfg.Obs))
+			return []float64{float64(res.PMsUsed), res.EnergyKWh, float64(res.Migrations), res.SLOViolationPct}, err
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// simInputs is what every simulated run over the Amazon catalog
+// shares: the catalog, its rank tables and its hosts' power models.
+type simInputs struct {
+	cat    *Catalog
+	reg    *ranktable.Registry
+	models map[string]*energy.Model
+}
+
+// newSimInputs builds the catalog's rank tables with opts and looks up
+// the power model of every PM type.
+func newSimInputs(opts ranktable.Options) (*simInputs, error) {
 	cat, err := AmazonCatalog()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Rank.Obs == nil {
-		cfg.Rank.Obs = cfg.Obs
-	}
-	reg, err := cat.BuildRegistry(cfg.Rank)
+	reg, err := cat.BuildRegistry(opts)
 	if err != nil {
 		return nil, err
 	}
-	models := map[string]*energy.Model{}
+	models := make(map[string]*energy.Model, len(cat.PMs))
 	for _, pm := range cat.PMs {
 		m, err := energy.ByName(pm.Power)
 		if err != nil {
@@ -108,211 +117,29 @@ func RunSimSweep(cfg SimConfig) (*SimSweep, error) {
 		}
 		models[pm.Name] = m
 	}
-
-	sweep := &SimSweep{Trace: cfg.Trace}
-	for _, n := range cfg.NumVMs {
-		results := make(map[string]*simAccum, len(AlgorithmNames))
-		for _, name := range AlgorithmNames {
-			results[name] = &simAccum{}
-		}
-		for rep := 0; rep < cfg.Reps; rep++ {
-			seed := cfg.Seed + int64(rep)
-			gen, err := trace.ByName(cfg.Trace, seed)
-			if err != nil {
-				return nil, err
-			}
-			wcfg := cfg.Workload
-			wcfg.NumVMs = n
-			wcfg.Seed = seed
-			wcfg.Steps = sim.Config{}.Steps()
-			workloads, err := cat.GenWorkloads(gen, wcfg)
-			if err != nil {
-				return nil, err
-			}
-			for _, name := range AlgorithmNames {
-				placer, evictor := buildAlgorithmObserved(name, reg, seed, cfg.Obs)
-				cluster := cat.BuildCluster(cfg.PMsPerType)
-				// Workloads are stateless inputs; a fresh copy of the
-				// VM structs is not needed because placement never
-				// mutates them, but each run needs its own cluster.
-				s, err := sim.New(sim.Config{UnderloadThreshold: cfg.Underload, Obs: cfg.Obs},
-					cluster, placer, evictor, models, workloads)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s n=%d rep=%d: %w", name, n, rep, err)
-				}
-				res, err := s.Run()
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s n=%d rep=%d: %w", name, n, rep, err)
-				}
-				results[name].add(res)
-			}
-		}
-		for _, name := range AlgorithmNames {
-			a := results[name]
-			sweep.Cells = append(sweep.Cells, SimCell{
-				Algorithm:  name,
-				NumVMs:     n,
-				PMsUsed:    metrics.Summarize(a.pms),
-				EnergyKWh:  metrics.Summarize(a.energy),
-				Migrations: metrics.Summarize(a.migr),
-				SLOPct:     metrics.Summarize(a.slo),
-			})
-		}
-	}
-	return sweep, nil
+	return &simInputs{cat: cat, reg: reg, models: models}, nil
 }
 
-type simAccum struct {
-	pms, energy, migr, slo []float64
+// workloads generates one run's request stream: n VMs over steps
+// monitoring intervals, seeded seed, tuned by w, with utilization from
+// the named trace.
+func (in *simInputs) workloads(traceName string, w WorkloadConfig, n int, seed int64, steps int) ([]sim.Workload, error) {
+	gen, err := trace.ByName(traceName, seed)
+	if err != nil {
+		return nil, err
+	}
+	w.NumVMs, w.Seed, w.Steps = n, seed, steps
+	return in.cat.GenWorkloads(gen, w)
 }
 
-func (a *simAccum) add(r sim.Result) {
-	a.pms = append(a.pms, float64(r.PMsUsed))
-	a.energy = append(a.energy, r.EnergyKWh)
-	a.migr = append(a.migr, float64(r.Migrations))
-	a.slo = append(a.slo, r.SLOViolationPct)
-}
-
-// buildAlgorithm instantiates the placer and eviction policy for one
-// of the paper's four algorithms. Baselines use CloudSim's default
-// minimum-migration-time eviction, as the paper prescribes.
-func buildAlgorithm(name string, reg *ranktable.Registry, seed int64) (placement.Placer, placement.Evictor) {
-	return buildAlgorithmObserved(name, reg, seed, nil)
-}
-
-// buildAlgorithmObserved is buildAlgorithm with telemetry attached to
-// the PageRankVM placer (the baselines have no hot-path instruments).
-func buildAlgorithmObserved(name string, reg *ranktable.Registry, seed int64, o *obs.Observer) (placement.Placer, placement.Evictor) {
-	switch name {
-	case "FF":
-		return placement.FirstFit{}, placement.MMTEvictor{}
-	case "FFDSum":
-		return placement.FFDSum{}, placement.MMTEvictor{}
-	case "CompVM":
-		return placement.CompVM{}, placement.MMTEvictor{}
-	default: // PageRankVM
-		p := placement.NewPageRankVM(reg, placement.WithSeed(seed), placement.WithObserver(o))
-		return p, placement.RankEvictor{Placer: p}
+// simulate runs one algorithm over the workloads on a fresh cluster of
+// pmsPerType PMs per type; opts configure the PageRankVM placer.
+// Placement never mutates the workloads, so runs may share them.
+func (in *simInputs) simulate(cfg sim.Config, alg string, pmsPerType int, workloads []sim.Workload, opts ...placement.PageRankOption) (sim.Result, error) {
+	placer, evictor := newAlgorithm(alg, in.reg, opts...)
+	s, err := sim.New(cfg, in.cat.BuildCluster(pmsPerType), placer, evictor, in.models, workloads)
+	if err != nil {
+		return sim.Result{}, err
 	}
-}
-
-// Metric identifies one of the four reported metrics.
-type Metric int
-
-const (
-	MetricPMs Metric = iota
-	MetricEnergy
-	MetricMigrations
-	MetricSLO
-)
-
-// String implements fmt.Stringer.
-func (m Metric) String() string {
-	switch m {
-	case MetricPMs:
-		return "PMs used"
-	case MetricEnergy:
-		return "energy (kWh)"
-	case MetricMigrations:
-		return "VM migrations"
-	default:
-		return "SLO violations (%)"
-	}
-}
-
-// Summary extracts one metric's summary from a cell.
-func (c SimCell) Summary(m Metric) metrics.Summary {
-	switch m {
-	case MetricPMs:
-		return c.PMsUsed
-	case MetricEnergy:
-		return c.EnergyKWh
-	case MetricMigrations:
-		return c.Migrations
-	default:
-		return c.SLOPct
-	}
-}
-
-// WriteFigure renders one figure's data (one metric of the sweep) as
-// the median [p1, p99] series the paper plots.
-func (s *SimSweep) WriteFigure(w io.Writer, m Metric, title string) error {
-	if _, err := fmt.Fprintf(w, "%s — %s trace, metric: %s\n", title, s.Trace, m); err != nil {
-		return err
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	counts := s.vmCounts()
-	fmt.Fprint(tw, "algorithm")
-	for _, n := range counts {
-		fmt.Fprintf(tw, "\t%d VMs", n)
-	}
-	fmt.Fprintln(tw)
-	for _, alg := range AlgorithmNames {
-		fmt.Fprint(tw, alg)
-		for _, n := range counts {
-			cell, ok := s.cell(alg, n)
-			if !ok {
-				fmt.Fprint(tw, "\t-")
-				continue
-			}
-			sum := cell.Summary(m)
-			fmt.Fprintf(tw, "\t%.1f [%.1f, %.1f]", sum.Median, sum.P1, sum.P99)
-		}
-		fmt.Fprintln(tw)
-	}
-	return tw.Flush()
-}
-
-// WriteCSV emits the sweep in tidy form — one row per (algorithm,
-// numVMs, metric) with median and percentile columns — ready for any
-// plotting tool.
-func (s *SimSweep) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"trace", "algorithm", "num_vms", "metric", "median", "p1", "p99", "reps"}); err != nil {
-		return err
-	}
-	for _, c := range s.Cells {
-		for _, m := range []Metric{MetricPMs, MetricEnergy, MetricMigrations, MetricSLO} {
-			sum := c.Summary(m)
-			rec := []string{
-				s.Trace,
-				c.Algorithm,
-				strconv.Itoa(c.NumVMs),
-				m.String(),
-				formatFloat(sum.Median),
-				formatFloat(sum.P1),
-				formatFloat(sum.P99),
-				strconv.Itoa(sum.N),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', 8, 64) }
-
-func (s *SimSweep) vmCounts() []int {
-	seen := map[int]bool{}
-	var counts []int
-	for _, c := range s.Cells {
-		if !seen[c.NumVMs] {
-			seen[c.NumVMs] = true
-			counts = append(counts, c.NumVMs)
-		}
-	}
-	sort.Ints(counts)
-	return counts
-}
-
-func (s *SimSweep) cell(alg string, n int) (SimCell, bool) {
-	for _, c := range s.Cells {
-		if c.Algorithm == alg && c.NumVMs == n {
-			return c, true
-		}
-	}
-	return SimCell{}, false
+	return s.Run()
 }

@@ -1,16 +1,10 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"text/tabwriter"
 	"time"
 
-	"pagerankvm/internal/metrics"
 	"pagerankvm/internal/obs"
+	"pagerankvm/internal/placement"
 	"pagerankvm/internal/ranktable"
 	"pagerankvm/internal/testbed"
 )
@@ -63,194 +57,62 @@ func (c TestbedConfig) withDefaults() TestbedConfig {
 	if c.Steps == 0 {
 		c.Steps = 1440
 	}
+	if c.Rank.Obs == nil {
+		c.Rank.Obs = c.Obs
+	}
 	return c
-}
-
-// TestbedCell is one (algorithm, numJobs) cell of the sweep.
-type TestbedCell struct {
-	Algorithm  string
-	NumJobs    int
-	PMsUsed    metrics.Summary
-	Migrations metrics.Summary
-	SLOPct     metrics.Summary
-}
-
-// TestbedSweep holds the grid behind Figures 4(a), 4(b) and 8.
-type TestbedSweep struct {
-	Cells []TestbedCell
 }
 
 // RunTestbedSweep runs the GENI emulation for every algorithm and job
 // count.
-func RunTestbedSweep(cfg TestbedConfig) (*TestbedSweep, error) {
+func RunTestbedSweep(cfg TestbedConfig) (*Sweep, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Rank.Obs == nil {
-		cfg.Rank.Obs = cfg.Obs
-	}
 	reg, err := testbed.NewRegistry(cfg.Rank)
 	if err != nil {
 		return nil, err
 	}
-	sweep := &TestbedSweep{}
-	for _, n := range cfg.NumJobs {
-		type accum struct{ pms, migr, slo []float64 }
-		results := make(map[string]*accum, len(AlgorithmNames))
-		for _, name := range AlgorithmNames {
-			results[name] = &accum{}
+	faults := cfg.Faults
+	if faults != nil && faults.Obs == nil {
+		f := *faults
+		f.Obs = cfg.Obs
+		faults = &f
+	}
+	s := &Sweep{
+		Source:  "GENI testbed emulation",
+		Unit:    "jobs",
+		Metrics: []Metric{MetricPMs, MetricMigrations, MetricSLO},
+	}
+	err = s.run(cfg.NumJobs, cfg.Reps, cfg.Seed, func(n int, seed int64) (func(string) ([]float64, error), error) {
+		jobs, err := testbed.GenJobs(testbed.NewJobVM, testbed.JobConfig{NumJobs: n, Steps: cfg.Steps, Seed: seed})
+		if err != nil {
+			return nil, err
 		}
-		for rep := 0; rep < cfg.Reps; rep++ {
-			seed := cfg.Seed + int64(rep)
-			jobs, err := testbed.GenJobs(testbed.NewJobVM, testbed.JobConfig{
-				NumJobs: n,
-				Steps:   cfg.Steps,
-				Seed:    seed,
-			})
+		return func(alg string) ([]float64, error) {
+			placer, evictor := newAlgorithm(alg, reg, placement.WithSeed(seed), placement.WithObserver(cfg.Obs))
+			h, err := testbed.LaunchWithFaults(cfg.NumPMs, cfg.Transport, faults)
 			if err != nil {
 				return nil, err
 			}
-			for _, name := range AlgorithmNames {
-				placer, evictor := buildAlgorithmObserved(name, reg, seed, cfg.Obs)
-				faults := cfg.Faults
-				if faults != nil && faults.Obs == nil {
-					f := *faults
-					f.Obs = cfg.Obs
-					faults = &f
-				}
-				h, err := testbed.LaunchWithFaults(cfg.NumPMs, cfg.Transport, faults)
-				if err != nil {
-					return nil, err
-				}
-				ctrl, err := testbed.NewController(testbed.Config{
-					Steps:        cfg.Steps,
-					CallTimeout:  cfg.CallTimeout,
-					CallRetries:  cfg.CallRetries,
-					RetryBackoff: cfg.RetryBackoff,
-					Obs:          cfg.Obs,
-				}, h.Cluster(), placer, evictor, h.Conns(), jobs)
-				if err != nil {
-					return nil, err
-				}
-				res, err := ctrl.Run()
-				if err != nil {
-					return nil, fmt.Errorf("experiments: testbed %s n=%d rep=%d: %w", name, n, rep, err)
-				}
-				h.Close()
-				a := results[name]
-				a.pms = append(a.pms, float64(res.PMsUsed))
-				a.migr = append(a.migr, float64(res.Migrations))
-				a.slo = append(a.slo, res.SLOViolationPct)
+			ctrl, err := testbed.NewController(testbed.Config{
+				Steps:        cfg.Steps,
+				CallTimeout:  cfg.CallTimeout,
+				CallRetries:  cfg.CallRetries,
+				RetryBackoff: cfg.RetryBackoff,
+				Obs:          cfg.Obs,
+			}, h.Cluster(), placer, evictor, h.Conns(), jobs)
+			if err != nil {
+				return nil, err
 			}
-		}
-		for _, name := range AlgorithmNames {
-			a := results[name]
-			sweep.Cells = append(sweep.Cells, TestbedCell{
-				Algorithm:  name,
-				NumJobs:    n,
-				PMsUsed:    metrics.Summarize(a.pms),
-				Migrations: metrics.Summarize(a.migr),
-				SLOPct:     metrics.Summarize(a.slo),
-			})
-		}
-	}
-	return sweep, nil
-}
-
-// Summary extracts one metric's summary from a testbed cell.
-// MetricEnergy is not measured on the testbed (the paper evaluates
-// energy in simulation only).
-func (c TestbedCell) Summary(m Metric) (metrics.Summary, bool) {
-	switch m {
-	case MetricPMs:
-		return c.PMsUsed, true
-	case MetricMigrations:
-		return c.Migrations, true
-	case MetricSLO:
-		return c.SLOPct, true
-	default:
-		return metrics.Summary{}, false
-	}
-}
-
-// WriteFigure renders one testbed figure (4a, 4b or 8).
-func (s *TestbedSweep) WriteFigure(w io.Writer, m Metric, title string) error {
-	if _, err := fmt.Fprintf(w, "%s — GENI testbed emulation, metric: %s\n", title, m); err != nil {
-		return err
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	counts := s.jobCounts()
-	fmt.Fprint(tw, "algorithm")
-	for _, n := range counts {
-		fmt.Fprintf(tw, "\t%d jobs", n)
-	}
-	fmt.Fprintln(tw)
-	for _, alg := range AlgorithmNames {
-		fmt.Fprint(tw, alg)
-		for _, n := range counts {
-			cell, ok := s.cell(alg, n)
-			if !ok {
-				fmt.Fprint(tw, "\t-")
-				continue
+			res, err := ctrl.Run()
+			if err != nil {
+				return nil, err
 			}
-			sum, ok := cell.Summary(m)
-			if !ok {
-				fmt.Fprint(tw, "\tn/a")
-				continue
-			}
-			fmt.Fprintf(tw, "\t%.1f [%.1f, %.1f]", sum.Median, sum.P1, sum.P99)
-		}
-		fmt.Fprintln(tw)
+			h.Close()
+			return []float64{float64(res.PMsUsed), float64(res.Migrations), res.SLOViolationPct}, nil
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return tw.Flush()
-}
-
-// WriteCSV emits the testbed sweep in tidy form.
-func (s *TestbedSweep) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"algorithm", "num_jobs", "metric", "median", "p1", "p99", "reps"}); err != nil {
-		return err
-	}
-	for _, c := range s.Cells {
-		for _, m := range []Metric{MetricPMs, MetricMigrations, MetricSLO} {
-			sum, ok := c.Summary(m)
-			if !ok {
-				continue
-			}
-			rec := []string{
-				c.Algorithm,
-				strconv.Itoa(c.NumJobs),
-				m.String(),
-				formatFloat(sum.Median),
-				formatFloat(sum.P1),
-				formatFloat(sum.P99),
-				strconv.Itoa(sum.N),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func (s *TestbedSweep) jobCounts() []int {
-	seen := map[int]bool{}
-	var counts []int
-	for _, c := range s.Cells {
-		if !seen[c.NumJobs] {
-			seen[c.NumJobs] = true
-			counts = append(counts, c.NumJobs)
-		}
-	}
-	sort.Ints(counts)
-	return counts
-}
-
-func (s *TestbedSweep) cell(alg string, n int) (TestbedCell, bool) {
-	for _, c := range s.Cells {
-		if c.Algorithm == alg && c.NumJobs == n {
-			return c, true
-		}
-	}
-	return TestbedCell{}, false
+	return s, nil
 }

@@ -126,14 +126,14 @@ func TestRunSimSweepSmoke(t *testing.T) {
 		t.Fatalf("cells = %d", len(sweep.Cells))
 	}
 	for _, c := range sweep.Cells {
-		if c.PMsUsed.N != 2 {
-			t.Fatalf("cell %s has %d reps", c.Algorithm, c.PMsUsed.N)
+		if pms := c.Summaries[MetricPMs]; pms.N != 2 {
+			t.Fatalf("cell %s has %d reps", c.Algorithm, pms.N)
 		}
-		if c.PMsUsed.Median <= 0 {
-			t.Fatalf("cell %s median %v", c.Algorithm, c.PMsUsed.Median)
+		if pms := c.Summaries[MetricPMs]; pms.Median <= 0 {
+			t.Fatalf("cell %s median %v", c.Algorithm, pms.Median)
 		}
-		if c.EnergyKWh.Median <= 0 {
-			t.Fatalf("cell %s energy %v", c.Algorithm, c.EnergyKWh.Median)
+		if e := c.Summaries[MetricEnergy]; e.Median <= 0 {
+			t.Fatalf("cell %s energy %v", c.Algorithm, e.Median)
 		}
 	}
 	var sb strings.Builder
@@ -211,7 +211,7 @@ func TestSweepCSVWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := sim.WriteCSV(&sb); err != nil {
+	if err := WriteCSV(&sb, sim); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -230,7 +230,7 @@ func TestSweepCSVWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb.Reset()
-	if err := tb.WriteCSV(&sb); err != nil {
+	if err := WriteCSV(&sb, tb); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(strings.TrimSpace(sb.String()), "\n"); got != 12 {
@@ -255,23 +255,20 @@ func TestHeadlineMigrationOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(alg string) SimCell {
-		for _, c := range sweep.Cells {
-			if c.Algorithm == alg {
-				return c
-			}
+	get := func(alg string, m Metric) float64 {
+		c, ok := sweep.Cell(alg, 400)
+		if !ok {
+			t.Fatalf("no cell for %s", alg)
 		}
-		t.Fatalf("no cell for %s", alg)
-		return SimCell{}
+		return c.Summaries[m].Median
 	}
-	prvm, ff := get("PageRankVM"), get("FF")
-	if prvm.Migrations.Median*1.5 >= ff.Migrations.Median {
-		t.Errorf("migration headline lost: PageRankVM %v vs FF %v",
-			prvm.Migrations.Median, ff.Migrations.Median)
+	prvmMigr, ffMigr := get("PageRankVM", MetricMigrations), get("FF", MetricMigrations)
+	if prvmMigr*1.5 >= ffMigr {
+		t.Errorf("migration headline lost: PageRankVM %v vs FF %v", prvmMigr, ffMigr)
 	}
-	if prvm.SLOPct.Median > ff.SLOPct.Median {
-		t.Errorf("SLO headline lost: PageRankVM %v vs FF %v",
-			prvm.SLOPct.Median, ff.SLOPct.Median)
+	prvmSLO, ffSLO := get("PageRankVM", MetricSLO), get("FF", MetricSLO)
+	if prvmSLO > ffSLO {
+		t.Errorf("SLO headline lost: PageRankVM %v vs FF %v", prvmSLO, ffSLO)
 	}
 }
 

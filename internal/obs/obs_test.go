@@ -156,20 +156,6 @@ func TestRingSink(t *testing.T) {
 	}
 }
 
-func TestWriterSinkJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewWriterSink(&buf)
-	s.Emit(Event{Name: "evict", Fields: []Field{F("pm", 3), F("vm", 9)}}.stamped())
-	line := strings.TrimSpace(buf.String())
-	var m map[string]any
-	if err := json.Unmarshal([]byte(line), &m); err != nil {
-		t.Fatalf("bad JSONL %q: %v", line, err)
-	}
-	if m["event"] != "evict" || m["pm"].(float64) != 3 || m["vm"].(float64) != 9 {
-		t.Fatalf("fields lost: %v", m)
-	}
-}
-
 func TestSnapshotJSON(t *testing.T) {
 	o := New()
 	o.Counter("placement.place_calls").Add(42)

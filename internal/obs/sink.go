@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"sync"
 	"time"
 )
@@ -133,37 +131,4 @@ func (r *RingSink) Total() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
-}
-
-// WriterSink streams events as JSON lines to w, serializing writers.
-type WriterSink struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewWriterSink wraps w.
-func NewWriterSink(w io.Writer) *WriterSink { return &WriterSink{w: w} }
-
-// Emit implements EventSink. No-op on a nil receiver.
-func (s *WriterSink) Emit(e Event) {
-	if s == nil {
-		return
-	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fmt.Fprintf(s.w, "%s\n", b)
-}
-
-// TeeSink fans an event out to several sinks.
-type TeeSink []EventSink
-
-// Emit implements EventSink.
-func (t TeeSink) Emit(e Event) {
-	for _, s := range t {
-		s.Emit(e)
-	}
 }

@@ -51,7 +51,7 @@ type placeResult struct {
 }
 
 // batcher drains one shard's admission queue: it blocks for the first
-// request, takes whatever else has queued (up to BatchMax), and commits
+// request, takes whatever else has queued (up to batchMax), and commits
 // the batch in one critical section. One batcher goroutine per shard,
 // stopped by s.stop.
 func (s *Server) batcher(sh *shard, stop <-chan struct{}) {
@@ -82,7 +82,7 @@ func (s *Server) batcher(sh *shard, stop <-chan struct{}) {
 // timed window lost).
 func (s *Server) collectBatch(sh *shard, first *placeReq) []*placeReq {
 	batch := []*placeReq{first}
-	for len(batch) < s.cfg.BatchMax {
+	for len(batch) < batchMax {
 		select {
 		case r := <-sh.queue:
 			batch = append(batch, r)

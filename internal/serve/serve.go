@@ -63,12 +63,6 @@ type Config struct {
 	// the default barrier is a buffered flush to the OS page cache,
 	// which survives process crashes but not machine crashes.
 	Fsync bool
-	// BatchMax bounds how many queued placements one critical section
-	// admits (default 64).
-	BatchMax int
-	// QueueDepth is the per-shard admission queue capacity (default
-	// 1024). A full queue rejects with 503.
-	QueueDepth int
 	// SnapshotEvery triggers a snapshot after that many WAL ops
 	// (default 65536; 0 keeps the default, negative disables periodic
 	// snapshots — a final snapshot is still cut on graceful Close).
@@ -87,6 +81,15 @@ type Config struct {
 	// go to the WAL) and must be left unset.
 	Rebalance deschedule.Config
 }
+
+const (
+	// batchMax bounds how many queued placements one critical section
+	// admits.
+	batchMax = 64
+	// queueDepth is the per-shard admission queue capacity. A full queue
+	// rejects with 503.
+	queueDepth = 1024
+)
 
 // locEntry is the global VM directory value: which shard and PM host a
 // placed VM. It exists so duplicate detection and release routing never
@@ -199,12 +202,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 64
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
-	}
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = 65536
 	}
@@ -228,7 +225,7 @@ func New(cfg Config) (*Server, error) {
 				placement.WithSeed(cfg.Seed+int64(i)),
 				placement.WithObserver(cfg.Obs)),
 			pms:   make(map[int]*placement.PM, len(pms)),
-			queue: make(chan *placeReq, cfg.QueueDepth),
+			queue: make(chan *placeReq, queueDepth),
 		}
 		for _, pm := range pms {
 			sh.pms[pm.ID] = pm
