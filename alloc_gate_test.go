@@ -93,6 +93,28 @@ func TestScoreOnZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestHostReleaseZeroAllocs holds the one mutation path that admission,
+// WAL replay, snapshot load, rebalance and the simulator share to zero
+// allocations once the hosted sets have their working size: Host and
+// Release update the PM's profile in place.
+func TestHostReleaseZeroAllocs(t *testing.T) {
+	f := newChurnFixture(t, 50)
+	pm := f.cluster.UsedPMs()[0]
+	resident := pm.HostedVMs()[0].VM.ID
+	allocs := testing.AllocsPerRun(1000, func() {
+		h, err := f.cluster.Release(resident)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.cluster.Host(pm, h.VM, h.Assign); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Host + Release allocates %.1f times per cycle, want 0", allocs)
+	}
+}
+
 // TestPlaceScanAllocs holds a steady-state Place over 1000 used PMs to
 // what binding the winner costs — the materialized move, one
 // allocation, aligned to the PM's dimension order in place — however

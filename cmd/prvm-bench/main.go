@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	prvm-bench [-bench regex] [-pkg ./...] [-benchtime 1s] [-count 1]
+//	prvm-bench [-bench regex] [-pkg ". ./internal/serve"] [-benchtime 1s] [-count 1]
 //	           [-out BENCH.json] [-compare BENCH.json] [-tolerance 0.15]
 package main
 
@@ -69,8 +69,8 @@ type report struct {
 func run(args []string) error {
 	fs := flag.NewFlagSet("prvm-bench", flag.ContinueOnError)
 	var (
-		benchRe   = fs.String("bench", "BenchmarkPlaceLookup|BenchmarkPlaceScan|BenchmarkSpaceWire|BenchmarkFactoredRegistryBuildM3C3|BenchmarkRanksCSR|BenchmarkRecordOverhead|BenchmarkTableCache|BenchmarkRebalanceStep|BenchmarkOpLine|BenchmarkWALReplay", "benchmark regex passed to go test -bench")
-		pkg       = fs.String("pkg", ".", "package pattern to benchmark")
+		benchRe   = fs.String("bench", "BenchmarkPlaceLookup|BenchmarkPlaceScan|BenchmarkSpaceWire|BenchmarkFactoredRegistryBuildM3C3|BenchmarkRanksCSR|BenchmarkRecordOverhead|BenchmarkTableCache|BenchmarkRebalanceStep|BenchmarkOpLine|BenchmarkWALReplay|BenchmarkReplayApply", "benchmark regex passed to go test -bench")
+		pkg       = fs.String("pkg", ". ./internal/serve", "space-separated package patterns to benchmark")
 		benchtime = fs.String("benchtime", "", "go test -benchtime value (empty = default)")
 		count     = fs.Int("count", 1, "go test -count value")
 		out       = fs.String("out", "BENCH.json", "output JSON file")
@@ -85,7 +85,7 @@ func run(args []string) error {
 	if *benchtime != "" {
 		cmdArgs = append(cmdArgs, "-benchtime", *benchtime)
 	}
-	cmdArgs = append(cmdArgs, *pkg)
+	cmdArgs = append(cmdArgs, strings.Fields(*pkg)...)
 
 	fmt.Fprintf(os.Stderr, "prvm-bench: go %s\n", strings.Join(cmdArgs, " "))
 	cmd := exec.Command("go", cmdArgs...)

@@ -183,7 +183,8 @@ func NewPM(id int, pmType string, shape *resource.Shape) *PM {
 }
 
 // Used returns the PM's current requested-units profile. The returned
-// vector is shared; callers must not modify it.
+// vector is shared: callers must not modify it, and it changes in place
+// with the PM's next host or release (Clone it to keep a profile).
 func (p *PM) Used() resource.Vec { return p.used }
 
 // NumVMs returns the number of VMs hosted.
@@ -250,17 +251,34 @@ func (p *PM) Fits(vm *VM) bool {
 }
 
 // host places vm with a concrete assignment. The assignment must have
-// been derived from the PM's current profile.
+// been derived from the PM's current profile; one that names a
+// dimension outside the shape, a non-positive unit or more than a
+// dimension has left is refused before anything changes. The profile
+// is updated in place (Used shares it), so host and remove allocate
+// nothing once the hosted set has grown to its working size.
 func (p *PM) host(vm *VM, assign resource.Assignment) error {
 	i, dup := p.find(vm.ID)
 	if dup {
 		return fmt.Errorf("placement: vm %d already on pm %d", vm.ID, p.ID)
 	}
-	next := p.used.Add(assign.Vec(p.Shape))
-	if !p.Shape.Valid(next) {
-		return fmt.Errorf("placement: assignment overflows pm %d: %v", p.ID, next)
+	for k, du := range assign {
+		c := p.Shape.DimCap(du.Dim)
+		if du.Units <= 0 || du.Units > c {
+			return fmt.Errorf("placement: assignment unit %+v does not fit pm %d", du, p.ID)
+		}
+		total := p.used[du.Dim]
+		for _, prev := range assign[:k+1] {
+			if prev.Dim == du.Dim {
+				total += prev.Units
+			}
+		}
+		if total > c {
+			return fmt.Errorf("placement: assignment overflows pm %d: dim %d needs %d of %d", p.ID, du.Dim, total, c)
+		}
 	}
-	p.used = next
+	for _, du := range assign {
+		p.used[du.Dim] += du.Units
+	}
 	p.hosted = slices.Insert(p.hosted, i, Hosted{VM: vm, Assign: assign})
 	p.gen++
 	return nil
@@ -273,7 +291,9 @@ func (p *PM) remove(vmID int) (Hosted, error) {
 		return Hosted{}, fmt.Errorf("placement: vm %d not on pm %d", vmID, p.ID)
 	}
 	h := p.hosted[i]
-	p.used = p.used.Sub(h.Assign.Vec(p.Shape))
+	for _, du := range h.Assign {
+		p.used[du.Dim] -= du.Units
+	}
 	p.hosted = slices.Delete(p.hosted, i, i+1)
 	p.gen++
 	return h, nil

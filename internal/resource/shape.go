@@ -116,6 +116,17 @@ func (s *Shape) Capacity() Vec {
 	return v
 }
 
+// DimCap returns the capacity of dimension d, or 0 when the shape has
+// no dimension d.
+func (s *Shape) DimCap(d int) int {
+	for i, g := range s.groups {
+		if lo, hi := s.GroupRange(i); lo <= d && d < hi {
+			return g.Cap
+		}
+	}
+	return 0
+}
+
 // TotalCapacity returns the total units across all dimensions.
 func (s *Shape) TotalCapacity() int { return s.total }
 

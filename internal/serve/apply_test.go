@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -20,8 +22,10 @@ import (
 // The by-construction property, kept mechanically: in the package's
 // non-test code every cluster mutation and every WAL flush has exactly
 // one call site (apply and barrier), and the WAL is appended to from
-// two (commit, and the descheduler's log-only OnMove hook). A new
-// handler that mutates state by hand fails here.
+// two (commit, and the descheduler's log-only OnMove hook). The VM
+// directory is written from the same two places: apply, and the OnMove
+// hook New installs. A new handler that mutates state by hand fails
+// here.
 func TestOneApplyOneCommitOneBarrier(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -30,26 +34,34 @@ func TestOneApplyOneCommitOneBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := map[string][]string{}
+	sites := map[string][]string{} // call -> positions
+	funcs := map[string][]string{} // call -> enclosing top-level functions
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+			for _, decl := range file.Decls {
+				fn := ""
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					fn = fd.Name.Name
 				}
-				method, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
+				ast.Inspect(decl, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					method, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					field, ok := method.X.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					name := field.Sel.Name + "." + method.Sel.Name
+					sites[name] = append(sites[name], fset.Position(call.Pos()).String())
+					funcs[name] = append(funcs[name], fn)
 					return true
-				}
-				field, ok := method.X.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				name := field.Sel.Name + "." + method.Sel.Name
-				sites[name] = append(sites[name], fset.Position(call.Pos()).String())
-				return true
-			})
+				})
+			}
 		}
 	}
 	for name, want := range map[string]int{
@@ -61,6 +73,16 @@ func TestOneApplyOneCommitOneBarrier(t *testing.T) {
 	} {
 		if got := sites[name]; len(got) != want {
 			t.Errorf("%s has %d call sites, want %d: %v", name, len(got), want, got)
+		}
+	}
+	for name, want := range map[string][]string{
+		"loc.store":  {"New", "apply"}, // New's is the OnMove hook
+		"loc.delete": {"apply"},
+	} {
+		got := append([]string(nil), funcs[name]...)
+		sort.Strings(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s is called from %v, want %v: %v", name, got, want, sites[name])
 		}
 	}
 }
@@ -167,7 +189,7 @@ func TestReleaseNamesClusterPMNotStaleLoc(t *testing.T) {
 			break
 		}
 	}
-	s.loc.Store(1, locEntry{shard: 0, pm: stale})
+	s.loc.store(1, locEntry{shard: 0, pm: stale})
 
 	var rr ReleaseResponse
 	if code := postJSON(t, ts.Client(), ts.URL+"/v1/release", ReleaseRequest{VM: 1}, &rr); code != http.StatusOK {

@@ -151,10 +151,9 @@ func (s *Server) commitBatch(sh *shard, batch []*placeReq) {
 // WAL's per-PM op order equal to the apply order — the invariant replay
 // relies on.
 func (s *Server) placeLocked(sh *shard, req *placeReq) placeResult {
-	if e, ok := s.loc.Load(req.vm.ID); ok {
-		le := e.(locEntry)
+	if e, ok := s.loc.load(req.vm.ID); ok {
 		s.met.placeDups.Inc()
-		return placeResult{dup: true, pmID: le.pm, seq: -1}
+		return placeResult{dup: true, pmID: e.pm, seq: -1}
 	}
 	pm, assign, err := sh.placer.Place(sh.cluster, req.vm, req.exclude)
 	if err != nil {

@@ -309,11 +309,11 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 // release op. loc only picks the shard; the PM is whatever the cluster
 // holds the VM on once the lock is held. The caller passes the barrier.
 func (s *Server) release(vmID int) (pmID int, seq int64, err error) {
-	e, ok := s.loc.Load(vmID)
+	e, ok := s.loc.load(vmID)
 	if !ok {
 		return 0, 0, fmt.Errorf("serve: vm %d not placed", vmID)
 	}
-	sh := s.shards[e.(locEntry).shard]
+	sh := s.shards[e.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	_, pm, seq, err := s.releaseLocked(sh, vmID, nil)

@@ -10,13 +10,17 @@
 // and mutex. Placement requests are routed to a home shard by VM-id
 // hash, admitted through a per-shard batcher that drains the queue
 // through the fast path in one critical section, and forwarded to the
-// next shard when the home shard has no capacity.
+// next shard when the home shard has no capacity. A VM therefore need
+// not live on its home shard: one VM directory, a plain map behind a
+// read-write mutex written only where state changes, tells the
+// duplicate check and release routing which shard holds it.
 //
 // Durability model. Every accepted mutation is appended to a WAL — an
 // ordinary internal/obs/record recording whose entries are record.Op
 // lines — under the owning shard's lock, so per-PM WAL order equals
 // apply order. A request is acknowledged only after the batch's ops are
-// flushed (and fsynced when configured). Periodic snapshots bound
+// flushed (and fsynced when configured, along with the directory
+// entries of new WAL segments and snapshots). Periodic snapshots bound
 // replay time; recovery loads the newest snapshot and replays the WAL
 // tail, reconstructing bit-identical cluster state including the
 // used/unused list orders Algorithm 2 is sensitive to.
@@ -91,12 +95,42 @@ const (
 	queueDepth = 1024
 )
 
-// locEntry is the global VM directory value: which shard and PM host a
-// placed VM. It exists so duplicate detection and release routing never
-// need to lock a shard just to find out where a VM lives.
+// locEntry is the VM directory's value: which shard and PM host a
+// placed VM. The directory exists so duplicate detection and release
+// routing never lock a shard just to find out where a VM lives; the
+// shard's cluster stays the truth, resolved under its lock.
 type locEntry struct {
 	shard int
 	pm    int
+}
+
+// directory maps every placed VM id to its locEntry. It is written only
+// by apply and the descheduler's OnMove hook, both under the lock of
+// the shard the write concerns (lock order shard.mu -> directory.mu),
+// and read lock-free of shards by the duplicate check and release
+// routing.
+type directory struct {
+	mu sync.RWMutex
+	m  map[int]locEntry
+}
+
+func (d *directory) load(vm int) (locEntry, bool) {
+	d.mu.RLock()
+	e, ok := d.m[vm]
+	d.mu.RUnlock()
+	return e, ok
+}
+
+func (d *directory) store(vm int, e locEntry) {
+	d.mu.Lock()
+	d.m[vm] = e
+	d.mu.Unlock()
+}
+
+func (d *directory) delete(vm int) {
+	d.mu.Lock()
+	delete(d.m, vm)
+	d.mu.Unlock()
 }
 
 // shard is one partition of the datacenter: a cluster over a subset of
@@ -141,7 +175,7 @@ type serveMetrics struct {
 type Server struct {
 	cfg    Config
 	shards []*shard
-	loc    sync.Map // vm id (int) -> locEntry
+	loc    directory
 	wal    *wal
 	mux    *http.ServeMux
 	met    serveMetrics
@@ -206,7 +240,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.SnapshotEvery = 65536
 	}
 
-	s := &Server{cfg: cfg, stop: make(chan struct{}), snapCh: make(chan struct{}, 1)}
+	s := &Server{cfg: cfg, loc: directory{m: make(map[int]locEntry)}, stop: make(chan struct{}), snapCh: make(chan struct{}, 1)}
 	s.initMetrics(cfg.Obs)
 
 	// Partition the inventory. Within a shard, PMs keep inventory order
@@ -250,7 +284,7 @@ func New(cfg Config) (*Server, error) {
 			for _, op := range m.Ops() {
 				s.wal.appendOp(op)
 			}
-			s.loc.Store(m.VM, locEntry{shard: sh.idx, pm: m.To})
+			s.loc.store(m.VM, locEntry{shard: sh.idx, pm: m.To})
 		}
 		sh.engine = deschedule.New(sh.placer, rcfg)
 	}
@@ -468,7 +502,7 @@ func (s *Server) apply(op record.Op, h placement.Hosted) (placement.Hosted, erro
 	if op.Kind == record.OpRelease {
 		released, err := sh.cluster.Release(op.VM)
 		if err == nil {
-			s.loc.Delete(op.VM)
+			s.loc.delete(op.VM)
 		}
 		return released, err
 	}
@@ -488,7 +522,7 @@ func (s *Server) apply(op record.Op, h placement.Hosted) (placement.Hosted, erro
 		if err := sh.cluster.Host(pm, h.VM, h.Assign); err != nil {
 			return h, err
 		}
-		s.loc.Store(op.VM, locEntry{shard: sh.idx, pm: pm.ID})
+		s.loc.store(op.VM, locEntry{shard: sh.idx, pm: pm.ID})
 	case record.OpRetire:
 		if err := sh.cluster.Retire(pm); err != nil {
 			return h, err

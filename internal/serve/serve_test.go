@@ -26,7 +26,7 @@ var (
 	envErr  error
 )
 
-func testEnv(t *testing.T) (*experiments.Catalog, *ranktable.Registry) {
+func testEnv(t testing.TB) (*experiments.Catalog, *ranktable.Registry) {
 	t.Helper()
 	envOnce.Do(func() {
 		envCat, envErr = experiments.AmazonCatalog()

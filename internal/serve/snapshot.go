@@ -125,6 +125,13 @@ func (s *Server) Snapshot() error {
 		// the extra segment boundary. Nothing is lost.
 		return err
 	}
+	if s.cfg.Fsync {
+		// The rename must be durable before GC deletes the segments the
+		// snapshot supersedes; if it cannot be, they stay.
+		if err := syncDir(s.cfg.DataDir); err != nil {
+			return fmt.Errorf("serve: snapshot: %w", err)
+		}
+	}
 	s.met.snapshots.Inc()
 	s.opsSinceSnap.Store(0)
 	s.gcData(cut)
@@ -234,6 +241,10 @@ func loadLatestSnapshot(dir string) (snapshotFile, bool, error) {
 	if snap.Version != snapVersion {
 		return snapshotFile{}, false, fmt.Errorf("serve: load snapshot %s: version %d (reader speaks %d)", newest, snap.Version, snapVersion)
 	}
+	if seq, _ := snapshotSeq(newest); snap.Seq != seq {
+		// GC trusts the name, replay the content: they must agree.
+		return snapshotFile{}, false, fmt.Errorf("serve: load snapshot %s: cut at seq %d", newest, snap.Seq)
+	}
 	return snap, true, nil
 }
 
@@ -339,6 +350,9 @@ func (s *Server) recover(dir string) (RecoveryInfo, error) {
 func (s *Server) applySnapshot(snap snapshotFile) error {
 	if snap.Shards != len(s.shards) {
 		return fmt.Errorf("serve: snapshot has %d shards, server configured for %d (re-sharding requires a fresh data dir)", snap.Shards, len(s.shards))
+	}
+	if len(snap.State) != snap.Shards {
+		return fmt.Errorf("serve: snapshot has state for %d of %d shards", len(snap.State), snap.Shards)
 	}
 	for i, st := range snap.State {
 		sh := s.shards[i]

@@ -105,20 +105,49 @@ func openWAL(dir string, startSeq int64, fsync bool) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: open wal: %w", err)
 	}
-	rec, err := record.Create(filepath.Join(dir, segmentName(startSeq)), walMeta(startSeq))
+	rec, err := createSegment(dir, startSeq, fsync)
 	if err != nil {
-		return nil, fmt.Errorf("serve: open wal: %w", err)
-	}
-	rec.SetNextSeq(startSeq)
-	// The header itself must be durable before any op is acknowledged
-	// against this segment, or a crash could leave an unparseable file
-	// ahead of acknowledged ops in a later segment.
-	if err := rec.Sync(); err != nil {
-		_ = rec.Close() // the sync error is the story
 		return nil, fmt.Errorf("serve: open wal: %w", err)
 	}
 	w.rec = rec
 	return w, nil
+}
+
+// createSegment creates the segment starting at seq with its header
+// already synced: a crash could otherwise leave an unparseable file
+// ahead of acknowledged ops in a later segment. With fsync set the
+// directory is synced too, so the new file's name survives a machine
+// crash along with the ops later synced into it.
+func createSegment(dir string, seq int64, fsync bool) (*record.Recorder, error) {
+	rec, err := record.Create(filepath.Join(dir, segmentName(seq)), walMeta(seq))
+	if err != nil {
+		return nil, err
+	}
+	rec.SetNextSeq(seq)
+	err = rec.Sync()
+	if err == nil && fsync {
+		err = syncDir(dir)
+	}
+	if err != nil {
+		_ = rec.Close() // the sync error is the story
+		return nil, err
+	}
+	return rec, nil
+}
+
+// syncDir makes dir's entries durable: a file created or renamed there
+// survives a machine crash only once the directory itself is synced. A
+// variable so tests can make it fail.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // appendOp appends one op and returns its assigned seq. The caller must
@@ -170,13 +199,8 @@ func (w *wal) rotate(cutSeq int64) error {
 	if err := w.rec.Close(); err != nil {
 		return fmt.Errorf("serve: rotate wal: %w", err)
 	}
-	rec, err := record.Create(filepath.Join(w.dir, segmentName(cutSeq)), walMeta(cutSeq))
+	rec, err := createSegment(w.dir, cutSeq, w.fsync)
 	if err != nil {
-		return fmt.Errorf("serve: rotate wal: %w", err)
-	}
-	rec.SetNextSeq(cutSeq)
-	if err := rec.Sync(); err != nil {
-		_ = rec.Close() // the sync error is the story
 		return fmt.Errorf("serve: rotate wal: %w", err)
 	}
 	w.rec = rec
