@@ -67,7 +67,8 @@ func TestScoreOnZeroAllocs(t *testing.T) {
 	}
 	// Miss: a release + re-host between two lookups invalidates the
 	// memo, so ScoreOn recomputes (Fits, node ids, BestMove) and refills
-	// it. The mutation itself allocates; ScoreOn must add nothing.
+	// it. The mutation itself makes no allocations (TestHostReleaseZeroAllocs
+	// holds it there), so base reads 0; ScoreOn must add nothing to it.
 	var resident *placement.VM
 	for _, h := range pm.VMs() {
 		resident = h.VM

@@ -187,6 +187,11 @@ func NewPM(id int, pmType string, shape *resource.Shape) *PM {
 // with the PM's next host or release (Clone it to keep a profile).
 func (p *PM) Used() resource.Vec { return p.used }
 
+// Gen returns the PM's mutation count: every host and release advances
+// it, so a caller that remembers it knows whether the hosted set has
+// changed since.
+func (p *PM) Gen() uint64 { return p.gen }
+
 // NumVMs returns the number of VMs hosted.
 func (p *PM) NumVMs() int { return len(p.hosted) }
 

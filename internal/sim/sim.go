@@ -20,6 +20,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"time"
 
@@ -194,18 +195,86 @@ type Simulation struct {
 	cluster *placement.Cluster
 	placer  placement.Placer
 	evictor placement.Evictor
-	models  map[string]*energy.Model // PM type -> power model
-	// util[step*len(col)+col[id]] is VM id's utilization at step: one
-	// contiguous row per monitoring step.
+	pms     []pmState // one per PM of the inventory
+	pmIdx   idIndex   // PM id -> pms position
+	// util[step*n+c] is the utilization at step of the VM that col maps
+	// to column c: one contiguous row of n columns, one per workload, per
+	// monitoring step.
 	util    []float64
-	col     map[int]int32           // vm id -> column of util
-	load    []float64               // actualCPU's result, reused
-	active  []*placement.PM         // tick's snapshot of the used list, reused
-	vms     []*placement.VM         // arrivals at step 0
-	arrives map[int][]*placement.VM // step -> arrivals (step > 0)
-	departs map[int][]int           // step -> departing vm ids
-	resched *deschedule.Engine      // nil when rebalancing is off
+	n       int
+	col     idIndex            // VM id -> util column
+	load    []float64          // actualCPU's result, reused
+	active  []*placement.PM    // tick's snapshot of the used list, reused
+	arrives [][]*placement.VM  // step -> arrivals (step 0: the initial allocation)
+	departs [][]int            // step -> departing vm ids
+	resched *deschedule.Engine // nil when rebalancing is off
 	met     simMetrics
+}
+
+// pmState is what the monitoring pass keeps per PM. New resolves the
+// power model and the CPU group's dimension range [lo, hi) and capacity
+// (hi == 0: the shape has no CPU group); actualCPU rebuilds terms, the
+// products its sum adds, whenever the PM's hosted set has changed.
+type pmState struct {
+	model  *energy.Model
+	lo, hi int
+	cap    float64
+	gen    uint64 // 1 + the PM's Gen when terms were built; 0 before
+	terms  []term
+}
+
+// term is one product of actualCPU's sum: units on CPU dimension lo+dim
+// scaled by util column col.
+type term struct {
+	col, dim int32
+	units    float64
+}
+
+// state returns pm's entry in s.pms.
+func (s *Simulation) state(pm *placement.PM) *pmState { return &s.pms[s.pmIdx.slot(pm.ID).pos-1] }
+
+// idIndex is a read-only int id -> position index: open addressing over
+// a power-of-two table at most half full, a Fibonacci hash of the id and
+// linear probing. Any int is a key.
+type idIndex struct {
+	slots []idSlot
+	shift uint // 64 - log2(len(slots))
+}
+
+// idSlot holds one id and its position plus one: a zero pos is empty.
+type idSlot struct {
+	id  int
+	pos int32
+}
+
+func newIDIndex(n int) idIndex {
+	lg := uint(bits.Len(uint(n))) + 1
+	return idIndex{slots: make([]idSlot, 1<<lg), shift: 64 - lg}
+}
+
+// home is id's first probe: the top bits of its Fibonacci hash.
+func (x *idIndex) home(id int) int { return int(uint64(id) * 0x9E3779B97F4A7C15 >> x.shift) }
+
+// slot returns id's slot, or the empty slot where id belongs.
+//
+//prvm:hotpath
+func (x *idIndex) slot(id int) *idSlot {
+	mask := len(x.slots) - 1
+	for i := x.home(id); ; i = (i + 1) & mask {
+		if sl := &x.slots[i]; sl.pos == 0 || sl.id == id {
+			return sl
+		}
+	}
+}
+
+// insert gives id position pos, or reports false if id is already in.
+func (x *idIndex) insert(id, pos int) bool {
+	sl := x.slot(id)
+	if sl.pos != 0 {
+		return false
+	}
+	*sl = idSlot{id: id, pos: int32(pos) + 1}
+	return true
 }
 
 // simMetrics pre-resolves the simulator's instruments; all nil (and
@@ -282,22 +351,36 @@ func New(cfg Config, cluster *placement.Cluster, placer placement.Placer,
 	if cfg.Steps() <= 0 {
 		return nil, fmt.Errorf("sim: horizon %v shorter than interval %v", cfg.Horizon, cfg.Interval)
 	}
-	for _, pm := range cluster.PMs() {
-		if _, ok := models[pm.Type]; !ok {
-			return nil, fmt.Errorf("sim: no power model for PM type %q", pm.Type)
-		}
-	}
+	steps, pms := cfg.Steps(), cluster.PMs()
 	s := &Simulation{
 		cfg:     cfg,
 		cluster: cluster,
 		placer:  placer,
 		evictor: evictor,
-		models:  models,
-		col:     make(map[int]int32, len(workloads)),
-		arrives: make(map[int][]*placement.VM),
-		departs: make(map[int][]int),
+		pms:     make([]pmState, len(pms)),
+		pmIdx:   newIDIndex(len(pms)),
+		col:     newIDIndex(len(workloads)),
+		arrives: make([][]*placement.VM, steps),
+		departs: make([][]int, steps),
 		met:     newSimMetrics(cfg.Obs),
 	}
+	width := 0
+	for i, pm := range pms {
+		st := &s.pms[i]
+		var ok bool
+		if st.model, ok = models[pm.Type]; !ok {
+			return nil, fmt.Errorf("sim: no power model for PM type %q", pm.Type)
+		}
+		if !s.pmIdx.insert(pm.ID, i) {
+			return nil, fmt.Errorf("sim: duplicate PM id %d", pm.ID)
+		}
+		if gi := pm.Shape.GroupIndex(cfg.CPUGroup); gi >= 0 {
+			st.lo, st.hi = pm.Shape.GroupRange(gi)
+			st.cap = float64(pm.Shape.Group(gi).Cap)
+			width = max(width, st.hi-st.lo)
+		}
+	}
+	s.load = make([]float64, width)
 	if cfg.RebalanceEvery > 0 {
 		prvm, ok := placer.(*placement.PageRankVM)
 		if !ok {
@@ -312,43 +395,37 @@ func New(cfg Config, cluster *placement.Cluster, placer placement.Placer,
 		}
 		s.resched = deschedule.New(prvm, rcfg)
 	}
-	for _, w := range workloads {
+	for i, w := range workloads {
 		if w.VM == nil {
 			return nil, errors.New("sim: nil VM in workload")
 		}
-		if _, dup := s.col[w.VM.ID]; dup {
+		if !s.col.insert(w.VM.ID, i) {
 			return nil, fmt.Errorf("sim: duplicate VM id %d", w.VM.ID)
 		}
 		if w.Start < 0 || (w.End != 0 && w.End <= w.Start) {
 			return nil, fmt.Errorf("sim: vm %d has invalid lease [%d,%d)", w.VM.ID, w.Start, w.End)
 		}
-		s.col[w.VM.ID] = int32(len(s.col))
-		if w.Start == 0 {
-			s.vms = append(s.vms, w.VM)
-		} else {
+		if w.Start < steps {
 			s.arrives[w.Start] = append(s.arrives[w.Start], w.VM)
 		}
-		if w.End > 0 {
+		if w.End > 0 && w.End < steps {
 			s.departs[w.End] = append(s.departs[w.End], w.VM.ID)
 		}
 	}
-	// Step by step, so the writes are sequential and each trace's cache
-	// line serves several steps.
-	n, steps := len(workloads), cfg.Steps()
-	s.util = make([]float64, n*steps)
-	for step := 0; step < steps; step++ {
-		row := s.util[step*n : (step+1)*n]
-		for i, w := range workloads {
-			row[i] = w.Trace.At(step)
+	// Fill the matrix block VMs at a time, step by step in a block: the
+	// block's trace lines (8 KB) and slice headers (6 KB) stay in L1.
+	const block = 128
+	n := len(workloads)
+	s.n, s.util = n, make([]float64, n*steps)
+	for b := 0; b < n; b += block {
+		blk := workloads[b:min(b+block, n)]
+		for step := 0; step < steps; step++ {
+			row := s.util[step*n+b:][:len(blk)]
+			for i, w := range blk {
+				row[i] = w.Trace.At(step)
+			}
 		}
 	}
-	width := 0
-	for _, pm := range cluster.PMs() {
-		if gi := pm.Shape.GroupIndex(cfg.CPUGroup); gi >= 0 {
-			width = max(width, pm.Shape.Group(gi).Dims)
-		}
-	}
-	s.load = make([]float64, width)
 	return s, nil
 }
 
@@ -359,8 +436,8 @@ func (s *Simulation) Run() (Result, error) {
 
 	// Initial allocation. Placers that define a VM ordering (FFDSum)
 	// get to sort the queue first.
-	queue := make([]*placement.VM, len(s.vms))
-	copy(queue, s.vms)
+	queue := make([]*placement.VM, len(s.arrives[0]))
+	copy(queue, s.arrives[0])
 	if orderer, ok := s.placer.(interface{ OrderVMs([]*placement.VM) }); ok {
 		orderer.OrderVMs(queue)
 	}
@@ -453,13 +530,12 @@ func (s *Simulation) tick(step int, meter *energy.Meter, res *Result) error {
 		if !pm.Active() {
 			continue // emptied by an earlier migration this step
 		}
-		load := s.actualCPU(pm, step)
-		gi := pm.Shape.GroupIndex(s.cfg.CPUGroup)
-		if gi < 0 {
+		st := s.state(pm)
+		if st.hi == 0 {
 			continue
 		}
-		lo, hi := pm.Shape.GroupRange(gi)
-		capUnits := float64(pm.Shape.Group(gi).Cap)
+		load := s.actualCPU(pm, step)
+		lo, hi, capUnits := st.lo, st.hi, st.cap
 
 		// Metrics for this PM-interval.
 		res.ActivePMSteps++
@@ -481,7 +557,7 @@ func (s *Simulation) tick(step int, meter *energy.Meter, res *Result) error {
 			s.met.sloViolations.Inc()
 		}
 		cpuUtil := total / (capUnits * float64(hi-lo))
-		meter.Accumulate(s.models[pm.Type], cpuUtil, s.cfg.Interval)
+		meter.Accumulate(st.model, cpuUtil, s.cfg.Interval)
 		activePMsSeen++
 		utilSum += cpuUtil
 
@@ -489,7 +565,7 @@ func (s *Simulation) tick(step int, meter *energy.Meter, res *Result) error {
 			res.OverloadEvents++
 			stats.OverloadedPMs++
 			s.met.overloads.Inc()
-			s.relieve(pm, step, res)
+			s.relieve(pm, st, step, res)
 		} else if s.cfg.UnderloadThreshold > 0 && cpuUtil < s.cfg.UnderloadThreshold {
 			s.consolidate(pm, res)
 		}
@@ -542,45 +618,51 @@ func (s *Simulation) consolidate(pm *placement.PM, res *Result) {
 //
 //prvm:hotpath
 func (s *Simulation) actualCPU(pm *placement.PM, step int) []float64 {
-	gi := pm.Shape.GroupIndex(s.cfg.CPUGroup)
-	if gi < 0 {
+	st := s.state(pm)
+	if st.hi == 0 {
 		return nil
 	}
-	lo, hi := pm.Shape.GroupRange(gi)
-	load := s.load[:hi-lo]
+	if st.gen != pm.Gen()+1 {
+		s.plan(st, pm)
+	}
+	load := s.load[:st.hi-st.lo]
 	clear(load)
-	n := len(s.col)
-	row := s.util[step*n : (step+1)*n]
-	// Accumulate in the hosted set's ascending VM-id order: float
-	// addition is not associative, so map order would make the load (and
-	// every threshold decision downstream) differ bit-for-bit between
-	// runs of one seed. A VM without a workload has no trace.
-	for _, h := range pm.HostedVMs() {
-		c, ok := s.col[h.VM.ID]
-		if !ok {
-			continue
-		}
-		u := row[c]
-		for _, du := range h.Assign {
-			if du.Dim >= lo && du.Dim < hi {
-				load[du.Dim-lo] += float64(du.Units) * u
-			}
-		}
+	row := s.util[step*s.n : (step+1)*s.n]
+	for _, t := range st.terms {
+		load[t.dim] += t.units * row[t.col]
 	}
 	return load
 }
 
+// plan rebuilds st's terms from pm's hosted set. They are in its
+// ascending VM-id order: float addition is not associative, so map
+// order would make the load (and every threshold decision downstream)
+// differ bit-for-bit between runs of one seed. A VM without a workload
+// has no trace and no term.
+func (s *Simulation) plan(st *pmState, pm *placement.PM) {
+	st.terms = st.terms[:0]
+	for _, h := range pm.HostedVMs() {
+		c := s.col.slot(h.VM.ID).pos
+		if c == 0 {
+			continue
+		}
+		for _, du := range h.Assign {
+			if du.Dim >= st.lo && du.Dim < st.hi {
+				st.terms = append(st.terms, term{col: c - 1, dim: int32(du.Dim - st.lo), units: float64(du.Units)})
+			}
+		}
+	}
+	st.gen = pm.Gen() + 1
+}
+
 // relieve migrates VMs off an overloaded PM until no CPU dimension
 // exceeds the threshold, each successful move counting as a migration.
-func (s *Simulation) relieve(pm *placement.PM, step int, res *Result) {
+func (s *Simulation) relieve(pm *placement.PM, st *pmState, step int, res *Result) {
 	for evictions := 0; evictions < maxEvictionsPerPM; evictions++ {
 		load := s.actualCPU(pm, step)
-		gi := pm.Shape.GroupIndex(s.cfg.CPUGroup)
-		lo, hi := pm.Shape.GroupRange(gi)
-		capUnits := float64(pm.Shape.Group(gi).Cap)
 		var overloadedDims []int
-		for d := lo; d < hi; d++ {
-			if load[d-lo] > (*s.cfg.OverloadThreshold)*capUnits {
+		for d := st.lo; d < st.hi; d++ {
+			if load[d-st.lo] > (*s.cfg.OverloadThreshold)*st.cap {
 				overloadedDims = append(overloadedDims, d)
 			}
 		}
