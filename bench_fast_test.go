@@ -286,7 +286,9 @@ func BenchmarkRecordOverhead(b *testing.B) {
 // BenchmarkSpaceWire builds the heaviest production sub-lattice — the
 // disk group, C(35,4) = 52360 nodes, under the six Table I VM types
 // projected onto it (units 1; 4; 5,5; 10,10; 2,2; 5,5: m3.xlarge and
-// c3.xlarge repeat a demand) — serially and with all cores.
+// c3.xlarge repeat a demand) — serially and with all cores. Each build
+// releases its typed lists, as every production caller does once it
+// has reduced them, so the pooled wiring chunks are reused.
 func BenchmarkSpaceWire(b *testing.B) {
 	cat, err := experiments.AmazonCatalog()
 	if err != nil {
@@ -314,6 +316,7 @@ func BenchmarkSpaceWire(b *testing.B) {
 			if s.Edges() == 0 {
 				b.Fatal("no edges wired")
 			}
+			s.ReleaseTyped()
 		}
 	}
 	b.Run("serial", func(b *testing.B) { run(b, 1) })

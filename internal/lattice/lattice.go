@@ -5,18 +5,19 @@
 // by accommodating one VM from the VM-type set, in any feasible
 // permutation of its anti-collocated demands.
 //
-// Adding a VM strictly increases total used units, so the graph is a
-// DAG layered by total usage.
+// Node ids are lexicographic ranks and a successor is element-wise at
+// least its parent in every group, so every edge points to a higher
+// id: id order is a topological order of the DAG.
 //
 // The successor graph is stored in CSR form (one offsets arena, one
 // edge arena) so the PageRank/absorption iteration streams it without
 // pointer chasing. Alongside the union graph the wire phase records
-// per-VM-type labeled successor lists — each edge a successor id plus
-// the dimension index every demanded unit landed on. They are
-// build-time state: internal/ranktable reduces them to one winning
-// move per (node, type), which is what turns Algorithm 2's candidate
-// scoring into an O(1) table lookup, and then releases them (see
-// DESIGN.md "Indexing & concurrency model").
+// per-demand-class labeled successor lists — each edge a successor id
+// plus the dimension index every demanded unit landed on. They are
+// build-time state, kept in the wiring chunks: internal/ranktable
+// reduces them chunk-parallel (VisitTyped) to one winning move per
+// (node, type), which turns Algorithm 2's candidate scoring into an
+// O(1) table lookup, then releases them (see DESIGN.md §9).
 //
 // Construction is arena-backed (DESIGN.md §13): node profiles live in
 // one flat int arena, node ids are computed arithmetically from the
@@ -28,6 +29,7 @@ package lattice
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -38,8 +40,8 @@ import (
 // Space is the enumerated profile graph for one PM shape and one VM
 // type set. Nodes, union CSR and the type set never change after New
 // and are safe for concurrent readers; the typed lists are the one
-// exception — their owner may drop them once with ReleaseTyped, before
-// sharing the space.
+// exception — their owner walks them with VisitTyped and drops them
+// once with ReleaseTyped, before sharing the space.
 type Space struct {
 	shape *resource.Shape
 	rank  shapeRank
@@ -52,27 +54,18 @@ type Space struct {
 	succOff []int32 // n+1
 	succ    []int32 // edge arena
 
-	// Per-VM-type labeled successors, one typedList per demand class:
-	// active types whose demands are equal unit for unit (classOf) are
-	// enumerated once and share a list. nil when the lattice declines
-	// them (see maxTypedEntries, maxTypedDims) and after ReleaseTyped.
+	// Types whose demands are equal unit for unit form one demand class
+	// (classOf), enumerated once; stride[k] is class k's unit count.
 	types   []resource.VMType // active types, in wiring order
 	typeIdx map[string]int    // type name -> index of its first occurrence in types
-	classOf []int32           // active type -> index into typed
-	typed   []typedList
-}
+	classOf []int32           // active type -> demand class
+	stride  []int             // per demand class
 
-// typedList holds one demand class's labeled successors: from node i
-// the reachable profiles are succ[off[i]:off[i+1]] in enumeration
-// order, and edge e placed the demand's units — demands in order, units
-// in order, as placeUnit walks them — on the canonical dimensions
-// dims[e*stride:(e+1)*stride]. The unit amounts are the VM type's own,
-// so a dimension index per unit is the whole representative assignment.
-type typedList struct {
-	stride int
-	off    []int32 // n+1
-	succ   []int32
-	dims   []uint8
+	// The wiring chunks in node order, holding the typed lists; nil when
+	// the lattice declines them (see maxTypedEntries, maxTypedDims) and
+	// after ReleaseTyped. VisitTyped reuses the wire's worker count.
+	chunks  []*wireChunk
+	workers int
 }
 
 // MaxNodes bounds the lattice size New is willing to enumerate. The
@@ -103,7 +96,7 @@ type Options struct {
 	// Workers caps the number of goroutines wiring successor edges.
 	// Zero selects GOMAXPROCS. The output is deterministic for any
 	// worker count: chunks cover disjoint, contiguous node ranges and
-	// are stitched in node order, and each node's successor list
+	// are read back in node order, and each node's successor list
 	// depends only on the node itself.
 	Workers int
 }
@@ -166,6 +159,7 @@ func (s *Space) classify(active []resource.VMType) ([]resource.VMType, error) {
 		}
 		if c == len(classes) {
 			classes = append(classes, vt)
+			s.stride = append(s.stride, vt.NumUnits())
 		}
 		s.classOf[t] = int32(c)
 	}
@@ -218,7 +212,6 @@ func (s *Space) enumerate() {
 type typePlan struct {
 	demands []demandPlan
 	touched []int // distinct group indices, in demand order
-	stride  int   // dimension indices per placement: the demands' unit count
 }
 
 type demandPlan struct {
@@ -230,7 +223,6 @@ func buildTypePlans(shape *resource.Shape, classes []resource.VMType) []typePlan
 	plans := make([]typePlan, len(classes))
 	for k, vt := range classes {
 		p := &plans[k]
-		p.stride = vt.NumUnits()
 		for _, d := range vt.Demands {
 			gi := shape.GroupIndex(d.Group) // NewSpace validated the type: never -1
 			lo, hi := shape.GroupRange(gi)
@@ -250,52 +242,75 @@ func buildTypePlans(shape *resource.Shape, classes []resource.VMType) []typePlan
 	return plans
 }
 
-// wireBufs is one chunk's growable output plus the enumeration
-// scratch, pooled across chunks and across builds: after warmup a
-// build's only allocations are the final exact-size arenas.
-type wireBufs struct {
-	union typedBuf   // the union CSR's share, deduped per node; no dims
-	typed []typedBuf // per demand class; a pooled buffer may hold more than the build has
-	sc    wireScratch
+// wireChunk is one contiguous node range's wiring output, pooled
+// across builds: its share of the union CSR (copied into the space's
+// arenas) and of every class's typed list (kept until ReleaseTyped).
+type wireChunk struct {
+	lo, hi int
+	union  edgeBuf   // deduped per node; no dims
+	typed  []edgeBuf // per demand class; a pooled chunk may hold more than the build has
 }
 
-// typedBuf is one chunk's share of a typedList: the edges in
-// enumeration order, the out-degree per node in range, and stride
-// dimension indices per edge.
-type typedBuf struct {
+// edgeBuf is one chunk's share of an edge list: the edges in
+// enumeration order, the out-degree per node in range, and the class's
+// stride dimension indices per edge.
+type edgeBuf struct {
 	succ []int32
 	cnt  []int32
 	dims []uint8
 }
 
-func (tb *typedBuf) reset() { tb.succ, tb.cnt, tb.dims = tb.succ[:0], tb.cnt[:0], tb.dims[:0] }
+func (eb *edgeBuf) reset() { eb.succ, eb.cnt, eb.dims = eb.succ[:0], eb.cnt[:0], eb.dims[:0] }
 
-// wireScratch backs the in-place placement enumeration. The recursion
-// restores work/used/dims on every backtrack, so between nodes the
-// scratch is all-zero/all-false by invariant and never needs clearing.
-type wireScratch struct {
-	work   []int
-	dims   []uint8  // the dimension each unit placed so far landed on
-	used   [][]bool // one flag array per demand index (demands may share a group)
-	sorted []int
+func (ch *wireChunk) reset(lo, hi, classes int) {
+	ch.lo, ch.hi = lo, hi
+	ch.union.reset()
+	for len(ch.typed) < classes {
+		ch.typed = append(ch.typed, edgeBuf{})
+	}
+	for k := range ch.typed {
+		ch.typed[k].reset()
+	}
 }
 
-var wireBufPool = sync.Pool{New: func() any { return new(wireBufs) }}
+// wireScratch is one worker's enumeration state, pooled across builds.
+// The recursion restores work and used on every backtrack, so they
+// never need clearing. Small arrays take whole 64-byte lines, which the
+// allocator places line-aligned: two workers' hot scratch sharing a
+// line made the parallel wire slower than the serial one.
+//
+// seenU[id] (seenT[id]) equals the current union (typed) segment's
+// stamp once id is in it. Every segment takes a fresh stamp from tick,
+// which only grows, so stale entries from earlier nodes, chunks or
+// builds are below it; the arrays are cleared only near the wrap.
+type wireScratch struct {
+	work         []int
+	used         [][]bool // one flag array per demand index (demands may share a group)
+	sorted       []int
+	digit        []int   // the current node id's mixed-radix digit per group
+	unitDims     []uint8 // backs wireCtx.dims
+	seenU, seenT []uint32
+	tick         uint32
+}
 
-func (b *wireBufs) reset(s *Space, plans []typePlan) {
-	b.union.reset()
-	for len(b.typed) < len(plans) {
-		b.typed = append(b.typed, typedBuf{})
-	}
-	for k := range b.typed {
-		b.typed[k].reset()
-	}
+var (
+	wireChunkPool   = sync.Pool{New: func() any { return new(wireChunk) }}
+	wireScratchPool = sync.Pool{New: func() any { return new(wireScratch) }}
+)
+
+func (sc *wireScratch) reset(s *Space, plans []typePlan) {
 	// Scratch as wide as the shape is wide enough for any group of it.
-	sc := &b.sc
 	if cap(sc.work) < s.dims {
-		sc.work, sc.sorted = make([]int, s.dims), make([]int, s.dims)
+		sc.work, sc.sorted = lineInts(s.dims), lineInts(s.dims)
 	}
-	sc.work, sc.sorted, sc.dims = sc.work[:s.dims], sc.sorted[:s.dims], sc.dims[:0]
+	sc.work, sc.sorted = sc.work[:s.dims], sc.sorted[:s.dims]
+	if cap(sc.digit) < len(s.rank.groups) {
+		sc.digit = lineInts(len(s.rank.groups))
+	}
+	sc.digit = sc.digit[:len(s.rank.groups)]
+	if sc.unitDims == nil {
+		sc.unitDims = make([]uint8, maxTypedDims)
+	}
 	for i := range plans {
 		for len(sc.used) < len(plans[i].demands) {
 			sc.used = append(sc.used, nil)
@@ -303,16 +318,45 @@ func (b *wireBufs) reset(s *Space, plans []typePlan) {
 	}
 	for i := range sc.used {
 		if len(sc.used[i]) < s.dims {
-			sc.used[i] = make([]bool, s.dims)
+			sc.used[i] = make([]bool, (s.dims+63)&^63)
 		}
 	}
+	if len(sc.seenU) < s.n {
+		sc.seenU, sc.seenT = make([]uint32, s.n), make([]uint32, s.n)
+	}
+}
+
+// lineInts returns n ints in an allocation of whole 64-byte lines.
+func lineInts(n int) []int { return make([]int, (n+7)&^7)[:n] }
+
+// parallelChunks calls fn(w, ci) for every chunk index ci in
+// [0, nchunks) on workers goroutines, w being the calling worker's
+// index. Chunks are handed out by a shared counter, so fast workers
+// steal the tail.
+func parallelChunks(workers, nchunks int, fn func(w, ci int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				ci := int(next.Add(1)) - 1
+				if ci >= nchunks {
+					return
+				}
+				fn(w, ci)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // wire computes the union CSR and one typed list per demand class.
 // Chunks of the node range are wired in parallel under a work-stealing
-// counter; each chunk writes only its own pooled buffers, so the hot
-// path takes no locks and the stitched output is identical for every
-// worker count.
+// counter; each chunk writes only its own pooled buffers and each
+// worker only its own scratch, so the hot path takes no locks and the
+// output is identical for every worker count.
 func (s *Space) wire(classes []resource.VMType, workers int) {
 	n, T := s.n, len(s.types)
 	typed := T > 0 && n <= maxTypedEntries/T && s.dims <= maxTypedDims
@@ -322,81 +366,44 @@ func (s *Space) wire(classes []resource.VMType, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	nchunks := workers * chunksPerWorker
-	if nchunks > n {
-		nchunks = n
-	}
-	if nchunks < 1 {
-		nchunks = 1
-	}
+	workers = max(1, min(workers, n))
+	nchunks := max(1, min(workers*chunksPerWorker, n))
 	chunkSz := (n + nchunks - 1) / nchunks
-	bufs := make([]*wireBufs, nchunks)
+	chunks := make([]*wireChunk, nchunks)
+	scratch := make([]*wireScratch, workers)
+	for w := range scratch {
+		scratch[w] = wireScratchPool.Get().(*wireScratch)
+		scratch[w].reset(s, plans)
+	}
+	parallelChunks(workers, nchunks, func(w, ci int) {
+		ch := wireChunkPool.Get().(*wireChunk)
+		ch.reset(min(ci*chunkSz, n), min((ci+1)*chunkSz, n), len(plans))
+		s.wireRange(ch, scratch[w], plans, typed)
+		chunks[ci] = ch
+	})
+	for _, sc := range scratch {
+		wireScratchPool.Put(sc)
+	}
 
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks {
-					return
-				}
-				lo := ci * chunkSz
-				hi := lo + chunkSz
-				if hi > n {
-					hi = n
-				}
-				b := wireBufPool.Get().(*wireBufs)
-				s.wireRange(b, plans, lo, hi, typed)
-				bufs[ci] = b
-			}
-		}()
-	}
-	wg.Wait()
-
-	union := stitch(n, 0, bufs, func(b *wireBufs) *typedBuf { return &b.union })
-	s.succOff, s.succ = union.off, union.succ
-	if typed {
-		s.typed = make([]typedList, len(plans))
-	}
-	for k := range s.typed {
-		s.typed[k] = stitch(n, plans[k].stride, bufs, func(b *wireBufs) *typedBuf { return &b.typed[k] })
-	}
-	for _, b := range bufs {
-		wireBufPool.Put(b)
-	}
-}
-
-// stitch joins the chunks' shares of one edge list: chunk order is node
-// order, so the arenas concatenate and the offsets are running sums of
-// the per-node counts. Sizes are known exactly, so every final arena is
-// allocated once.
-func stitch(n, stride int, bufs []*wireBufs, share func(*wireBufs) *typedBuf) typedList {
+	// Chunk order is node order: the union shares concatenate and the
+	// offsets are running sums of the per-node counts.
 	total := 0
-	for _, b := range bufs {
-		total += len(share(b).succ)
+	for _, ch := range chunks {
+		total += len(ch.union.succ)
 	}
-	tl := typedList{stride: stride, off: make([]int32, n+1), succ: make([]int32, total), dims: make([]uint8, total*stride)}
-	pos, ni := 0, 0
-	for _, b := range bufs {
-		tb := share(b)
-		copy(tl.succ[pos:], tb.succ)
-		copy(tl.dims[pos*stride:], tb.dims)
-		pos += len(tb.succ)
-		for _, cnt := range tb.cnt {
-			tl.off[ni+1] = tl.off[ni] + cnt
+	s.succOff, s.succ = make([]int32, n+1), make([]int32, 0, total)
+	ni := 0
+	for _, ch := range chunks {
+		s.succ = append(s.succ, ch.union.succ...)
+		for _, cnt := range ch.union.cnt {
+			s.succOff[ni+1] = s.succOff[ni] + cnt
 			ni++
 		}
 	}
-	return tl
+	s.workers, s.chunks = workers, chunks
+	if !typed {
+		s.ReleaseTyped()
+	}
 }
 
 // wireCtx is the per-(node, class) enumeration state. It walks the
@@ -405,42 +412,74 @@ func stitch(n, stride int, bufs []*wireBufs, share func(*wireBufs) *typedBuf) ty
 // repeat outcomes (see placeUnit) and computes successor ids
 // arithmetically from the mutated work profile instead of
 // materializing result vectors and string keys.
+// The slices the leaves append to live here, on the worker's stack,
+// and are written back per node: a heap word rewritten per leaf could
+// share a cache line with another worker's.
 type wireCtx struct {
 	s      *Space
-	b      *wireBufs
+	sc     *wireScratch
 	p      *typePlan
-	base   int       // node id minus the touched groups' rank contributions
-	uStart int       // start of the current node's segment in b.union.succ
-	tb     *typedBuf // the current class's typed output; nil when typed lists are declined
-	tStart int       // start of the current node's segment in tb.succ
+	base   int     // node id minus the touched groups' rank contributions
+	typed  bool    // false when typed lists are declined
+	dims   []uint8 // the dimension each unit placed so far landed on
+	usucc  []int32 // the chunk's union edges
+	tsucc  []int32 // the current class's typed edges
+	tdims  []uint8 // and their dimensions
+	uStamp uint32  // the current node's union dedup stamp
+	tStamp uint32  // the current (node, class) typed dedup stamp
 }
 
-func (s *Space) wireRange(b *wireBufs, plans []typePlan, lo, hi int, typed bool) {
-	b.reset(s, plans)
-	c := wireCtx{s: s, b: b}
-	for i := lo; i < hi; i++ {
-		node := s.vals[i*s.dims : (i+1)*s.dims]
-		c.uStart = len(b.union.succ)
+// wireRange wires the chunk's node range with one worker's scratch.
+func (s *Space) wireRange(ch *wireChunk, sc *wireScratch, plans []typePlan, typed bool) {
+	// Every node takes one stamp, plus one per class when typed. Near
+	// the wrap the stamp arrays are cleared instead, so a stamp is
+	// never reused while an entry might still hold it.
+	if need := uint64(ch.hi-ch.lo) * uint64(len(plans)+1); uint64(sc.tick)+need > math.MaxUint32 {
+		clear(sc.seenU)
+		clear(sc.seenT)
+		sc.tick = 0
+	}
+	groups := s.rank.groups
+	for gi := range groups {
+		sc.digit[gi] = (ch.lo / groups[gi].radix) % groups[gi].count
+	}
+	c := wireCtx{s: s, sc: sc, typed: typed, dims: sc.unitDims[:0], usucc: ch.union.succ}
+	tick := sc.tick
+	for i := ch.lo; i < ch.hi; i++ {
+		copy(sc.work, s.vals[i*s.dims:(i+1)*s.dims])
+		tick++
+		c.uStamp = tick
+		uStart := len(c.usucc)
 		for k := range plans {
 			p := &plans[k]
+			tb := &ch.typed[k]
 			if typed {
-				c.tb = &b.typed[k]
-				c.tStart = len(c.tb.succ)
+				c.tsucc, c.tdims = tb.succ, tb.dims
+				tick++
+				c.tStamp = tick
 			}
-			copy(b.sc.work, node)
 			base := i
 			for _, gi := range p.touched {
-				g := &s.rank.groups[gi]
-				base -= ((i / g.radix) % g.count) * g.radix
+				base -= sc.digit[gi] * groups[gi].radix
 			}
 			c.p, c.base = p, base
 			c.place(0)
 			if typed {
-				c.tb.cnt = append(c.tb.cnt, int32(len(c.tb.succ)-c.tStart))
+				tb.cnt = append(tb.cnt, int32(len(c.tsucc)-len(tb.succ)))
+				tb.succ, tb.dims = c.tsucc, c.tdims
 			}
 		}
-		b.union.cnt = append(b.union.cnt, int32(len(b.union.succ)-c.uStart))
+		ch.union.cnt = append(ch.union.cnt, int32(len(c.usucc)-uStart))
+		// Node ids are mixed-radix numbers over the groups' counts:
+		// step the digits to node i+1 like an odometer.
+		for gi := len(groups) - 1; gi >= 0; gi-- {
+			if sc.digit[gi]++; sc.digit[gi] < groups[gi].count {
+				break
+			}
+			sc.digit[gi] = 0
+		}
 	}
+	ch.union.succ, sc.tick = c.usucc, tick
 }
 
 // place recurses over the class's demands; at the leaf every demand has
@@ -474,7 +513,7 @@ func (c *wireCtx) placeUnit(di, unitIdx, minDim int) {
 	if unitIdx > 0 && d.units[unitIdx-1] == u {
 		start = minDim
 	}
-	sc := &c.b.sc
+	sc := c.sc
 	used, work := sc.used[di], sc.work
 	tried := -1 // value of the last free dimension recursed into
 	for dim := start; dim < d.hi; dim++ {
@@ -484,9 +523,9 @@ func (c *wireCtx) placeUnit(di, unitIdx, minDim int) {
 		tried = work[dim]
 		used[dim-d.lo] = true
 		work[dim] += u
-		sc.dims = append(sc.dims, uint8(dim))
+		c.dims = append(c.dims, uint8(dim))
 		c.placeUnit(di, unitIdx+1, dim+1)
-		sc.dims = sc.dims[:len(sc.dims)-1]
+		c.dims = c.dims[:len(c.dims)-1]
 		work[dim] -= u
 		used[dim-d.lo] = false
 	}
@@ -495,11 +534,11 @@ func (c *wireCtx) placeUnit(di, unitIdx, minDim int) {
 // leaf ranks the successor profile and appends the edge unless its
 // canonical outcome was already seen — per class for the typed list
 // (first-seen representative, like resource.Placements) and per node
-// for the union CSR. The pruning in placeUnit removes the duplicates
-// symmetry explains; others remain (units 3,2,1 on values 0,1,2 reach
-// 3,3,3 six ways).
+// for the union CSR; the stamps make each check one array read. The
+// pruning in placeUnit removes the duplicates symmetry explains; others
+// remain (units 3,2,1 on values 0,1,2 reach 3,3,3 six ways).
 func (c *wireCtx) leaf() {
-	sc := &c.b.sc
+	sc := c.sc
 	id := c.base
 	for _, gi := range c.p.touched {
 		g := &c.s.rank.groups[gi]
@@ -510,24 +549,21 @@ func (c *wireCtx) leaf() {
 		insertionSort(sg)
 		id += g.rankSorted(sg) * g.radix
 	}
-	if tb := c.tb; tb != nil {
-		for _, e := range tb.succ[c.tStart:] {
-			if e == int32(id) {
-				return
-			}
-		}
-		tb.succ = append(tb.succ, int32(id))
-		for _, dim := range sc.dims { // likewise
-			tb.dims = append(tb.dims, dim)
-		}
-	}
-	u := &c.b.union
-	for _, e := range u.succ[c.uStart:] {
-		if e == int32(id) {
+	if c.typed {
+		if sc.seenT[id] == c.tStamp {
 			return
 		}
+		sc.seenT[id] = c.tStamp
+		c.tsucc = append(c.tsucc, int32(id))
+		for _, dim := range c.dims { // likewise
+			c.tdims = append(c.tdims, dim)
+		}
 	}
-	u.succ = append(u.succ, int32(id))
+	if sc.seenU[id] == c.uStamp {
+		return
+	}
+	sc.seenU[id] = c.uStamp
+	c.usucc = append(c.usucc, int32(id))
 }
 
 // Shape returns the PM shape of the space.
@@ -572,29 +608,46 @@ func (s *Space) TypeIndex(name string) int {
 // HasTyped reports whether the space holds typed successor lists: they
 // are declined above maxTypedEntries and maxTypedDims, and gone after
 // ReleaseTyped.
-func (s *Space) HasTyped() bool { return s.typed != nil }
+func (s *Space) HasTyped() bool { return s.chunks != nil }
 
-// ReleaseTyped drops the typed successor lists. They exist to be
-// reduced once (ranktable keeps the winning move per node and type);
-// the owner calls this before sharing the space with other goroutines.
-func (s *Space) ReleaseTyped() { s.typed = nil }
-
-// TypedSucc returns the successor ids reachable from node i by placing
-// one VM of active type t, in enumeration order. The slice aliases the
-// arena and must not be modified.
-func (s *Space) TypedSucc(i, t int) []int32 {
-	tl := &s.typed[s.classOf[t]]
-	return tl.succ[tl.off[i]:tl.off[i+1]]
+// ReleaseTyped drops the typed successor lists, returning the wiring
+// chunks that hold them to the pool. They exist to be reduced once
+// (ranktable keeps the winning move per node and type); the owner
+// calls this before sharing the space with other goroutines.
+func (s *Space) ReleaseTyped() {
+	for _, ch := range s.chunks {
+		wireChunkPool.Put(ch)
+	}
+	s.chunks = nil
 }
 
-// TypedDims returns the representative anti-collocation assignments
-// parallel to TypedSucc(i, t), flattened: edge k put the type's units —
+// TypeClass returns the demand class of active type t. Types of one
+// class demand the same units and share one typed list.
+func (s *Space) TypeClass(t int) int { return int(s.classOf[t]) }
+
+// VisitTyped calls fn once per node i and demand class k with the
+// class's typed successors of i, in enumeration order, and the
+// representative assignment of each: edge e put the class's units —
 // demands in order, units in order, NumUnits of them — on the
-// dimensions at [k*NumUnits, (k+1)*NumUnits), in canonical coordinates
-// (the node's profile is sorted within each group). Read-only.
-func (s *Space) TypedDims(i, t int) []uint8 {
-	tl := &s.typed[s.classOf[t]]
-	return tl.dims[int(tl.off[i])*tl.stride : int(tl.off[i+1])*tl.stride]
+// dimensions dims[e*NumUnits : (e+1)*NumUnits], in canonical
+// coordinates (the node's profile is sorted within each group). The
+// wiring chunks are visited concurrently, by as many workers as wired
+// them, so fn must write only state owned by node i. The slices alias
+// pooled buffers: read-only, and valid only during the call. It does
+// nothing once HasTyped is false.
+func (s *Space) VisitTyped(fn func(i, k int, succ []int32, dims []uint8)) {
+	parallelChunks(s.workers, len(s.chunks), func(_, ci int) {
+		ch := s.chunks[ci]
+		for k, stride := range s.stride {
+			eb := &ch.typed[k]
+			pos := 0
+			for j, cnt := range eb.cnt {
+				end := pos + int(cnt)
+				fn(ch.lo+j, k, eb.succ[pos:end:end], eb.dims[pos*stride:end*stride:end*stride])
+				pos = end
+			}
+		}
+	})
 }
 
 // Index returns the node id of a (not necessarily canonical) profile,

@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"pagerankvm/internal/resource"
@@ -221,30 +222,31 @@ func diskTypes() []resource.VMType {
 }
 
 // TestDemandClasses: each distinct demand is enumerated once per node —
-// five typed lists for the catalog's six disk types — and the types of
-// one class read the same list.
+// five typed lists for the catalog's six disk types, each visited once
+// per node — and the types of one class read the same list.
 func TestDemandClasses(t *testing.T) {
 	shape := resource.MustShape(resource.Group{Name: "disk", Dims: 4, Cap: 31})
 	s, err := New(shape, diskTypes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumTypes() != 6 || len(s.typed) != 5 {
-		t.Fatalf("%d types in %d demand classes, want 6 in 5", s.NumTypes(), len(s.typed))
+	if s.NumTypes() != 6 || len(s.stride) != 5 {
+		t.Fatalf("%d types in %d demand classes, want 6 in 5", s.NumTypes(), len(s.stride))
 	}
 	xl, cxl := s.TypeIndex("m3.xlarge"), s.TypeIndex("c3.xlarge")
-	if s.classOf[xl] != s.classOf[cxl] {
-		t.Fatalf("m3.xlarge and c3.xlarge are in classes %d and %d, want one", s.classOf[xl], s.classOf[cxl])
+	if s.TypeClass(xl) != s.TypeClass(cxl) {
+		t.Fatalf("m3.xlarge and c3.xlarge are in classes %d and %d, want one", s.TypeClass(xl), s.TypeClass(cxl))
 	}
-	for i := 0; i < s.Len(); i += 997 {
-		if a, b := s.TypedSucc(i, xl), s.TypedSucc(i, cxl); len(a) > 0 && &a[0] != &b[0] {
-			t.Fatalf("node %d: the two types of one class read different lists", i)
-		}
+	var visits atomic.Int64
+	s.VisitTyped(func(int, int, []int32, []uint8) { visits.Add(1) })
+	if got, want := visits.Load(), int64(s.Len()*5); got != want {
+		t.Fatalf("VisitTyped made %d calls, want one per node and class: %d", got, want)
 	}
 	s.ReleaseTyped()
 	if s.HasTyped() {
 		t.Fatal("typed lists held after ReleaseTyped")
 	}
+	s.VisitTyped(func(int, int, []int32, []uint8) { t.Fatal("VisitTyped called back after ReleaseTyped") })
 }
 
 // TestSameNameTypes: a name given twice must mean one demand. An exact
@@ -262,8 +264,8 @@ func TestSameNameTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumTypes() != 3 || len(s.typed) != 2 || s.TypeIndex("a") != 0 {
-		t.Fatalf("%d types, %d classes, TypeIndex(a) = %d; want 3, 2, 0", s.NumTypes(), len(s.typed), s.TypeIndex("a"))
+	if s.NumTypes() != 3 || len(s.stride) != 2 || s.TypeIndex("a") != 0 {
+		t.Fatalf("%d types, %d classes, TypeIndex(a) = %d; want 3, 2, 0", s.NumTypes(), len(s.stride), s.TypeIndex("a"))
 	}
 }
 

@@ -82,12 +82,12 @@ func newShapeRank(shape *resource.Shape) shapeRank {
 //
 //prvm:hotpath
 func (g *groupRank) rankSorted(v []int) int {
-	r, prev := 0, 0
 	stride := g.capU + 1
-	for k, val := range v {
-		row := g.pref[(len(v)-1-k)*stride : (len(v)-k)*stride]
-		r += row[val] - row[prev]
+	r, prev, row := 0, 0, (len(v)-1)*stride // row: offset of the suffix-length table
+	for _, val := range v {
+		r += g.pref[row+val] - g.pref[row+prev]
 		prev = val
+		row -= stride
 	}
 	return r
 }

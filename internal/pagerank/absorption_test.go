@@ -114,3 +114,24 @@ func TestAbsorptionValuesBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepRejectsUnorderedEdges: the single sweeps need every edge to
+// point to a higher node id. A self-loop, and a backward edge in an
+// otherwise acyclic graph, are errors for both of them.
+func TestSweepRejectsUnorderedEdges(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    [][]int32
+	}{
+		{"self-loop", [][]int32{{1}, {1, 2}, nil}},
+		{"backward edge", [][]int32{nil, {0}, {1}}}, // acyclic, but 1 -> 0 points down
+	} {
+		utils := []float64{0.5, 0.5, 1}
+		if _, err := AbsorptionValuesCSR(NewCSR(c.g), utils, 0.85, 8); err == nil {
+			t.Errorf("%s: AbsorptionValuesCSR accepted it", c.name)
+		}
+		if _, err := BPRUCSR(NewCSR(c.g), utils); err == nil {
+			t.Errorf("%s: BPRUCSR accepted it", c.name)
+		}
+	}
+}

@@ -65,16 +65,12 @@ func (g CSR) Reverse() CSR {
 	return CSR{Offsets: off, Edges: edges}
 }
 
-// Scratch-vector pools. The iteration cores allocate only their
-// returned result; internal accumulators and DFS visit states come
-// from these pools so the Factored ranker's many per-group runs (and
-// repeated re-ranks of a live system) reach a steady state with no
-// per-run scratch allocations. Pooled slices are zeroed on grab.
-
-var (
-	f64Pool sync.Pool // *[]float64
-	u8Pool  sync.Pool // *[]uint8
-)
+// Scratch-vector pool. The iteration cores allocate only their
+// returned result; internal accumulators come from this pool so the
+// Factored ranker's many per-group runs (and repeated re-ranks of a
+// live system) reach a steady state with no per-run scratch
+// allocations. Pooled slices are zeroed on grab.
+var f64Pool sync.Pool // *[]float64
 
 func grabF64(n int) []float64 {
 	if p, ok := f64Pool.Get().(*[]float64); ok && cap(*p) >= n {
@@ -90,22 +86,5 @@ func grabF64(n int) []float64 {
 func releaseF64(s []float64) {
 	if cap(s) > 0 {
 		f64Pool.Put(&s)
-	}
-}
-
-func grabU8(n int) []uint8 {
-	if p, ok := u8Pool.Get().(*[]uint8); ok && cap(*p) >= n {
-		s := (*p)[:n]
-		for i := range s {
-			s[i] = 0
-		}
-		return s
-	}
-	return make([]uint8, n)
-}
-
-func releaseU8(s []uint8) {
-	if cap(s) > 0 {
-		u8Pool.Put(&s)
 	}
 }

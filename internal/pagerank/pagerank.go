@@ -11,6 +11,7 @@ package pagerank
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -183,71 +184,45 @@ func RanksCSR(g CSR, opts Options) (Result, error) {
 	return res, nil
 }
 
-// dfsFrame is one entry of the iterative post-order DFS stack shared
-// by BPRUCSR and AbsorptionValuesCSR (deep recursion on long chains
-// would overflow the goroutine stack).
-type dfsFrame struct {
-	node int32
-	next int32
+// errEdgeOrder rejects a graph the single sweeps below cannot
+// evaluate: they require every edge to point to a higher node id,
+// which also rules out cycles.
+func errEdgeOrder(from int, to int32) error {
+	return fmt.Errorf("pagerank: edge %d -> %d does not point to a higher node id (cycle or unordered graph)", from, to)
 }
 
 // BPRUCSR computes, for every node, the maximum utilization among the
 // terminal nodes (no out-edges) reachable from it; a terminal node's
 // BPRU is its own utilization (Algorithm 1 line 19's discount factor).
-// The graph must be a DAG — profile graphs always are, because edges
-// strictly increase total usage.
+//
+// Every edge must point to a higher node id: profile graphs are built
+// that way (lattice ids are lexicographic ranks and a successor is
+// element-wise at least its parent), so one sweep from the last node
+// down finds every successor already folded. An edge to an id at or
+// below its source — a cycle included — is an error.
 func BPRUCSR(g CSR, utils []float64) ([]float64, error) {
 	n := g.Len()
 	if len(utils) != n {
 		return nil, errors.New("pagerank: utils length mismatch")
 	}
-	const (
-		unvisited = iota
-		inProgress
-		done
-	)
-	state := grabU8(n)
-	defer releaseU8(state)
 	bpru := make([]float64, n)
 	offsets, edges := g.Offsets, g.Edges
-
-	var stack []dfsFrame
-	for start := 0; start < n; start++ {
-		if state[start] == done {
+	for i := n - 1; i >= 0; i-- {
+		lo, hi := offsets[i], offsets[i+1]
+		if lo == hi {
+			bpru[i] = utils[i]
 			continue
 		}
-		stack = append(stack[:0], dfsFrame{node: int32(start)})
-		state[start] = inProgress
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			lo, hi := offsets[f.node], offsets[f.node+1]
-			if lo+f.next < hi {
-				child := edges[lo+f.next]
-				f.next++
-				switch state[child] {
-				case unvisited:
-					state[child] = inProgress
-					stack = append(stack, dfsFrame{node: child})
-				case inProgress:
-					return nil, errors.New("pagerank: graph has a cycle")
-				}
-				continue
+		best := math.Inf(-1)
+		for _, c := range edges[lo:hi] {
+			if int(c) <= i {
+				return nil, errEdgeOrder(i, c)
 			}
-			// Post-order: fold children.
-			best := math.Inf(-1)
-			if lo == hi {
-				best = utils[f.node]
-			} else {
-				for _, c := range edges[lo:hi] {
-					if bpru[c] > best {
-						best = bpru[c]
-					}
-				}
+			if bpru[c] > best {
+				best = bpru[c]
 			}
-			bpru[f.node] = best
-			state[f.node] = done
-			stack = stack[:len(stack)-1]
 		}
+		bpru[i] = best
 	}
 	return bpru, nil
 }
@@ -264,6 +239,10 @@ func BPRUCSR(g CSR, utils []float64) ([]float64, error) {
 // rewarded by how close to full utilization it ends. The reward
 // exponent sharpens the penalty for stranding capacity (a terminal at
 // 93% utilization with rewardExp=8 is worth 0.6, not 0.93).
+//
+// Like BPRUCSR it is one sweep from the last node down, summing each
+// node's successors in edge order, and requires every edge to point to
+// a higher node id.
 func AbsorptionValuesCSR(g CSR, utils []float64, damping, rewardExp float64) ([]float64, error) {
 	n := g.Len()
 	if len(utils) != n {
@@ -275,50 +254,22 @@ func AbsorptionValuesCSR(g CSR, utils []float64, damping, rewardExp float64) ([]
 	if rewardExp <= 0 {
 		return nil, errors.New("pagerank: reward exponent must be positive")
 	}
-	const (
-		unvisited = iota
-		inProgress
-		done
-	)
-	state := grabU8(n)
-	defer releaseU8(state)
 	value := make([]float64, n)
 	offsets, edges := g.Offsets, g.Edges
-
-	var stack []dfsFrame
-	for start := 0; start < n; start++ {
-		if state[start] == done {
+	for i := n - 1; i >= 0; i-- {
+		lo, hi := offsets[i], offsets[i+1]
+		if lo == hi {
+			value[i] = math.Pow(utils[i], rewardExp)
 			continue
 		}
-		stack = append(stack[:0], dfsFrame{node: int32(start)})
-		state[start] = inProgress
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			lo, hi := offsets[f.node], offsets[f.node+1]
-			if lo+f.next < hi {
-				child := edges[lo+f.next]
-				f.next++
-				switch state[child] {
-				case unvisited:
-					state[child] = inProgress
-					stack = append(stack, dfsFrame{node: child})
-				case inProgress:
-					return nil, errors.New("pagerank: graph has a cycle")
-				}
-				continue
+		sum := 0.0
+		for _, c := range edges[lo:hi] {
+			if int(c) <= i {
+				return nil, errEdgeOrder(i, c)
 			}
-			if lo == hi {
-				value[f.node] = math.Pow(utils[f.node], rewardExp)
-			} else {
-				sum := 0.0
-				for _, c := range edges[lo:hi] {
-					sum += value[c]
-				}
-				value[f.node] = damping * sum / float64(hi-lo)
-			}
-			state[f.node] = done
-			stack = stack[:len(stack)-1]
+			sum += value[c]
 		}
+		value[i] = damping * sum / float64(hi-lo)
 	}
 	return value, nil
 }

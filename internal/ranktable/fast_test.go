@@ -299,6 +299,62 @@ func TestNewFactoredParallelDeterministic(t *testing.T) {
 	}
 }
 
+// TestTableWireWorkersIdentical: the move table is reduced inside the
+// wiring chunks, as many in parallel as wired them, so every
+// WireWorkers value must give the serial build's table bit for bit —
+// scores, moves and winning dimensions — in every mode.
+func TestTableWireWorkersIdentical(t *testing.T) {
+	shape := resource.MustShape(
+		resource.Group{Name: "cpu", Dims: 4, Cap: 8},
+		resource.Group{Name: "mem", Dims: 1, Cap: 6},
+	)
+	types := append(multiGroupTypes(),
+		resource.VMType{Name: "again", Demands: multiGroupTypes()[0].Demands},
+		resource.NewVMType("twice",
+			resource.Demand{Group: "cpu", Units: []int{3}},
+			resource.Demand{Group: "cpu", Units: []int{1, 1}},
+		),
+	)
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for _, mode := range []Mode{ModeAbsorption, ModeReversePR, ModeForwardPR} {
+		var ref *Table
+		for _, workers := range []int{1, 2, 3, 8} {
+			got, err := NewJoint(shape, types, Options{Mode: mode, WireWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.best == nil {
+				t.Fatalf("%v workers=%d: no move table", mode, workers)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if !reflect.DeepEqual(bits(got.ids), bits(ref.ids)) {
+				t.Fatalf("%v workers=%d: scores differ from the serial build", mode, workers)
+			}
+			if len(got.best) != len(ref.best) {
+				t.Fatalf("%v workers=%d: %d moves, want %d", mode, workers, len(got.best), len(ref.best))
+			}
+			for k := range ref.best {
+				g, r := got.best[k], ref.best[k]
+				if g.count != r.count || math.Float64bits(g.score) != math.Float64bits(r.score) {
+					t.Fatalf("%v workers=%d: move %d = %+v, want %+v", mode, workers, k, g, r)
+				}
+			}
+			if !bytes.Equal(got.moveDims, ref.moveDims) || !reflect.DeepEqual(got.dimOff, ref.dimOff) {
+				t.Fatalf("%v workers=%d: winning dimensions differ from the serial build", mode, workers)
+			}
+		}
+	}
+}
+
 // TestWinnerTableMatchesEnumeration pins the winner-only move table to
 // the executable spec: for random shapes and every (node, type) of a
 // joint table and a factored ranker, BestMove's score (bitwise) and

@@ -259,8 +259,11 @@ func fromSpace(space *lattice.Space, opts Options) (*Table, error) {
 // id-indexed scores and the dimensions that edge assigned — and then
 // releases the lists: Algorithm 2 only ever materializes the winner.
 // Ties keep the first maximum in enumeration order — the same winner a
-// linear scan over resource.Placements picks. It runs inside the build
-// (and inside LoadTable), before the table can be shared.
+// linear scan over resource.Placements picks. Each (node, demand class)
+// list is reduced once, inside the wiring chunk that holds it and in
+// parallel with the other chunks, and its move written to every type
+// of the class. It runs inside the build (and inside LoadTable),
+// before the table can be shared.
 func (t *Table) buildBest() {
 	sp := t.space
 	if !sp.HasTyped() {
@@ -268,29 +271,34 @@ func (t *Table) buildBest() {
 	}
 	n, nt := sp.Len(), sp.NumTypes()
 	t.dimOff = make([]int32, nt+1)
+	classTypes := make([][]int, nt) // demand class -> its types
 	for ty := 0; ty < nt; ty++ {
 		t.dimOff[ty+1] = t.dimOff[ty] + int32(sp.TypeAt(ty).NumUnits())
+		classTypes[sp.TypeClass(ty)] = append(classTypes[sp.TypeClass(ty)], ty)
 	}
 	row := int(t.dimOff[nt])
 	t.best = make([]move, n*nt)
 	t.moveDims = make([]uint8, n*row)
-	for i := 0; i < n; i++ {
-		for ty := 0; ty < nt; ty++ {
-			succ := sp.TypedSucc(i, ty)
-			if len(succ) == 0 {
-				continue
-			}
-			arg, best := 0, t.ids[succ[0]]
-			for k, j := range succ[1:] {
-				if s := t.ids[j]; s > best {
-					arg, best = k+1, s
-				}
-			}
-			t.best[i*nt+ty] = move{count: int32(len(succ)), score: best}
-			lo, hi := int(t.dimOff[ty]), int(t.dimOff[ty+1])
-			copy(t.moveDims[i*row+lo:i*row+hi], sp.TypedDims(i, ty)[arg*(hi-lo):])
+	sp.VisitTyped(func(i, k int, succ []int32, dims []uint8) {
+		if len(succ) == 0 {
+			return
 		}
-	}
+		arg, best := 0, t.ids[succ[0]]
+		for e, j := range succ[1:] {
+			if s := t.ids[j]; s > best {
+				arg, best = e+1, s
+			}
+		}
+		m := move{count: int32(len(succ)), score: best}
+		for _, ty := range classTypes[k] {
+			t.best[i*nt+ty] = m
+			lo, hi := i*row+int(t.dimOff[ty]), i*row+int(t.dimOff[ty+1])
+			win := dims[arg*(hi-lo):]
+			for u := range t.moveDims[lo:hi] { // one or two bytes: a memmove call costs more
+				t.moveDims[lo+u] = win[u]
+			}
+		}
+	})
 	sp.ReleaseTyped()
 }
 
