@@ -124,8 +124,13 @@ fmt:
 # The number ROADMAP tracks: lines of non-test Go outside the benchmark
 # module (and its build directory) and outside testdata/ directories.
 # The second line counts the testdata/ Go (the analyzers' fixtures)
-# that the first leaves out.
+# that the first leaves out. A markdown table of the first count per
+# package (directory) follows, for ROADMAP's per-package gates.
 LOC_FIND = find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' -not -path './.bench_build/*'
 loc:
 	@printf 'non-test Go: '; $(LOC_FIND) -not -path '*/testdata/*' | xargs cat | wc -l
 	@printf 'testdata Go: '; $(LOC_FIND) -path '*/testdata/*' | xargs cat | wc -l
+	@printf '\n| package | non-test lines |\n|---|---:|\n'
+	@$(LOC_FIND) -not -path '*/testdata/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); sub("^\\./?", "", d); n[d == "" ? "." : d] += $$1 } \
+			END { for (d in n) print "| " d " | " n[d] " |" }' | sort

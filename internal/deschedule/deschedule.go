@@ -331,7 +331,7 @@ func (e *Engine) rankPass(c *placement.Cluster, budget *int, movesFrom map[int]i
 func (e *Engine) move(c *placement.Cluster, src *placement.PM, vmID int, drain bool, received map[int]bool) (gain float64, ok bool) {
 	var srcScore, destScore float64
 	var srcOK bool
-	h, dest, _ := c.Migrate(e.placer, vmID, func(h placement.Hosted, dest *placement.PM) bool {
+	h, dest, _ := c.Migrate(e.placer, vmID, func(h placement.Hosted, dest *placement.PM, _ resource.Assignment) bool {
 		if !dest.Active() {
 			return false
 		}

@@ -418,18 +418,18 @@ func (c *Cluster) releaseFrom(pm *PM, vmID int) (Hosted, error) {
 // Migrate is the one move primitive — the paper's migration step,
 // shared by overload relief, consolidation and the descheduler:
 // release the VM, ask p where it would land today with its source
-// excluded, and host it there when accept approves the destination
-// (nil accepts any). Otherwise — no capacity, a refusal, or a failed
-// Host — the VM goes back on its source with its original assignment;
-// a source that emptied re-enters the used list at the tail, like any
-// other PM coming into use.
+// excluded, and host it there when accept approves the destination and
+// the assignment the placer chose for it (nil accepts any). Otherwise —
+// no capacity, a refusal, or a failed Host — the VM goes back on its
+// source with its original assignment; a source that emptied re-enters
+// the used list at the tail, like any other PM coming into use.
 //
 // It returns the VM's hosting record after the call and the
 // destination it moved to. dest is nil when the VM stayed: err then
 // carries the placer's (or Host's) error, or is nil for a refusal.
 // accept runs between the release and the Host, so it sees the source
 // without the VM and the destination before it.
-func (c *Cluster) Migrate(p Placer, vmID int, accept func(h Hosted, dest *PM) bool) (h Hosted, dest *PM, err error) {
+func (c *Cluster) Migrate(p Placer, vmID int, accept func(h Hosted, dest *PM, assign resource.Assignment) bool) (h Hosted, dest *PM, err error) {
 	src, ok := c.loc[vmID]
 	if !ok {
 		return Hosted{}, nil, fmt.Errorf("placement: vm %d not placed", vmID)
@@ -438,7 +438,7 @@ func (c *Cluster) Migrate(p Placer, vmID int, accept func(h Hosted, dest *PM) bo
 		return Hosted{}, nil, err
 	}
 	dest, assign, err := p.Place(c, h.VM, src)
-	if err == nil && (accept == nil || accept(h, dest)) {
+	if err == nil && (accept == nil || accept(h, dest, assign)) {
 		if err = c.Host(dest, h.VM, assign); err == nil {
 			return Hosted{VM: h.VM, Assign: assign}, dest, nil
 		}

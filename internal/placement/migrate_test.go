@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"pagerankvm/internal/resource"
 )
 
 // clusterState is everything a move may or may not touch: where every
@@ -87,10 +89,11 @@ func TestMigrateOutcomesQuick(t *testing.T) {
 				before := stateOf(c)
 				policy := r.Intn(3) // 0: nil accept, 1: accept all, 2: refuse all
 				asked := false
-				var accept func(Hosted, *PM) bool
+				var offered resource.Assignment
+				var accept func(Hosted, *PM, resource.Assignment) bool
 				if policy > 0 {
-					accept = func(h Hosted, dest *PM) bool {
-						asked = true
+					accept = func(h Hosted, dest *PM, assign resource.Assignment) bool {
+						asked, offered = true, assign
 						if h.VM.ID != vmID || dest == src {
 							t.Errorf("%s seed %d: accept saw vm %d dest pm %d (src pm %d)", p.Name(), seed, h.VM.ID, dest.ID, src.ID)
 						}
@@ -134,6 +137,9 @@ func TestMigrateOutcomesQuick(t *testing.T) {
 				}
 				if now, _ := c.Locate(vmID); now != dest || fmt.Sprint(dest.VMs()[vmID].Assign) != fmt.Sprint(h.Assign) {
 					t.Fatalf("%s seed %d: vm %d not on dest pm %d with the returned assignment", p.Name(), seed, vmID, dest.ID)
+				}
+				if asked && fmt.Sprint(offered) != fmt.Sprint(h.Assign) {
+					t.Fatalf("%s seed %d: accept was offered %v, vm %d landed with %v", p.Name(), seed, offered, vmID, h.Assign)
 				}
 				if len(vms) != 1 || vms[0] != vmID || len(after.vms) != len(before.vms) {
 					t.Fatalf("%s seed %d: moving vm %d changed vms %v", p.Name(), seed, vmID, vms)

@@ -413,7 +413,7 @@ func TestOpenListOwnership(t *testing.T) {
 		f.probe()
 		f.wantClosed(true, pms[0])
 		refused := false
-		_, dest, err := f.c.Migrate(f.p, vm.ID, func(Hosted, *PM) bool {
+		_, dest, err := f.c.Migrate(f.p, vm.ID, func(Hosted, *PM, resource.Assignment) bool {
 			refused = true
 			f.checkLists()
 			if slices.Contains(f.c.UsedPMs(), pms[0]) {

@@ -154,6 +154,52 @@ type Workload struct {
 	End int
 }
 
+// Schedule indexes workloads by step over a run of steps monitoring
+// intervals: arrives[step] holds the VMs arriving at step and
+// departs[step] the ids of the VMs leaving, both in workload order. A
+// lease that starts at or after steps never arrives, one ending at or
+// after steps never departs. A nil VM or a lease that is not a
+// non-empty window starting at 0 or later is an error.
+func Schedule(workloads []Workload, steps int) (arrives [][]*placement.VM, departs [][]int, err error) {
+	arrives, departs = make([][]*placement.VM, steps), make([][]int, steps)
+	for _, w := range workloads {
+		if w.VM == nil {
+			return nil, nil, errors.New("sim: nil VM in workload")
+		}
+		if w.Start < 0 || (w.End != 0 && w.End <= w.Start) {
+			return nil, nil, fmt.Errorf("sim: vm %d has invalid lease [%d,%d)", w.VM.ID, w.Start, w.End)
+		}
+		if w.Start < steps {
+			arrives[w.Start] = append(arrives[w.Start], w.VM)
+		}
+		if w.End > 0 && w.End < steps {
+			departs[w.End] = append(departs[w.End], w.VM.ID)
+		}
+	}
+	return arrives, departs, nil
+}
+
+// Classify is the per-interval monitoring rule shared by the simulator
+// and the testbed controller. load is one CPU group's actual load, one
+// entry per dimension, whose first dimension is lo in the PM's shape;
+// capUnits is the group's per-dimension capacity. It returns the
+// load's sum, whether some dimension sat at capacity (the paper's SLO
+// violation), and over with the shape dimensions whose load exceeds
+// threshold × capUnits appended (the overload that triggers
+// migration).
+func Classify(load []float64, lo int, capUnits, threshold float64, over []int) (total float64, violated bool, _ []int) {
+	for i, l := range load {
+		total += l
+		if l >= capUnits-sloEpsilon {
+			violated = true
+		}
+		if l > threshold*capUnits {
+			over = append(over, lo+i)
+		}
+	}
+	return total, violated, over
+}
+
 // Result aggregates the metrics the paper reports.
 type Result struct {
 	// PMsUsed is the high-water mark of simultaneously active PMs
@@ -204,6 +250,7 @@ type Simulation struct {
 	n       int
 	col     idIndex            // VM id -> util column
 	load    []float64          // actualCPU's result, reused
+	over    []int              // Classify's overloaded dimensions, reused
 	active  []*placement.PM    // tick's snapshot of the used list, reused
 	arrives [][]*placement.VM  // step -> arrivals (step 0: the initial allocation)
 	departs [][]int            // step -> departing vm ids
@@ -352,6 +399,10 @@ func New(cfg Config, cluster *placement.Cluster, placer placement.Placer,
 		return nil, fmt.Errorf("sim: horizon %v shorter than interval %v", cfg.Horizon, cfg.Interval)
 	}
 	steps, pms := cfg.Steps(), cluster.PMs()
+	arrives, departs, err := Schedule(workloads, steps)
+	if err != nil {
+		return nil, err
+	}
 	s := &Simulation{
 		cfg:     cfg,
 		cluster: cluster,
@@ -360,8 +411,8 @@ func New(cfg Config, cluster *placement.Cluster, placer placement.Placer,
 		pms:     make([]pmState, len(pms)),
 		pmIdx:   newIDIndex(len(pms)),
 		col:     newIDIndex(len(workloads)),
-		arrives: make([][]*placement.VM, steps),
-		departs: make([][]int, steps),
+		arrives: arrives,
+		departs: departs,
 		met:     newSimMetrics(cfg.Obs),
 	}
 	width := 0
@@ -396,20 +447,8 @@ func New(cfg Config, cluster *placement.Cluster, placer placement.Placer,
 		s.resched = deschedule.New(prvm, rcfg)
 	}
 	for i, w := range workloads {
-		if w.VM == nil {
-			return nil, errors.New("sim: nil VM in workload")
-		}
 		if !s.col.insert(w.VM.ID, i) {
 			return nil, fmt.Errorf("sim: duplicate VM id %d", w.VM.ID)
-		}
-		if w.Start < 0 || (w.End != 0 && w.End <= w.Start) {
-			return nil, fmt.Errorf("sim: vm %d has invalid lease [%d,%d)", w.VM.ID, w.Start, w.End)
-		}
-		if w.Start < steps {
-			s.arrives[w.Start] = append(s.arrives[w.Start], w.VM)
-		}
-		if w.End > 0 && w.End < steps {
-			s.departs[w.End] = append(s.departs[w.End], w.VM.ID)
 		}
 	}
 	// Fill the matrix block VMs at a time, step by step in a block: the
@@ -534,34 +573,21 @@ func (s *Simulation) tick(step int, meter *energy.Meter, res *Result) error {
 		if st.hi == 0 {
 			continue
 		}
-		load := s.actualCPU(pm, step)
-		lo, hi, capUnits := st.lo, st.hi, st.cap
-
 		// Metrics for this PM-interval.
 		res.ActivePMSteps++
-		violated := false
-		overloaded := false
-		total := 0.0
-		for d := lo; d < hi; d++ {
-			total += load[d-lo]
-			if load[d-lo] >= capUnits-sloEpsilon {
-				violated = true
-			}
-			if load[d-lo] > (*s.cfg.OverloadThreshold)*capUnits {
-				overloaded = true
-			}
-		}
+		total, violated, over := Classify(s.actualCPU(pm, step), st.lo, st.cap, *s.cfg.OverloadThreshold, s.over[:0])
+		s.over = over
 		if violated {
 			res.ViolatedPMSteps++
 			stats.ViolatedPMs++
 			s.met.sloViolations.Inc()
 		}
-		cpuUtil := total / (capUnits * float64(hi-lo))
+		cpuUtil := total / (st.cap * float64(st.hi-st.lo))
 		meter.Accumulate(st.model, cpuUtil, s.cfg.Interval)
 		activePMsSeen++
 		utilSum += cpuUtil
 
-		if overloaded {
+		if len(s.over) > 0 {
 			res.OverloadEvents++
 			stats.OverloadedPMs++
 			s.met.overloads.Inc()
@@ -601,7 +627,7 @@ func (s *Simulation) consolidate(pm *placement.PM, res *Result) {
 	for _, id := range pm.VMIDs() {
 		// Only consolidate onto already-running PMs; powering a fresh
 		// PM on would defeat the purpose.
-		_, dest, _ := s.cluster.Migrate(migrator{s}, id, func(_ placement.Hosted, dest *placement.PM) bool { return dest.Active() })
+		_, dest, _ := s.cluster.Migrate(migrator{s}, id, func(_ placement.Hosted, dest *placement.PM, _ resource.Assignment) bool { return dest.Active() })
 		if dest == nil {
 			return
 		}
@@ -657,19 +683,11 @@ func (s *Simulation) plan(st *pmState, pm *placement.PM) {
 
 // relieve migrates VMs off an overloaded PM until no CPU dimension
 // exceeds the threshold, each successful move counting as a migration.
+// s.over holds the dimensions tick found overloaded, and every move
+// classifies the PM again.
 func (s *Simulation) relieve(pm *placement.PM, st *pmState, step int, res *Result) {
-	for evictions := 0; evictions < maxEvictionsPerPM; evictions++ {
-		load := s.actualCPU(pm, step)
-		var overloadedDims []int
-		for d := st.lo; d < st.hi; d++ {
-			if load[d-st.lo] > (*s.cfg.OverloadThreshold)*st.cap {
-				overloadedDims = append(overloadedDims, d)
-			}
-		}
-		if len(overloadedDims) == 0 {
-			return
-		}
-		victimID, ok := s.evictor.SelectVictim(pm, overloadedDims)
+	for evictions := 0; evictions < maxEvictionsPerPM && len(s.over) > 0; evictions++ {
+		victimID, ok := s.evictor.SelectVictim(pm, s.over)
 		if !ok {
 			return
 		}
@@ -681,5 +699,6 @@ func (s *Simulation) relieve(pm *placement.PM, st *pmState, step int, res *Resul
 		}
 		res.Migrations++
 		s.met.relieveMoves.Inc()
+		_, _, s.over = Classify(s.actualCPU(pm, step), st.lo, st.cap, *s.cfg.OverloadThreshold, s.over[:0])
 	}
 }

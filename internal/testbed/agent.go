@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"pagerankvm/internal/resource"
+	"pagerankvm/internal/trace"
 )
 
 // Agent emulates one PM instance: it hosts jobs, computes its actual
@@ -172,23 +173,10 @@ func (a *Agent) status(step int) *Status {
 	// bit-for-bit between identical runs.
 	for _, id := range ids {
 		job := a.jobs[id]
-		u := traceAt(job.Trace, step)
+		u := trace.Series(job.Trace).At(step)
 		for _, du := range job.Assign {
 			load[du.Dim] += float64(du.Units) * u
 		}
 	}
 	return &Status{AgentID: a.id, Step: step, Load: load, Jobs: ids}
-}
-
-func traceAt(t []float64, step int) float64 {
-	if len(t) == 0 {
-		return 0
-	}
-	if step < 0 {
-		step = 0
-	}
-	if step >= len(t) {
-		step = len(t) - 1
-	}
-	return t[step]
 }

@@ -13,21 +13,15 @@ import (
 	"pagerankvm/internal/opt"
 	"pagerankvm/internal/placement"
 	"pagerankvm/internal/resource"
+	"pagerankvm/internal/sim"
 	"pagerankvm/internal/trace"
 )
 
 // Job is one workload unit submitted to the testbed: an emulated VM
-// with a lease window, as in the paper's GENI experiment (jobs run on
-// instances; killing and continuing a job on another instance emulates
-// VM migration).
-type Job struct {
-	VM    *placement.VM
-	Trace trace.Series
-	// Start is the arrival step; End (exclusive) is the departure
-	// step, 0 meaning "runs to the end of the experiment".
-	Start int
-	End   int
-}
+// with its trace and lease window, the simulator's workload. As in the
+// paper's GENI experiment, jobs run on instances, and killing a job
+// and continuing it on another instance emulates VM migration.
+type Job = sim.Workload
 
 // DefaultCallRetries is how many times a failed call is retried before
 // the agent is declared dead.
@@ -42,11 +36,6 @@ type Config struct {
 	// Steps is the number of control intervals (paper: 4 h at 10 s
 	// per interval = 1440).
 	Steps int
-	// OverloadThreshold mirrors the simulator's 90% per-dimension
-	// rule; nil selects 0.90 (set with opt.F).
-	OverloadThreshold *float64
-	// CPUGroup names the trace-driven group; default "cpu".
-	CPUGroup string
 	// CallTimeout bounds one control-protocol round trip (request plus
 	// reply). Zero disables deadlines — safe for the in-memory
 	// transport without fault injection, where an agent always
@@ -76,12 +65,6 @@ func (c Config) withDefaults() Config {
 	if c.Steps == 0 {
 		c.Steps = 1440
 	}
-	if c.OverloadThreshold == nil {
-		c.OverloadThreshold = opt.F(0.90)
-	}
-	if c.CPUGroup == "" {
-		c.CPUGroup = "cpu"
-	}
 	if c.CallRetries == nil {
 		c.CallRetries = opt.I(DefaultCallRetries)
 	}
@@ -109,25 +92,28 @@ type Result struct {
 	// agent died.
 	Recovered int
 	// Lost counts jobs that could not be recovered — no surviving PM
-	// had capacity, an agent rejected the recovery start, or a failed
-	// migration's restart slot vanished.
+	// had capacity, or an agent rejected the recovery start.
 	Lost int
 }
 
 // Controller is the centralized scheduler of the emulated testbed. It
 // keeps a local mirror of every agent's assignments (a
-// placement.Cluster), drives lock-step rounds, and reacts to the
-// loads the agents report. Agents that stop answering (after bounded
-// retries) are declared dead: their mirror VMs are re-placed onto
-// surviving PMs via the configured placer and the run continues.
+// placement.Cluster), drives lock-step rounds, and applies the
+// simulator's monitoring rule (sim.Classify, sim.Schedule and
+// placement.Cluster.Migrate) to the loads the agents report. Agents
+// that stop answering (after bounded retries) are declared dead: their
+// mirror VMs are re-placed onto surviving PMs via the configured placer
+// and the run continues.
 type Controller struct {
 	cfg     Config
 	cluster *placement.Cluster
 	placer  placement.Placer
 	evictor placement.Evictor
 	conns   map[int]Conn // pm id -> conn
-	jobs    []Job
 	traces  map[int]trace.Series
+	arrives [][]*placement.VM // step -> arriving jobs
+	departs [][]int           // step -> departing job ids
+	over    []int             // sim.Classify's overloaded dimensions, reused
 	met     controllerMetrics
 
 	pms  []*placement.PM // inventory order, stable across retires
@@ -180,17 +166,28 @@ func (e *agentDownError) Error() string {
 func (e *agentDownError) Unwrap() error { return e.err }
 
 // NewController assembles a controller. The cluster's PMs must match
-// the agents one-to-one by id.
+// the agents one-to-one by id and carry the simulator's CPU group
+// (sim.DefaultCPUGroup); jobs must have valid leases (sim.Schedule).
 func NewController(cfg Config, cluster *placement.Cluster, placer placement.Placer,
 	evictor placement.Evictor, conns map[int]Conn, jobs []Job) (*Controller, error) {
 	if cluster == nil || placer == nil || evictor == nil {
 		return nil, errors.New("testbed: cluster, placer and evictor are required")
 	}
 	cfg = cfg.withDefaults()
+	if cfg.Steps < 0 {
+		return nil, fmt.Errorf("testbed: negative Steps %d", cfg.Steps)
+	}
 	for _, pm := range cluster.PMs() {
 		if _, ok := conns[pm.ID]; !ok {
 			return nil, fmt.Errorf("testbed: no agent connection for pm %d", pm.ID)
 		}
+		if pm.Shape.GroupIndex(sim.DefaultCPUGroup) < 0 {
+			return nil, fmt.Errorf("testbed: pm %d has no group %q", pm.ID, sim.DefaultCPUGroup)
+		}
+	}
+	arrives, departs, err := sim.Schedule(jobs, cfg.Steps)
+	if err != nil {
+		return nil, err
 	}
 	c := &Controller{
 		cfg:     cfg,
@@ -198,17 +195,15 @@ func NewController(cfg Config, cluster *placement.Cluster, placer placement.Plac
 		placer:  placer,
 		evictor: evictor,
 		conns:   conns,
-		jobs:    jobs,
 		traces:  make(map[int]trace.Series, len(jobs)),
+		arrives: arrives,
+		departs: departs,
 		met:     newControllerMetrics(cfg.Obs),
 		pms:     append([]*placement.PM(nil), cluster.PMs()...),
 		seqs:    make(map[int]uint64, len(conns)),
 		dead:    make(map[int]bool),
 	}
 	for _, j := range jobs {
-		if j.VM == nil {
-			return nil, errors.New("testbed: job without VM")
-		}
 		if _, dup := c.traces[j.VM.ID]; dup {
 			return nil, fmt.Errorf("testbed: duplicate job id %d", j.VM.ID)
 		}
@@ -264,38 +259,33 @@ func (c *Controller) Run() (Result, error) {
 
 func (c *Controller) round(step int, res *Result) error {
 	// Departures then arrivals, mirroring the simulator's order.
-	for _, j := range c.jobs {
-		if j.End == step && j.End > 0 {
-			if _, placed := c.cluster.Locate(j.VM.ID); placed {
-				if err := c.kill(j.VM.ID); err != nil {
-					// The job was departing anyway; a dead agent here
-					// only orphans the PM's other jobs.
-					if !c.recoverIfDown(err, res) {
-						return err
-					}
-				}
-			}
+	for _, id := range c.departs[step] {
+		pm, placed := c.cluster.Locate(id)
+		if !placed {
+			continue // rejected at arrival, or lost
+		}
+		if _, err := c.cluster.Release(id); err != nil {
+			return err
+		}
+		// The job was departing anyway; a dead agent here only orphans
+		// the PM's other jobs.
+		if err := c.kill(pm, id); err != nil && !c.recoverIfDown(err, res) {
+			return err
 		}
 	}
-	for i := range c.jobs {
-		j := &c.jobs[i]
-		if j.Start != step {
-			continue
-		}
-		pm, assign, err := c.placer.Place(c.cluster, j.VM, nil)
+	for _, vm := range c.arrives[step] {
+		pm, assign, err := c.placer.Place(c.cluster, vm, nil)
 		if errors.Is(err, placement.ErrNoCapacity) {
 			res.Rejected++
 			continue
 		}
 		if err != nil {
-			return fmt.Errorf("testbed: place job %d: %w", j.VM.ID, err)
+			return fmt.Errorf("testbed: place job %d: %w", vm.ID, err)
 		}
-		if err := c.startOn(pm, j.VM, assign); err != nil {
-			// Recovery re-places the arriving job together with the
-			// dead agent's other mirror VMs.
-			if !c.recoverIfDown(err, res) {
-				return err
-			}
+		// Recovery re-places the arriving job together with the dead
+		// agent's other mirror VMs.
+		if err := c.startOn(pm, vm, assign); err != nil && !c.recoverIfDown(err, res) {
+			return err
 		}
 	}
 
@@ -305,100 +295,76 @@ func (c *Controller) round(step int, res *Result) error {
 		if c.dead[pm.ID] || !pm.Active() {
 			continue
 		}
-		status, err := c.tick(pm.ID, step)
-		if err != nil {
-			if !c.recoverIfDown(err, res) {
-				return err
-			}
-			continue
+		status, err := c.tick(pm, step)
+		if err == nil {
+			err = c.handleStatus(pm, status, res)
 		}
-		if err := c.handleStatus(pm, status, step, res); err != nil {
-			if !c.recoverIfDown(err, res) {
-				return err
-			}
+		if err != nil && !c.recoverIfDown(err, res) {
+			return err
 		}
 	}
 	return nil
 }
 
-func (c *Controller) handleStatus(pm *placement.PM, status *Status, step int, res *Result) error {
-	gi := pm.Shape.GroupIndex(c.cfg.CPUGroup)
-	if gi < 0 {
-		return fmt.Errorf("testbed: pm %d has no group %q", pm.ID, c.cfg.CPUGroup)
-	}
+// handleStatus applies the simulator's monitoring rule (sim.Classify at
+// sim.DefaultOverloadThreshold) to one agent's reported load and, on
+// overload, moves one victim. One victim per round keeps the control
+// loop simple; a still-overloaded PM is handled again next round.
+func (c *Controller) handleStatus(pm *placement.PM, status *Status, res *Result) error {
+	gi := pm.Shape.GroupIndex(sim.DefaultCPUGroup)
 	lo, hi := pm.Shape.GroupRange(gi)
-	capUnits := float64(pm.Shape.Group(gi).Cap)
-
 	res.ActivePMSteps++
-	violated := false
-	var overloadedDims []int
-	for d := lo; d < hi; d++ {
-		if status.Load[d] >= capUnits-1e-9 {
-			violated = true
-		}
-		if status.Load[d] > (*c.cfg.OverloadThreshold)*capUnits {
-			overloadedDims = append(overloadedDims, d)
-		}
-	}
+	_, violated, over := sim.Classify(status.Load[lo:hi], lo, float64(pm.Shape.Group(gi).Cap), sim.DefaultOverloadThreshold, c.over[:0])
+	c.over = over
 	if violated {
 		res.ViolatedPMSteps++
 	}
-	if len(overloadedDims) == 0 {
+	if len(over) == 0 {
 		return nil
 	}
 	res.OverloadEvents++
-
-	// Kill one job and continue it elsewhere — the paper's testbed
-	// migration. One victim per round keeps the control loop simple;
-	// a still-overloaded PM is handled again next round.
-	victimID, ok := c.evictor.SelectVictim(pm, overloadedDims)
+	victimID, ok := c.evictor.SelectVictim(pm, over)
 	if !ok {
 		return nil
 	}
-	vm := c.jobVM(victimID)
-	if vm == nil {
-		// The mirror names a victim the job table does not know: skip
-		// the migration rather than killing a job we cannot restart.
+	if _, hosted := pm.Get(victimID); !hosted {
+		// The evictor named a job this PM does not host: skip the move
+		// rather than kill a job we cannot restart.
 		return nil
 	}
-	if err := c.kill(victimID); err != nil {
-		var down *agentDownError
-		if errors.As(err, &down) {
-			// The victim was already released from the mirror by kill;
-			// recover it alongside the dead agent's remaining jobs.
-			c.recoverAgent(down, res)
-			c.replaceVMs([]*placement.VM{vm}, res)
+	return c.migrate(pm, victimID, res)
+}
+
+// migrate kills a job on its agent and continues it elsewhere — the
+// paper's testbed migration — through placement.Cluster.Migrate, whose
+// accept issues the remote start. With no destination, or one that
+// refuses or dies, the job restarts on src with its original
+// assignment, in the mirror and on the agent.
+func (c *Controller) migrate(src *placement.PM, jobID int, res *Result) error {
+	if err := c.kill(src, jobID); err != nil {
+		// A dead source's recovery re-places the job with its others.
+		if c.recoverIfDown(err, res) {
 			return nil
 		}
 		return err
 	}
-	dest, assign, err := c.placer.Place(c.cluster, vm, pm)
-	if err != nil {
-		// Nowhere to continue the job: restart it on the source.
-		res.FailedMoves++
-		c.met.failedMoves.Inc()
-		if assign := c.sourceAssign(pm, vm); assign != nil {
-			if err := c.startOn(pm, vm, assign); err != nil {
-				if !c.recoverIfDown(err, res) {
-					return err
-				}
-			}
-			return nil
-		}
-		// The restart slot vanished: the job is gone from both mirror
-		// and agent, so account it instead of dropping it silently.
-		res.Lost++
-		c.met.lostJobs.Inc()
+	var startErr error
+	h, dest, _ := c.cluster.Migrate(c.placer, jobID, func(h placement.Hosted, dest *placement.PM, assign resource.Assignment) bool {
+		startErr = c.start(dest, h.VM, assign)
+		return startErr == nil
+	})
+	if dest != nil {
+		res.Migrations++
+		c.met.migrations.Inc()
 		return nil
 	}
-	if err := c.startOn(dest, vm, assign); err != nil {
-		if !c.recoverIfDown(err, res) {
-			return err
-		}
-		return nil
+	res.FailedMoves++
+	c.met.failedMoves.Inc()
+	if err := c.start(src, h.VM, h.Assign); err != nil && !c.recoverIfDown(err, res) {
+		_, _ = c.cluster.Release(jobID) // the source refused its own job back
+		return err
 	}
-	res.Migrations++
-	c.met.migrations.Inc()
+	c.recoverIfDown(startErr, res) // a destination that died mid-move
 	return nil
 }
 
@@ -486,30 +452,9 @@ func (c *Controller) replaceVMs(queue []*placement.VM, res *Result) {
 	}
 }
 
-func (c *Controller) jobVM(id int) *placement.VM {
-	for i := range c.jobs {
-		if c.jobs[i].VM.ID == id {
-			return c.jobs[i].VM
-		}
-	}
-	return nil
-}
-
-func (c *Controller) sourceAssign(pm *placement.PM, vm *placement.VM) resource.Assignment {
-	demand, ok := vm.DemandOn(pm.Type)
-	if !ok {
-		return nil
-	}
-	return resource.GreedyAssign(pm.Shape, pm.Used(), demand)
-}
-
-// startOn updates the mirror and instructs the agent. On an agent
-// rejection the mirror entry is rolled back before returning, so
-// mirror and agent never disagree about a job the agent refused.
-func (c *Controller) startOn(pm *placement.PM, vm *placement.VM, assign resource.Assignment) error {
-	if err := c.cluster.Host(pm, vm, assign); err != nil {
-		return fmt.Errorf("testbed: host job %d on pm %d: %w", vm.ID, pm.ID, err)
-	}
+// start asks pm's agent to run vm with assign. A refusal is an error
+// that is not an agent death.
+func (c *Controller) start(pm *placement.PM, vm *placement.VM, assign resource.Assignment) error {
 	reply, err := c.call(pm.ID, Message{Kind: KindStart, Job: &JobSpec{
 		ID:     vm.ID,
 		Assign: assign,
@@ -519,21 +464,28 @@ func (c *Controller) startOn(pm *placement.PM, vm *placement.VM, assign resource
 		return err
 	}
 	if reply.Kind != KindOK {
-		_, _ = c.cluster.Release(vm.ID)
 		return fmt.Errorf("testbed: agent %d rejected job %d: %s", pm.ID, vm.ID, reply.Err)
 	}
 	return nil
 }
 
-// kill removes the job from the mirror and the agent.
-func (c *Controller) kill(jobID int) error {
-	pm, ok := c.cluster.Locate(jobID)
-	if !ok {
-		return fmt.Errorf("testbed: job %d not placed", jobID)
+// startOn hosts vm on pm in the mirror and starts it on the agent. On a
+// refusal the mirror entry is rolled back before returning, so mirror
+// and agent never disagree about a job the agent refused.
+func (c *Controller) startOn(pm *placement.PM, vm *placement.VM, assign resource.Assignment) error {
+	if err := c.cluster.Host(pm, vm, assign); err != nil {
+		return fmt.Errorf("testbed: host job %d on pm %d: %w", vm.ID, pm.ID, err)
 	}
-	if _, err := c.cluster.Release(jobID); err != nil {
-		return err
+	err := c.start(pm, vm, assign)
+	var down *agentDownError
+	if err != nil && !errors.As(err, &down) {
+		_, _ = c.cluster.Release(vm.ID)
 	}
+	return err
+}
+
+// kill stops a job on pm's agent; the caller updates the mirror.
+func (c *Controller) kill(pm *placement.PM, jobID int) error {
 	reply, err := c.call(pm.ID, Message{Kind: KindKill, JobID: jobID})
 	if err != nil {
 		return err
@@ -544,13 +496,15 @@ func (c *Controller) kill(jobID int) error {
 	return nil
 }
 
-func (c *Controller) tick(pmID, step int) (*Status, error) {
-	reply, err := c.call(pmID, Message{Kind: KindTick, Step: step})
+// tick asks pm's agent for its load at step. A reply that is not a
+// status with one load per dimension of pm's shape is an error.
+func (c *Controller) tick(pm *placement.PM, step int) (*Status, error) {
+	reply, err := c.call(pm.ID, Message{Kind: KindTick, Step: step})
 	if err != nil {
 		return nil, err
 	}
-	if reply.Kind != KindStatus || reply.Status == nil {
-		return nil, fmt.Errorf("testbed: agent %d bad tick reply %v", pmID, reply.Kind)
+	if reply.Kind != KindStatus || reply.Status == nil || len(reply.Status.Load) != pm.Shape.NumDims() {
+		return nil, fmt.Errorf("testbed: agent %d bad tick reply %v", pm.ID, reply.Kind)
 	}
 	return reply.Status, nil
 }

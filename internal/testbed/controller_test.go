@@ -1,10 +1,12 @@
 package testbed
 
 import (
+	"strings"
 	"testing"
 
 	"pagerankvm/internal/placement"
 	"pagerankvm/internal/ranktable"
+	"pagerankvm/internal/resource"
 	"pagerankvm/internal/trace"
 )
 
@@ -221,6 +223,13 @@ func TestNewControllerValidation(t *testing.T) {
 	}
 	if _, err := NewController(Config{}, h.Cluster(), placer, evictor, h.Conns(), []Job{{}}); err == nil {
 		t.Error("accepted job without VM")
+	}
+	if _, err := NewController(Config{}, h.Cluster(), placer, evictor, h.Conns(), []Job{{VM: NewJobVM(1, JobTypes()[0]), Start: 3, End: 3}}); err == nil {
+		t.Error("accepted an empty lease")
+	}
+	noCPU := placement.NewCluster([]*placement.PM{placement.NewPM(0, PMType, resource.MustShape(resource.Group{Name: "mem", Dims: 1, Cap: 4}))})
+	if _, err := NewController(Config{}, noCPU, placer, evictor, h.Conns(), nil); err == nil || !strings.Contains(err.Error(), "no group") {
+		t.Errorf("accepted a PM without the CPU group: %v", err)
 	}
 }
 

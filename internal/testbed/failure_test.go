@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"pagerankvm/internal/obs"
 	"pagerankvm/internal/opt"
 	"pagerankvm/internal/placement"
+	"pagerankvm/internal/resource"
 )
 
 // assertMirrorAgentsConsistent checks that every surviving agent's own
@@ -237,8 +239,9 @@ func TestControllerRetriesLostReplies(t *testing.T) {
 }
 
 // TestControllerLostJobAccounting drives the failed-migration restart
-// path to the point where the restart slot vanishes, and checks the
-// job is counted in Result.Lost rather than silently dropped.
+// path, also with a victim the placer can no longer place anywhere,
+// and checks the job restarts on its source with its original
+// assignment instead of being lost.
 func TestControllerLostJobAccounting(t *testing.T) {
 	placer, evictor := prvmStack(t)
 	h, err := Launch(1, TransportInMemory)
@@ -267,27 +270,150 @@ func TestControllerLostJobAccounting(t *testing.T) {
 	if got := h.Cluster().NumVMs(); got != 4 {
 		t.Fatalf("round 0: NumVMs = %d, want 4 (victim restarted on source)", got)
 	}
-	// Sabotage the restart: without a demand entry for the PM type,
-	// neither Place nor the source re-assignment can produce an
-	// assignment after the kill.
+	// Without a demand entry for the PM type, Place cannot produce an
+	// assignment after the kill; the move still restores the one the
+	// job held.
+	before := assignments(h.Cluster())
 	for i := range jobs {
 		delete(jobs[i].VM.Req, PMType)
 	}
 	if err := ctrl.round(1, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Lost != 1 {
-		t.Fatalf("round 1: Lost = %d, want 1 (restart slot vanished)", res.Lost)
+	if res.FailedMoves != 2 || res.Lost != 0 {
+		t.Fatalf("round 1: FailedMoves=%d Lost=%d, want 2/0 (victim restored on source)", res.FailedMoves, res.Lost)
 	}
-	if got := h.Cluster().NumVMs(); got != 3 {
-		t.Fatalf("round 1: NumVMs = %d, want 3", got)
+	if after := assignments(h.Cluster()); !reflect.DeepEqual(after, before) {
+		t.Fatalf("round 1: assignments %v, want %v unchanged", after, before)
 	}
 	ctrl.shutdown()
 	h.Close()
+	assertMirrorAgentsConsistent(t, h, ctrl)
 }
 
-// bogusEvictor names a victim the controller's job table does not
-// know — the jobVM-returns-nil hazard.
+// assignments maps every placed job to "pm assignment".
+func assignments(c *placement.Cluster) map[int]string {
+	m := map[int]string{}
+	for _, pm := range c.PMs() {
+		for _, h := range pm.HostedVMs() {
+			m[h.VM.ID] = fmt.Sprint(pm.ID, h.Assign)
+		}
+	}
+	return m
+}
+
+// refuseStarts answers every start request itself with a refusal, so
+// the agent behind it never sees one.
+type refuseStarts struct {
+	Conn
+	refusal *Message
+}
+
+func (r *refuseStarts) Send(m Message) error {
+	if m.Kind == KindStart {
+		r.refusal = &Message{Kind: KindError, Seq: m.Seq, Err: "refused"}
+		return nil
+	}
+	return r.Conn.Send(m)
+}
+
+func (r *refuseStarts) Recv() (Message, error) {
+	if m := r.refusal; m != nil {
+		r.refusal = nil
+		return *m, nil
+	}
+	return r.Conn.Recv()
+}
+
+// recordStarts keeps every start request sent through it.
+type recordStarts struct {
+	Conn
+	starts []JobSpec
+}
+
+func (r *recordStarts) Send(m Message) error {
+	if m.Kind == KindStart {
+		r.starts = append(r.starts, *m.Job)
+	}
+	return r.Conn.Send(m)
+}
+
+// TestControllerRefusedMigrationStart has the only possible
+// destination refuse a migration start: the run goes on, and the job
+// is back on its source with its original assignment, in the mirror
+// and on the agent.
+func TestControllerRefusedMigrationStart(t *testing.T) {
+	placer, evictor := prvmStack(t)
+	h, err := Launch(2, TransportInMemory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &recordStarts{Conn: h.Conns()[0]}
+	h.Conns()[0] = src
+	h.Conns()[1] = &refuseStarts{Conn: h.Conns()[1]}
+	// Four wide jobs at full heat pack PM 0 to 4.0 > 3.6 per core.
+	var jobs []Job
+	for i := 0; i < 4; i++ {
+		jobs = append(jobs, constJob(i, 1, 1.0, 1, 0, 0))
+	}
+	ctrl, err := NewController(Config{Steps: 1}, h.Cluster(), placer, evictor, h.Conns(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ctrl.Run()
+	if err != nil {
+		t.Fatalf("a refused migration start aborted the run: %v", err)
+	}
+	h.Close()
+	if res.FailedMoves != 1 || res.Migrations != 0 || res.Lost != 0 {
+		t.Fatalf("result %+v, want one failed move, no migration, nothing lost", res)
+	}
+	if len(src.starts) != 5 {
+		t.Fatalf("pm 0 saw %d starts, want 4 arrivals and 1 restore", len(src.starts))
+	}
+	restore := src.starts[4]
+	first := src.starts[restore.ID]
+	if first.ID != restore.ID || !reflect.DeepEqual(first.Assign, restore.Assign) {
+		t.Fatalf("job %d restarted with %v, arrived with %v", restore.ID, restore.Assign, first.Assign)
+	}
+	pm, _ := h.Cluster().Locate(restore.ID)
+	if held, _ := pm.Get(restore.ID); pm.ID != 0 || !reflect.DeepEqual([]resource.DimUnits(held.Assign), restore.Assign) {
+		t.Fatalf("mirror holds job %d on pm %d with %v, want pm 0 with %v", restore.ID, pm.ID, held.Assign, restore.Assign)
+	}
+	assertMirrorAgentsConsistent(t, h, ctrl)
+}
+
+// shortLoads truncates every status reply's load vector.
+type shortLoads struct{ Conn }
+
+func (s shortLoads) Recv() (Message, error) {
+	m, err := s.Conn.Recv()
+	if m.Status != nil {
+		m.Status.Load = m.Status.Load[:1]
+	}
+	return m, err
+}
+
+// TestControllerShortLoadReply checks a status whose load vector is
+// shorter than the PM's shape is a bad reply, not an index panic.
+func TestControllerShortLoadReply(t *testing.T) {
+	placer, evictor := prvmStack(t)
+	h, err := Launch(1, TransportInMemory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Conns()[0] = shortLoads{h.Conns()[0]}
+	ctrl, err := NewController(Config{Steps: 2}, h.Cluster(), placer, evictor, h.Conns(), []Job{constJob(0, 1, 0.5, 2, 0, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctrl.Run(); err == nil || !strings.Contains(err.Error(), "bad tick reply") {
+		t.Fatalf("Run = %v, want a bad tick reply error", err)
+	}
+	h.Close()
+}
+
+// bogusEvictor names a victim the overloaded PM does not host.
 type bogusEvictor struct{}
 
 func (bogusEvictor) Name() string { return "bogus" }
@@ -335,9 +461,12 @@ func TestControllerShutdownOnRoundError(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := []Job{constJob(0, 0, 0.5, 4, 0, 0)}
-	// A config naming a nonexistent resource group makes the first
-	// status handling fail fatally.
-	ctrl, err := NewController(Config{Steps: 4, CPUGroup: "nope"}, h.Cluster(), placer, evictor, h.Conns(), jobs)
+	// Agents that refuse every start make the first arrival fail
+	// fatally.
+	for id, conn := range h.Conns() {
+		h.Conns()[id] = &refuseStarts{Conn: conn}
+	}
+	ctrl, err := NewController(Config{Steps: 4}, h.Cluster(), placer, evictor, h.Conns(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

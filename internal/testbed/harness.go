@@ -159,7 +159,7 @@ type JobConfig struct {
 	Steps int
 	// Seed drives arrivals, types and traces.
 	Seed int64
-	// MeanLeaseSteps is the mean job duration; 0 selects Steps/8.
+	// MeanLeaseSteps is the mean job duration; 0 selects Steps/12.
 	MeanLeaseSteps int
 	// WideShare is the fraction of [1,1,1,1] jobs; nil selects 0.5
 	// (set with opt.F).
