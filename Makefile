@@ -75,7 +75,7 @@ fuzz:
 # Hot-path micro-benchmark gate: runs the PlaceLookup / PlaceScan /
 # SpaceWire / FactoredRegistryBuildM3C3 / RanksCSR / RecordOverhead /
 # TableCache / RebalanceStep / OpLine / WALReplay / ReplayApply /
-# SimDay micro-benchmarks and
+# SimDay / GenWorkloads micro-benchmarks and
 # re-records the allocs/ns baseline BENCH.json
 # (see README "Benchmarks"; end-to-end numbers come from benchmarks/).
 bench:

@@ -64,3 +64,21 @@ func BenchmarkSimDay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGenWorkloads prices building one sim-paper-sized request
+// stream (3 000 VMs, 24 h of PlanetLab traces at 5-minute steps, seed
+// 1): the serial tenant draws plus the parallel series fill.
+func BenchmarkGenWorkloads(b *testing.B) {
+	cat, err := experiments.AmazonCatalog()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := experiments.WorkloadConfig{NumVMs: 3000, Seed: 1, Steps: 288}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cat.GenWorkloads(trace.PlanetLab{Seed: 1}, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -68,7 +68,10 @@ const tenantIDBase = 1 << 24
 
 // GenWorkloads builds the VM request stream with traces: tenants
 // arrive with geometric-ish batch sizes of one VM type each, and every
-// VM's utilization blends the tenant's shared series with its own.
+// VM's utilization overlays the tenant's shared burst series on its
+// own. The tenant structure (types, batches, lease windows) is drawn
+// from cfg.Seed first; trace.OverlaidSeries then fills the series,
+// each depending only on (seed, id).
 func (c *Catalog) GenWorkloads(gen trace.Generator, cfg WorkloadConfig) ([]sim.Workload, error) {
 	cfg = cfg.withDefaults()
 	if cfg.NumVMs <= 0 || cfg.Steps <= 0 {
@@ -82,11 +85,11 @@ func (c *Catalog) GenWorkloads(gen trace.Generator, cfg WorkloadConfig) ([]sim.W
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	out := make([]sim.Workload, 0, cfg.NumVMs)
+	burstIDs := make([]int, 0, cfg.NumVMs)
 	tenant := 0
 	for len(out) < cfg.NumVMs {
 		typeName := SampleVMType(cfg.Mix, names, rng.Float64())
 		batch := 1 + rng.Intn(cfg.MaxBatch)
-		shared := trace.Bursts(cfg.Seed, tenantIDBase+tenant, cfg.Steps, cfg.TenantBursts)
 
 		// The whole tenant shares one lease window.
 		start, end := 0, 0
@@ -99,20 +102,17 @@ func (c *Catalog) GenWorkloads(gen trace.Generator, cfg WorkloadConfig) ([]sim.W
 		}
 
 		for b := 0; b < batch && len(out) < cfg.NumVMs; b++ {
-			id := len(out)
-			vm, err := c.NewVM(id, typeName)
+			vm, err := c.NewVM(len(out), typeName)
 			if err != nil {
 				return nil, err
 			}
-			own := gen.Series(id, cfg.Steps)
-			out = append(out, sim.Workload{
-				VM:    vm,
-				Trace: trace.Overlay(own, shared),
-				Start: start,
-				End:   end,
-			})
+			out = append(out, sim.Workload{VM: vm, Start: start, End: end})
+			burstIDs = append(burstIDs, tenantIDBase+tenant)
 		}
 		tenant++
+	}
+	for id, s := range trace.OverlaidSeries(gen, cfg.Steps, cfg.Seed, cfg.TenantBursts, burstIDs) {
+		out[id].Trace = s
 	}
 	return out, nil
 }

@@ -178,35 +178,33 @@ func GenJobs(cat func(id int, vt resource.VMType) *placement.VM, cfg JobConfig) 
 	}
 	wideShare := opt.Or(cfg.WideShare, 0.5)
 	types := JobTypes()
-	gen := trace.Google{Seed: cfg.Seed, Mean: opt.F(0.5)}
 	rng := rand.New(rand.NewSource(cfg.Seed * 31 / 7))
 
 	jobs := make([]Job, 0, cfg.NumJobs)
+	burstIDs := make([]int, 0, cfg.NumJobs)
 	user := 0
 	for len(jobs) < cfg.NumJobs {
 		group := 1 + rng.Intn(5)
-		shared := trace.Bursts(cfg.Seed, 1<<24+user, cfg.Steps,
-			trace.BurstConfig{Prob: opt.F(0.03), Min: 0.8, Max: opt.F(1.0)})
 		vt := types[0]
 		if rng.Float64() < wideShare {
 			vt = types[1]
 		}
 		start := rng.Intn(cfg.Steps * 8 / 10)
 		for g := 0; g < group && len(jobs) < cfg.NumJobs; g++ {
-			id := len(jobs)
 			lease := 1 + int(rng.ExpFloat64()*float64(cfg.MeanLeaseSteps))
 			end := start + lease
 			if end >= cfg.Steps {
 				end = 0
 			}
-			jobs = append(jobs, Job{
-				VM:    cat(id, vt),
-				Trace: trace.Overlay(gen.Series(id, cfg.Steps), shared),
-				Start: start,
-				End:   end,
-			})
+			jobs = append(jobs, Job{VM: cat(len(jobs), vt), Start: start, End: end})
+			burstIDs = append(burstIDs, 1<<24+user)
 		}
 		user++
+	}
+	gen := trace.Google{Seed: cfg.Seed, Mean: opt.F(0.5)}
+	bursts := trace.BurstConfig{Prob: opt.F(0.03), Min: 0.8, Max: opt.F(1.0)}
+	for id, s := range trace.OverlaidSeries(gen, cfg.Steps, cfg.Seed, bursts, burstIDs) {
+		jobs[id].Trace = s
 	}
 	return jobs, nil
 }

@@ -96,3 +96,38 @@ func TestBurstsDecay(t *testing.T) {
 		t.Skip("no isolated burst found; decay unverifiable for this seed")
 	}
 }
+
+// offGen returns one sample more than asked for even ids and one
+// fewer for odd ids, so the overlay's truncation to the shorter input
+// is exercised both ways.
+type offGen struct{ PlanetLab }
+
+func (g offGen) Series(vmID, steps int) Series {
+	return g.PlanetLab.Series(vmID, steps+1-2*(vmID%2))
+}
+
+// OverlaidSeries must equal Overlay(gen.Series, Bursts) bit for bit,
+// for runs of equal burst ids, an id that recurs after another, and a
+// generator returning long and short series.
+func TestOverlaidSeriesMatchesOverlay(t *testing.T) {
+	const steps = 60
+	cfg := BurstConfig{Prob: opt.F(0.2)}
+	burstIDs := []int{5, 5, 5, 0, 0, 9, 5, 5, -3, 0}
+	for _, gen := range []Generator{PlanetLab{Seed: 4}, Google{Seed: 4}, offGen{PlanetLab{Seed: 4}}} {
+		got := OverlaidSeries(gen, steps, 11, cfg, burstIDs)
+		if len(got) != len(burstIDs) {
+			t.Fatalf("%d series for %d ids", len(got), len(burstIDs))
+		}
+		for id, b := range burstIDs {
+			want := Overlay(gen.Series(id, steps), Bursts(11, b, steps, cfg))
+			if len(got[id]) != len(want) {
+				t.Fatalf("%s vm %d: %d samples, want %d", gen.Name(), id, len(got[id]), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[id][i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s vm %d step %d: %v, want %v", gen.Name(), id, i, got[id][i], want[i])
+				}
+			}
+		}
+	}
+}

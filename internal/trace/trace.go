@@ -17,7 +17,6 @@ package trace
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"sync/atomic"
 
 	"pagerankvm/internal/opt"
@@ -70,7 +69,9 @@ func (s Series) Max() float64 {
 type Generator interface {
 	Name() string
 	// Series returns the utilization series for one VM over the given
-	// number of steps. Deterministic in (generator seed, vmID).
+	// number of steps. It must be deterministic in (generator seed,
+	// vmID), safe for concurrent use, and return a slice the caller
+	// owns: OverlaidSeries adds the tenant bursts into it in place.
 	Series(vmID, steps int) Series
 }
 
@@ -121,7 +122,8 @@ func (g PlanetLab) Series(vmID, steps int) Series {
 	// The daily peak hour is common to the whole workload (seed-
 	// derived), individual VMs jitter around it.
 	globalPhase := planetLabPhase(g.Seed)
-	rng := rand.New(rand.NewSource(g.Seed*1000003 + int64(vmID)))
+	rng := seeded(g.Seed*1000003 + int64(vmID))
+	defer randPool.Put(rng)
 
 	var (
 		phase   = globalPhase + 0.4*rng.NormFloat64()
@@ -164,7 +166,9 @@ func planetLabPhase(seed int64) float64 {
 	if p := lastPhase.Load(); p != nil && p.seed == seed {
 		return p.phase
 	}
-	p := &seededPhase{seed, rand.New(rand.NewSource(seed)).Float64() * 2 * math.Pi}
+	rng := seeded(seed)
+	p := &seededPhase{seed, rng.Float64() * 2 * math.Pi}
+	randPool.Put(rng)
 	lastPhase.Store(p)
 	return p.phase
 }
@@ -188,7 +192,8 @@ func (Google) Name() string { return "google" }
 // Series implements Generator.
 func (g Google) Series(vmID, steps int) Series {
 	mean := opt.Or(g.Mean, 0.30)
-	rng := rand.New(rand.NewSource(g.Seed*998244353 + int64(vmID)))
+	rng := seeded(g.Seed*998244353 + int64(vmID))
+	defer randPool.Put(rng)
 
 	var (
 		level   = mean * (0.4 + 1.2*rng.Float64())
@@ -299,9 +304,15 @@ func (c BurstConfig) withDefaults() resolvedBursts {
 // Bursts generates a burst-only series (zero baseline): occasional
 // surges that decay geometrically. Deterministic in (seed, id).
 func Bursts(seed int64, id, steps int, cfg BurstConfig) Series {
-	r := cfg.withDefaults()
-	rng := rand.New(rand.NewSource(seed*69061 + int64(id)))
 	out := make(Series, steps)
+	fillBursts(out, seed, id, cfg.withDefaults())
+	return out
+}
+
+// fillBursts writes the Bursts series of (seed, id) into out.
+func fillBursts(out Series, seed int64, id int, r resolvedBursts) {
+	rng := seeded(seed*69061 + int64(id))
+	defer randPool.Put(rng)
 	burst := 0.0
 	for i := range out {
 		if rng.Float64() < r.prob {
@@ -309,6 +320,29 @@ func Bursts(seed int64, id, steps int, cfg BurstConfig) Series {
 		}
 		out[i] = clamp01(burst)
 		burst *= r.decay
+	}
+}
+
+// OverlaidSeries returns, for every VM id in [0, len(burstIDs)),
+// Overlay(gen.Series(id, steps), Bursts(seed, burstIDs[id], steps,
+// cfg)) bit for bit, summed in place in the series gen returns. A
+// burst series is drawn once per run of equal consecutive ids, so a
+// tenant's VMs should be numbered consecutively. Serial on purpose
+// (DESIGN.md §5).
+func OverlaidSeries(gen Generator, steps int, seed int64, cfg BurstConfig, burstIDs []int) []Series {
+	out := make([]Series, len(burstIDs))
+	r := cfg.withDefaults()
+	shared := make(Series, steps)
+	for id, b := range burstIDs {
+		if id == 0 || b != burstIDs[id-1] {
+			fillBursts(shared, seed, b, r)
+		}
+		own := gen.Series(id, steps)
+		own = own[:min(len(own), len(shared))]
+		for i, x := range own {
+			own[i] = clamp01(x + shared[i])
+		}
+		out[id] = own
 	}
 	return out
 }
