@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -31,33 +32,27 @@ func WriteEvaluation(w io.Writer, sim SimConfig, tb TestbedConfig) error {
 		}
 		fmt.Fprintln(w)
 	}
-	var figs []Figure
-	for _, tr := range []string{"planetlab", "google", Testbed} {
-		for _, f := range Figures {
-			if f.Trace == tr {
-				figs = append(figs, f)
-			}
-		}
-	}
-	if _, err := RunFigures(w, figs, sim, tb); err != nil {
+	if _, err := RunFigures(w, Figures, sim, tb); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintln(w)
 	return err
 }
 
-// SelectFigures returns the simulation's figures, or the testbed's
-// when testbed is set: all of them in paper order when id is "all",
-// else the one with that ID.
-func SelectFigures(id string, testbed bool) ([]Figure, error) {
-	var out []Figure
-	for _, f := range Figures {
-		if (f.Trace == Testbed) == testbed && (id == "all" || id == f.ID) {
-			out = append(out, f)
-		}
+// SelectFigures parses a comma-separated list of figure IDs — the -fig
+// flag of prvm-exp — into those figures, in the order given; "all"
+// selects every figure, in report order. An unknown ID is an error.
+func SelectFigures(ids string) ([]Figure, error) {
+	if ids == "all" {
+		return Figures, nil
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("unknown figure %q", id)
+	var out []Figure
+	for _, id := range strings.Split(ids, ",") {
+		i := slices.IndexFunc(Figures, func(f Figure) bool { return f.ID == strings.TrimSpace(id) })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown figure %q", id)
+		}
+		out = append(out, Figures[i])
 	}
 	return out, nil
 }

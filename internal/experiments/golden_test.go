@@ -13,8 +13,8 @@ import (
 // byte for byte:
 //
 //	testdata/prvm-exp-quick.txt  prvm-exp -quick stdout, minus its wall-time line
-//	testdata/prvm-sim.csv        prvm-sim -reps 2 -vms 100 -pms 40 -csv FILE
-//	testdata/prvm-testbed.csv    prvm-testbed -jobs 40 -reps 2 -steps 120 -csv FILE
+//	testdata/prvm-sim.csv        prvm-exp -fig 3a,3b -reps 2 -vms 100 -pms 40 -csv FILE
+//	testdata/prvm-testbed.csv    prvm-exp -fig 4a -jobs 40 -reps 2 -steps 120 -csv FILE
 //
 // A change that moves any of them must re-record the file with that
 // command and say why in its description.
@@ -32,10 +32,10 @@ func TestHarnessGoldenOutputs(t *testing.T) {
 				TestbedConfig{NumJobs: []int{40}, Reps: 2, Seed: 1, Steps: 120})
 		}},
 		{"prvm-sim.csv", func(w io.Writer) error {
-			return writeFiguresCSV(w, false, SimConfig{NumVMs: []int{100}, Reps: 2, Seed: 1, PMsPerType: 40}, TestbedConfig{})
+			return writeFiguresCSV(w, "3a,3b", SimConfig{NumVMs: []int{100}, Reps: 2, Seed: 1, PMsPerType: 40}, TestbedConfig{})
 		}},
 		{"prvm-testbed.csv", func(w io.Writer) error {
-			return writeFiguresCSV(w, true, SimConfig{}, TestbedConfig{NumJobs: []int{40}, Reps: 2, Seed: 1, Steps: 120})
+			return writeFiguresCSV(w, "4a", SimConfig{}, TestbedConfig{NumJobs: []int{40}, Reps: 2, Seed: 1, Steps: 120})
 		}},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
@@ -54,10 +54,9 @@ func TestHarnessGoldenOutputs(t *testing.T) {
 	}
 }
 
-// writeFiguresCSV is the -csv file of prvm-sim (or of prvm-testbed,
-// when testbed is set) at -fig all.
-func writeFiguresCSV(w io.Writer, testbed bool, sim SimConfig, tb TestbedConfig) error {
-	figs, err := SelectFigures("all", testbed)
+// writeFiguresCSV is the -csv file of prvm-exp -fig ids.
+func writeFiguresCSV(w io.Writer, ids string, sim SimConfig, tb TestbedConfig) error {
+	figs, err := SelectFigures(ids)
 	if err != nil {
 		return err
 	}
@@ -68,9 +67,9 @@ func writeFiguresCSV(w io.Writer, testbed bool, sim SimConfig, tb TestbedConfig)
 	return WriteCSV(w, sweeps...)
 }
 
-// prvm-sim -csv at -fig all is one table, in figure order: one header,
-// the PlanetLab rows before the Google ones, and the same bytes on
-// every run.
+// prvm-exp -csv of the simulation figures is one table, in figure
+// order: one header, the PlanetLab rows before the Google ones, and the
+// same bytes on every run.
 func TestSimCSVIsOneDeterministicTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -78,7 +77,7 @@ func TestSimCSVIsOneDeterministicTable(t *testing.T) {
 	cfg := SimConfig{NumVMs: []int{40}, Reps: 1, Seed: 2, PMsPerType: 25}
 	var outs [2]bytes.Buffer
 	for i := range outs {
-		if err := writeFiguresCSV(&outs[i], false, cfg, TestbedConfig{}); err != nil {
+		if err := writeFiguresCSV(&outs[i], "3a,3b", cfg, TestbedConfig{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,7 +5,7 @@ package experiments
 // simulation — trace, seed, VM count, inventory size, horizon — so a
 // later build can reconstruct the run bit-for-bit and diff its
 // decision stream against the recorded one. cmd/prvm-replay drives
-// this for golden regressions; cmd/prvm-sim's -record flag produces
+// this for golden regressions; cmd/prvm-exp's -record flag produces
 // the recordings.
 
 import (

@@ -33,7 +33,7 @@ type SimConfig struct {
 	Underload float64
 	// Obs, when non-nil, receives runtime telemetry from every layer
 	// of the sweep: table builds, the PageRankVM placer, and the
-	// simulator (the -obsaddr/-metrics-out hook of cmd/prvm-sim).
+	// simulator (the -obsaddr/-metrics-out hook of cmd/prvm-exp).
 	Obs *obs.Observer
 }
 

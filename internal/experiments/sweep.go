@@ -56,20 +56,20 @@ type Figure struct {
 	Metric Metric
 }
 
-// Figures are the paper's evaluation figures in paper order: the
-// simulation's Figures 3, 5, 6 and 7 — (a) PlanetLab, (b) Google — and
+// Figures are the paper's evaluation figures in report order: the
+// simulation's Figures 3, 5, 6 and 7 on PlanetLab, then on Google, then
 // the testbed's Figures 4 and 8.
 var Figures = []Figure{
 	{"3a", "Figure 3(a): PMs used", "planetlab", MetricPMs},
+	{"5a", "Figure 5(a): energy", "planetlab", MetricEnergy},
+	{"6a", "Figure 6(a): migrations", "planetlab", MetricMigrations},
+	{"7a", "Figure 7(a): SLO violations", "planetlab", MetricSLO},
 	{"3b", "Figure 3(b): PMs used", "google", MetricPMs},
+	{"5b", "Figure 5(b): energy", "google", MetricEnergy},
+	{"6b", "Figure 6(b): migrations", "google", MetricMigrations},
+	{"7b", "Figure 7(b): SLO violations", "google", MetricSLO},
 	{"4a", "Figure 4(a): PMs used", Testbed, MetricPMs},
 	{"4b", "Figure 4(b): migrations", Testbed, MetricMigrations},
-	{"5a", "Figure 5(a): energy", "planetlab", MetricEnergy},
-	{"5b", "Figure 5(b): energy", "google", MetricEnergy},
-	{"6a", "Figure 6(a): migrations", "planetlab", MetricMigrations},
-	{"6b", "Figure 6(b): migrations", "google", MetricMigrations},
-	{"7a", "Figure 7(a): SLO violations", "planetlab", MetricSLO},
-	{"7b", "Figure 7(b): SLO violations", "google", MetricSLO},
 	{"8", "Figure 8: SLO violations", Testbed, MetricSLO},
 }
 

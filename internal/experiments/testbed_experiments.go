@@ -31,13 +31,13 @@ type TestbedConfig struct {
 	RetryBackoff time.Duration
 	// Faults, when non-nil, wraps every controller-side connection in
 	// a seeded deterministic fault injector (the -faults flag of
-	// cmd/prvm-testbed).
+	// cmd/prvm-exp).
 	Faults *testbed.FaultConfig
 	// Rank tunes the Profile→score table.
 	Rank ranktable.Options
 	// Obs, when non-nil, receives runtime telemetry from the table
 	// builds, the placer and the controller (the -obsaddr/-metrics-out
-	// hook of cmd/prvm-testbed).
+	// hook of cmd/prvm-exp).
 	Obs *obs.Observer
 }
 

@@ -39,7 +39,8 @@ const (
 	DefaultInterval          = 300 * time.Second
 	DefaultHorizon           = 24 * time.Hour
 	DefaultOverloadThreshold = 0.90
-	DefaultCPUGroup          = "cpu"
+	// DefaultCPUGroup names the resource group the traces drive.
+	DefaultCPUGroup = "cpu"
 
 	// sloEpsilon is the tolerance under full utilization that still
 	// counts as "experiencing 100% CPU utilization".
@@ -68,8 +69,6 @@ type Config struct {
 	// used PMs — so it can power off. Zero disables consolidation,
 	// matching the paper's setup.
 	UnderloadThreshold float64
-	// CPUGroup names the trace-driven resource group.
-	CPUGroup string
 	// Observer, when non-nil, receives a snapshot after every
 	// monitoring interval — time-series output for plotting.
 	Observer func(StepStats)
@@ -127,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OverloadThreshold == nil {
 		c.OverloadThreshold = opt.F(DefaultOverloadThreshold)
-	}
-	if c.CPUGroup == "" {
-		c.CPUGroup = DefaultCPUGroup
 	}
 	return c
 }
@@ -425,7 +421,7 @@ func New(cfg Config, cluster *placement.Cluster, placer placement.Placer,
 		if !s.pmIdx.insert(pm.ID, i) {
 			return nil, fmt.Errorf("sim: duplicate PM id %d", pm.ID)
 		}
-		if gi := pm.Shape.GroupIndex(cfg.CPUGroup); gi >= 0 {
+		if gi := pm.Shape.GroupIndex(DefaultCPUGroup); gi >= 0 {
 			st.lo, st.hi = pm.Shape.GroupRange(gi)
 			st.cap = float64(pm.Shape.Group(gi).Cap)
 			width = max(width, st.hi-st.lo)

@@ -7,28 +7,6 @@ import (
 	"pagerankvm/internal/opt"
 )
 
-func TestBlend(t *testing.T) {
-	a := Series{0.2, 0.4, 0.6}
-	b := Series{1.0, 0.0, 1.0, 0.5}
-	got := Blend(a, b, 0.5)
-	want := Series{0.6, 0.2, 0.8}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("Blend[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestBlendClamps(t *testing.T) {
-	got := Blend(Series{1.0}, Series{1.0}, 1.5)
-	if got[0] != 1 {
-		t.Fatalf("Blend not clamped: %v", got[0])
-	}
-}
-
 func TestOverlay(t *testing.T) {
 	base := Series{0.3, 0.7, 0.5}
 	burst := Series{0.0, 0.6, 0.9, 0.4}

@@ -95,8 +95,10 @@ type PlanetLab struct {
 	// Seed drives all randomness; two generators with equal seeds
 	// produce identical workloads.
 	Seed int64
-	// Mean is the long-run average utilization; nil selects 0.35
-	// (set with opt.F).
+	// Mean is the base utilization level each VM's own level is drawn
+	// around, before the diurnal swing, the noise, the spikes and the
+	// clamp to [0, 1] (which lift the long-run average above it); nil
+	// selects 0.35 (set with opt.F).
 	Mean *float64
 	// Diurnal is the amplitude of the day/night swing; nil selects
 	// 0.20.
@@ -179,8 +181,9 @@ func planetLabPhase(seed int64) float64 {
 type Google struct {
 	// Seed drives all randomness.
 	Seed int64
-	// Mean is the long-run average utilization; nil selects 0.30
-	// (set with opt.F).
+	// Mean is the base utilization level each VM's own level is drawn
+	// around, before the bursts and the clamp to [0, 1] (which lift the
+	// long-run average above it); nil selects 0.30 (set with opt.F).
 	Mean *float64
 }
 
@@ -234,20 +237,6 @@ func (g Constant) Series(_, steps int) Series {
 		s[i] = clamp01(g.Level)
 	}
 	return s
-}
-
-// Blend mixes two series: w*a + (1-w)*b, sample-wise, truncated to the
-// shorter input.
-func Blend(a, b Series, w float64) Series {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make(Series, n)
-	for i := 0; i < n; i++ {
-		out[i] = clamp01(w*a[i] + (1-w)*b[i])
-	}
-	return out
 }
 
 // Overlay adds two series sample-wise with clamping to [0, 1],

@@ -105,8 +105,10 @@ func TestTracesBounded(t *testing.T) {
 	}
 }
 
-// The population statistics should land near the documented targets:
-// PlanetLab mean ~0.30, Google mean ~0.25, both with peaks near 1.
+// The population statistics should land near what the generators give
+// over many seeds: a mean of ~0.38 for PlanetLab and ~0.35 for Google
+// (the diurnal swing, bursts and clamp lift both above their base Mean
+// of 0.35 and 0.30), both with peaks near 1.
 func TestTraceStatistics(t *testing.T) {
 	tests := []struct {
 		gen        Generator

@@ -48,7 +48,7 @@ func LaunchTestbedWithFaults(numPMs int, tr TestbedTransport, faults *TestbedFau
 	return testbed.LaunchWithFaults(numPMs, tr, faults)
 }
 
-// ParseTestbedFaults parses the -faults flag syntax of cmd/prvm-testbed
+// ParseTestbedFaults parses the -faults flag syntax of cmd/prvm-exp
 // (e.g. "seed=7,drop=0.01,err=0.01,delay=5ms,delayprob=0.05").
 func ParseTestbedFaults(spec string) (TestbedFaultConfig, error) {
 	return testbed.ParseFaultSpec(spec)
