@@ -63,19 +63,22 @@ chaos:
 # Native fuzzing of the decoders — the rank-table file
 # (ranktable.LoadTable), the WAL op line against encoding/json
 # (record.Reader.Next, appendOpLine), WAL-tail recovery
-# (serve.readSegmentOps) and recovery from an arbitrary snapshot
-# (serve.New) — ten seconds each on top of the checked-in corpora,
-# which `go test` always runs.
+# (serve.readSegmentOps), recovery from an arbitrary snapshot
+# (serve.New) and the place and release request bodies against
+# encoding/json (serve.readVMBody) — ten seconds each on top of the
+# checked-in corpora, which `go test` always runs.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzLoadTable -fuzztime 10s ./internal/ranktable
-	$(GO) test -run '^$$' -fuzz FuzzOpLine -fuzztime 10s ./internal/obs/record
-	$(GO) test -run '^$$' -fuzz FuzzWALTail -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz FuzzSnapshotRecover -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadTable$$' -fuzztime 10s ./internal/ranktable
+	$(GO) test -run '^$$' -fuzz '^FuzzOpLine$$' -fuzztime 10s ./internal/obs/record
+	$(GO) test -run '^$$' -fuzz '^FuzzWALTail$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRecover$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzPlaceBody$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzReleaseBody$$' -fuzztime 10s ./internal/serve
 
 # Hot-path micro-benchmark gate: runs the PlaceLookup / PlaceScan /
 # SpaceWire / FactoredRegistryBuildM3C3 / RanksCSR / RecordOverhead /
 # TableCache / RebalanceStep / OpLine / WALReplay / ReplayApply /
-# SimDay / GenWorkloads micro-benchmarks and
+# ServePlaceSequential / SimDay / GenWorkloads micro-benchmarks and
 # re-records the allocs/ns baseline BENCH.json
 # (see README "Benchmarks"; end-to-end numbers come from benchmarks/).
 bench:

@@ -69,7 +69,7 @@ type report struct {
 func run(args []string) error {
 	fs := flag.NewFlagSet("prvm-bench", flag.ContinueOnError)
 	var (
-		benchRe   = fs.String("bench", "BenchmarkPlaceLookup|BenchmarkPlaceScan|BenchmarkSpaceWire|BenchmarkFactoredRegistryBuildM3C3|BenchmarkRanksCSR|BenchmarkRecordOverhead|BenchmarkTableCache|BenchmarkRebalanceStep|BenchmarkOpLine|BenchmarkWALReplay|BenchmarkReplayApply|BenchmarkSimDay|BenchmarkGenWorkloads", "benchmark regex passed to go test -bench")
+		benchRe   = fs.String("bench", "BenchmarkPlaceLookup|BenchmarkPlaceScan|BenchmarkSpaceWire|BenchmarkFactoredRegistryBuildM3C3|BenchmarkRanksCSR|BenchmarkRecordOverhead|BenchmarkTableCache|BenchmarkRebalanceStep|BenchmarkOpLine|BenchmarkWALReplay|BenchmarkReplayApply|BenchmarkServePlaceSequential|BenchmarkSimDay|BenchmarkGenWorkloads", "benchmark regex passed to go test -bench")
 		pkg       = fs.String("pkg", ". ./internal/serve", "space-separated package patterns to benchmark")
 		benchtime = fs.String("benchtime", "", "go test -benchtime value (empty = default)")
 		count     = fs.Int("count", 1, "go test -count value")

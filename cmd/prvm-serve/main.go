@@ -1,6 +1,6 @@
 // Command prvm-serve runs the placement daemon: a PageRankVM placement
-// engine behind an HTTP/JSON API, with sharded cluster state, admission
-// batching, and write-ahead-log durability (API.md, DESIGN.md §14).
+// engine behind an HTTP/JSON API, with sharded cluster state, group
+// commit, and write-ahead-log durability (API.md, DESIGN.md §14).
 //
 // Usage:
 //

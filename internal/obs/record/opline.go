@@ -26,7 +26,9 @@ func plain(c byte) bool {
 	return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 
-func plainString(s string) bool {
+// JSONPlain reports whether encoding/json writes every byte of s,
+// inside a string, as itself, and reads it back as itself.
+func JSONPlain(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if !plain(s[i]) {
 			return false
@@ -49,7 +51,7 @@ func lit(b []byte, s string) []byte {
 //
 //prvm:hotpath
 func appendOpLine(b []byte, op *Op) (_ []byte, ok bool) {
-	if !plainString(op.Kind) || !plainString(op.VMType) || !plainString(op.PMType) ||
+	if !JSONPlain(op.Kind) || !JSONPlain(op.VMType) || !JSONPlain(op.PMType) ||
 		math.IsInf(op.Score, 0) || math.IsNaN(op.Score) {
 		return b, false
 	}
@@ -63,34 +65,51 @@ func appendOpLine(b []byte, op *Op) (_ []byte, ok bool) {
 	if op.PMType != "" {
 		b = lit(lit(lit(b, `,"pm_type":"`), op.PMType), `"`)
 	}
-	for i, a := range op.Assign {
-		sep := `,{"dim":`
-		if i == 0 {
-			sep = `,"assign":[{"dim":`
-		}
-		b = strconv.AppendInt(lit(b, sep), int64(a.Dim), 10)
-		b = lit(strconv.AppendInt(lit(b, `,"units":`), int64(a.Units), 10), `}`)
-	}
-	if len(op.Assign) > 0 {
-		b = lit(b, `]`)
-	}
+	b = AppendJSONAssign(b, op.Assign)
 	if op.Score > 0 || op.Score < 0 { // omitempty drops both zeros
-		// ES6 number form, as encoding/json: exponent outside
-		// [1e-6, 1e21), "e-07" cleaned up to "e-7".
-		format := byte('f')
-		if abs := math.Abs(op.Score); abs < 1e-6 || abs >= 1e21 {
-			format = 'e'
-		}
-		b = strconv.AppendFloat(lit(b, `,"score":`), op.Score, format, -1, 64)
-		if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
+		b = AppendJSONFloat(lit(b, `,"score":`), op.Score)
 	}
 	if op.Opened {
 		b = lit(b, `,"opened":true`)
 	}
 	return lit(b, "}\n"), true
+}
+
+// AppendJSONAssign appends an "assign" field holding a as encoding/json
+// writes it after another field — nothing when a is empty (omitempty).
+//
+//prvm:hotpath
+func AppendJSONAssign(b []byte, a []OpAssign) []byte {
+	for i, u := range a {
+		sep := `,{"dim":`
+		if i == 0 {
+			sep = `,"assign":[{"dim":`
+		}
+		b = strconv.AppendInt(lit(b, sep), int64(u.Dim), 10)
+		b = lit(strconv.AppendInt(lit(b, `,"units":`), int64(u.Units), 10), `}`)
+	}
+	if len(a) > 0 {
+		b = lit(b, `]`)
+	}
+	return b
+}
+
+// AppendJSONFloat appends the finite f in the form encoding/json
+// writes a float64 in: ES6 number form, exponent outside [1e-6, 1e21)
+// for a nonzero f, "e-07" cleaned up to "e-7".
+//
+//prvm:hotpath
+func AppendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs > 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // opParser is a cursor over one line; ok goes false at the first byte

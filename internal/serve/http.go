@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"sort"
+	"strconv"
+	"sync"
 	"time"
 
 	"pagerankvm/internal/obs"
@@ -171,10 +176,10 @@ var (
 
 // routes wires the API and the in-process observability endpoints.
 func (s *Server) routes() {
-	s.mux.HandleFunc("/v1/place", s.handlePlace)
-	s.mux.HandleFunc("/v1/release", s.handleRelease)
-	s.mux.HandleFunc("/v1/evict", s.handleEvict)
-	s.mux.HandleFunc("/v1/drain", s.handleDrain)
+	s.mux.HandleFunc("/v1/place", s.mutation(s.met.requestSecs, s.handlePlace))
+	s.mux.HandleFunc("/v1/release", s.mutation(s.met.requestSecs, s.handleRelease))
+	s.mux.HandleFunc("/v1/evict", s.mutation(s.met.requestSecs, s.handleEvict))
+	s.mux.HandleFunc("/v1/drain", s.mutation(s.met.drainSecs, s.handleDrain))
 	s.mux.HandleFunc("/v1/cluster", s.handleCluster)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	if s.cfg.Obs != nil {
@@ -199,8 +204,8 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 
 // decodeBody decodes a JSON request body, rejecting unknown fields so
 // client typos fail loudly.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+func decodeBody(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decode body: %w", err))
@@ -209,39 +214,143 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// checkMutable gates mutating handlers: POST only, not shutting down,
-// WAL healthy.
-func (s *Server) checkMutable(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", errors.New("POST required"))
-		return false
+// The body codec follows the op-line codec's rule (DESIGN.md §11): the
+// place and release bodies and replies encoding/json writes are read and
+// written by hand, and encoding/json decides everything else.
+
+// bodyBufs pools the scratch a place or release request reads its body
+// into and then writes its reply into.
+var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// readVMBody reads a place (withType) or release request: its canonical
+// form directly, and any other body — whitespace, other key order or
+// case, unknown fields, escapes, trailing bytes, more than buf holds —
+// through decodeBody, which answers a body it rejects.
+func readVMBody(w http.ResponseWriter, r *http.Request, buf []byte, withType bool) (vm int, typ string, ok bool) {
+	n, err := io.ReadFull(r.Body, buf[:cap(buf)])
+	body := buf[:n]
+	if err == io.EOF || err == io.ErrUnexpectedEOF { // the whole body
+		if vm, typ, ok = parseVMBody(body, withType); ok {
+			return vm, typ, true
+		}
 	}
-	select {
-	case <-s.stop:
-		writeError(w, http.StatusServiceUnavailable, "shutting_down", errShutdown)
-		return false
-	default:
+	rest := io.MultiReader(bytes.NewReader(body), r.Body)
+	if withType {
+		var req PlaceRequest
+		ok = decodeBody(w, rest, &req)
+		return req.VM, req.Type, ok
 	}
-	if s.walBroken.Load() {
-		writeError(w, http.StatusServiceUnavailable, "wal_failed", errWALFailed)
-		return false
+	var req ReleaseRequest
+	ok = decodeBody(w, rest, &req)
+	return req.VM, "", ok
+}
+
+// parseVMBody recognises the body {"vm":N} and, with withType,
+// {"vm":N,"type":"S"}: N an int of at most 18 digits without a leading
+// zero or "-0", S bytes encoding/json reads as themselves. Then vm and
+// typ are what decodeBody would yield; anything else is declined.
+func parseVMBody(b []byte, withType bool) (vm int, typ string, ok bool) {
+	b, ok = bytes.CutPrefix(b, []byte(`{"vm":`))
+	n := 0
+	for n < len(b) && (b[n]-'0' <= 9 || n == 0 && b[n] == '-') {
+		n++
 	}
-	return true
+	num := b[:n]
+	if d := bytes.TrimPrefix(num, []byte("-")); !ok || len(d) == 0 || len(d) > 18 || d[0] == '0' && len(num) > 1 {
+		return 0, "", false
+	}
+	vm, err := strconv.Atoi(string(num))
+	b = b[n:]
+	if rest, found := bytes.CutPrefix(b, []byte(`,"type":"`)); withType && found {
+		i := bytes.IndexByte(rest, '"')
+		if i < 0 {
+			return 0, "", false
+		}
+		typ, b = string(rest[:i]), rest[i+1:]
+	}
+	if err != nil || string(b) != "}" || !record.JSONPlain(typ) {
+		return 0, "", false
+	}
+	return vm, typ, true
+}
+
+// appendPlaceResponse appends what json.NewEncoder(w).Encode(v) writes,
+// newline included. It declines (ok false) a reply encoding/json would
+// escape a string of or refuse.
+func appendPlaceResponse(b []byte, v *PlaceResponse) (_ []byte, ok bool) {
+	if math.IsNaN(v.Score) || math.IsInf(v.Score, 0) || !record.JSONPlain(v.PMType) {
+		return b, false
+	}
+	b = strconv.AppendInt(append(b, `{"vm":`...), int64(v.VM), 10)
+	b = strconv.AppendInt(append(b, `,"pm":`...), int64(v.PM), 10)
+	if v.PMType != "" {
+		b = append(append(append(b, `,"pm_type":"`...), v.PMType...), '"')
+	}
+	b = record.AppendJSONFloat(append(b, `,"score":`...), v.Score)
+	if v.Opened {
+		b = append(b, `,"opened":true`...)
+	}
+	if v.Duplicate {
+		b = append(b, `,"duplicate":true`...)
+	}
+	b = strconv.AppendInt(append(b, `,"seq":`...), v.Seq, 10)
+	return append(record.AppendJSONAssign(b, v.Assign), "}\n"...), true
+}
+
+// appendReleaseResponse appends what json.NewEncoder(w).Encode(v)
+// writes, newline included.
+func appendReleaseResponse(b []byte, v *ReleaseResponse) []byte {
+	b = strconv.AppendInt(append(b, `{"vm":`...), int64(v.VM), 10)
+	b = strconv.AppendInt(append(b, `,"pm":`...), int64(v.PM), 10)
+	b = strconv.AppendInt(append(b, `,"seq":`...), v.Seq, 10)
+	return append(b, "}\n"...)
+}
+
+// jsonContentType is writeJSON's Content-Type value, shared by every
+// codec reply instead of allocated per reply: header values are
+// replaced, never written through.
+var jsonContentType = []string{"application/json"}
+
+// writeBody sends a 200 whose body the codec wrote, with the header
+// writeJSON sends.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // the client is gone if this fails
+}
+
+// mutation wraps a mutating handler: its latency goes to secs, and it
+// runs only for a POST while the server is neither shutting down nor
+// degraded — and to its end once begun, which halt waits for.
+func (s *Server) mutation(secs *obs.Histogram, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		defer func() { secs.Observe(time.Since(start).Seconds()) }()
+		s.mutating.RLock()
+		defer s.mutating.RUnlock()
+		switch {
+		case r.Method != http.MethodPost:
+			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", errors.New("POST required"))
+		case s.stopping():
+			writeError(w, http.StatusServiceUnavailable, "shutting_down", errShutdown)
+		case s.walBroken.Load():
+			writeError(w, http.StatusServiceUnavailable, "wal_failed", errWALFailed)
+		default:
+			h(w, r)
+		}
+	}
 }
 
 // handlePlace serves POST /v1/place.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { s.met.requestSecs.Observe(time.Since(start).Seconds()) }()
-	if !s.checkMutable(w, r) {
-		return
-	}
-	var req PlaceRequest
-	if !decodeBody(w, r, &req) {
+	buf := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(buf)
+	id, typ, ok := readVMBody(w, r, *buf, true)
+	if !ok {
 		return
 	}
 	s.met.placeReqs.Inc()
-	vm, err := s.cfg.NewVM(req.VM, req.Type)
+	vm, err := s.cfg.NewVM(id, typ)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "unknown_type", err)
 		return
@@ -251,16 +360,11 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		s.writePlaceError(w, res.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PlaceResponse{
-		VM:        req.VM,
-		PM:        res.pmID,
-		PMType:    res.pmType,
-		Score:     res.score,
-		Opened:    res.opened,
-		Duplicate: res.dup,
-		Seq:       res.seq,
-		Assign:    res.assign,
-	})
+	if *buf, ok = appendPlaceResponse((*buf)[:0], &res.PlaceResponse); !ok {
+		writeJSON(w, http.StatusOK, res.PlaceResponse)
+		return
+	}
+	writeBody(w, *buf)
 }
 
 // writePlaceError maps admission-path errors to status codes.
@@ -270,8 +374,6 @@ func (s *Server) writePlaceError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusConflict, "no_capacity", err)
 	case errors.Is(err, errOverloaded):
 		writeError(w, http.StatusServiceUnavailable, "overloaded", err)
-	case errors.Is(err, errShutdown):
-		writeError(w, http.StatusServiceUnavailable, "shutting_down", err)
 	case errors.Is(err, errWALFailed):
 		writeError(w, http.StatusServiceUnavailable, "wal_failed", err)
 	default:
@@ -279,21 +381,17 @@ func (s *Server) writePlaceError(w http.ResponseWriter, err error) {
 	}
 }
 
-// handleRelease serves POST /v1/release. Releases bypass the batcher:
-// they never forward, so one shard lock plus a flush is the whole
-// transaction.
+// handleRelease serves POST /v1/release. Releases never forward, so
+// one shard lock plus a flush is the whole transaction.
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { s.met.requestSecs.Observe(time.Since(start).Seconds()) }()
-	if !s.checkMutable(w, r) {
-		return
-	}
-	var req ReleaseRequest
-	if !decodeBody(w, r, &req) {
+	buf := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(buf)
+	id, _, ok := readVMBody(w, r, *buf, false)
+	if !ok {
 		return
 	}
 	s.met.releaseReqs.Inc()
-	pmID, seq, err := s.release(req.VM)
+	pmID, seq, err := s.release(id)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "not_placed", err)
 		return
@@ -302,7 +400,8 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		s.writePlaceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ReleaseResponse{VM: req.VM, PM: pmID, Seq: seq})
+	*buf = appendReleaseResponse((*buf)[:0], &ReleaseResponse{VM: id, PM: pmID, Seq: seq})
+	writeBody(w, *buf)
 }
 
 // release removes a VM under its host shard's lock and commits the
@@ -354,13 +453,8 @@ func (s *Server) releaseLocked(sh *shard, vmID int, on *placement.PM) (placement
 // fails the victim is restored to its source with a compensating place
 // op, so the log never ends mid-migration in an unexplained state.
 func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { s.met.requestSecs.Observe(time.Since(start).Seconds()) }()
-	if !s.checkMutable(w, r) {
-		return
-	}
 	var req EvictRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r.Body, &req) {
 		return
 	}
 	s.met.evictReqs.Inc()
@@ -395,7 +489,7 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: no destination for vm %d; restored to pm %d", hosted.VM.ID, pm.ID))
 		return
 	}
-	writeJSON(w, http.StatusOK, EvictResponse{VM: hosted.VM.ID, From: pm.ID, To: res.pmID, Seq: res.seq})
+	writeJSON(w, http.StatusOK, EvictResponse{VM: hosted.VM.ID, From: pm.ID, To: res.PM, Seq: res.Seq})
 }
 
 // evictVictim resolves the source PM, picks the victim (or takes the
@@ -473,13 +567,8 @@ func (s *Server) replaceOrRestore(sh *shard, pm *placement.PM, h placement.Hoste
 // to a consistent, partially drained, uncordoned PM — but a completed
 // retirement is durable.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { s.met.drainSecs.Observe(time.Since(start).Seconds()) }()
-	if !s.checkMutable(w, r) {
-		return
-	}
 	var req DrainRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r.Body, &req) {
 		return
 	}
 	s.met.drainReqs.Inc()
@@ -520,7 +609,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 			s.writePlaceError(w, res.err)
 			return
 		}
-		moves = append(moves, DrainMove{VM: vmID, To: res.pmID})
+		moves = append(moves, DrainMove{VM: vmID, To: res.PM})
 	}
 
 	sh.mu.Lock()

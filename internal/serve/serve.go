@@ -7,20 +7,22 @@
 // placement.PageRankVM) are single-threaded by design; the daemon gets
 // parallelism by partitioning the PM inventory into shards keyed by a
 // hash of the PM id, each shard owning an independent cluster, placer
-// and mutex. Placement requests are routed to a home shard by VM-id
-// hash, admitted through a per-shard batcher that drains the queue
-// through the fast path in one critical section, and forwarded to the
-// next shard when the home shard has no capacity. A VM therefore need
-// not live on its home shard: one VM directory, a plain map behind a
-// read-write mutex written only where state changes, tells the
+// and mutex. A placement request is routed to a home shard by VM-id
+// hash and decided and committed on the request's own goroutine under
+// that shard's lock; when the home shard has no capacity, the next
+// shards in ring order are tried, one lock at a time. A VM therefore
+// need not live on its home shard: one VM directory, a plain map behind
+// a read-write mutex written only where state changes, tells the
 // duplicate check and release routing which shard holds it.
 //
 // Durability model. Every accepted mutation is appended to a WAL — an
 // ordinary internal/obs/record recording whose entries are record.Op
 // lines — under the owning shard's lock, so per-PM WAL order equals
-// apply order. A request is acknowledged only after the batch's ops are
-// flushed (and fsynced when configured, along with the directory
-// entries of new WAL segments and snapshots). Periodic snapshots bound
+// apply order. A request is acknowledged only after a WAL flush that
+// covers its op (fsynced when configured, along with the directory
+// entries of new WAL segments and snapshots). One flush makes durable
+// every op appended before it, whichever request appended it: group
+// commit happens there, not in a queue. Periodic snapshots bound
 // replay time; recovery loads the newest snapshot and replays the WAL
 // tail, reconstructing bit-identical cluster state including the
 // used/unused list orders Algorithm 2 is sensitive to.
@@ -63,7 +65,7 @@ type Config struct {
 	// Empty means in-memory only (no WAL, no recovery), in which case
 	// acknowledged seqs are still assigned but nothing is persisted.
 	DataDir string
-	// Fsync forces an fsync after every batch flush. Off by default:
+	// Fsync forces an fsync at every WAL flush. Off by default:
 	// the default barrier is a buffered flush to the OS page cache,
 	// which survives process crashes but not machine crashes.
 	Fsync bool
@@ -86,14 +88,9 @@ type Config struct {
 	Rebalance deschedule.Config
 }
 
-const (
-	// batchMax bounds how many queued placements one critical section
-	// admits.
-	batchMax = 64
-	// queueDepth is the per-shard admission queue capacity. A full queue
-	// rejects with 503.
-	queueDepth = 1024
-)
+// queueDepth bounds the place requests in flight per home shard; one
+// more is refused with 503 overloaded.
+const queueDepth = 1024
 
 // locEntry is the VM directory's value: which shard and PM host a
 // placed VM. The directory exists so duplicate detection and release
@@ -135,16 +132,17 @@ func (d *directory) delete(vm int) {
 
 // shard is one partition of the datacenter: a cluster over a subset of
 // the PM inventory, a dedicated placer (placer binding caches and rngs
-// are not concurrency-safe), and the admission queue its batcher
-// drains. All cluster and placer access happens under mu.
+// are not concurrency-safe), and the count of place requests homed on
+// it that are in flight. All cluster and placer access happens under
+// mu.
 type shard struct {
-	idx     int
-	mu      sync.Mutex
-	cluster *placement.Cluster
-	placer  *placement.PageRankVM
-	pms     map[int]*placement.PM // by PM id, for replay and evict routing
-	queue   chan *placeReq
-	engine  *deschedule.Engine
+	idx      int
+	mu       sync.Mutex
+	cluster  *placement.Cluster
+	placer   *placement.PageRankVM
+	pms      map[int]*placement.PM // by PM id, for replay and evict routing
+	inflight atomic.Int32
+	engine   *deschedule.Engine
 	// retired lists PM ids drained out of this shard's inventory, in
 	// retirement order. It is part of durable state: snapshots carry it
 	// so recovery re-retires before re-hosting.
@@ -184,6 +182,9 @@ type Server struct {
 	stopOnce  sync.Once
 	wg        sync.WaitGroup
 	walBroken atomic.Bool
+	// mutating is read-held by each mutating request for its whole
+	// length; halt write-locks it to wait them out.
+	mutating sync.RWMutex
 
 	// drainMu serializes maintenance drains: a drain cordons its PM and
 	// walks every hosted VM through the admission path, and two
@@ -225,7 +226,8 @@ type RecoveryInfo struct {
 
 // New builds a Server: partitions the inventory into shards, recovers
 // state from cfg.DataDir when set (snapshot + WAL tail replay), opens a
-// fresh WAL segment, and starts the per-shard batchers.
+// fresh WAL segment, and starts the background snapshot and rebalance
+// loops it is configured for.
 func New(cfg Config) (*Server, error) {
 	if cfg.Rankers == nil || cfg.NewVM == nil || len(cfg.PMs) == 0 {
 		return nil, fmt.Errorf("serve: Rankers, PMs and NewVM are required")
@@ -258,8 +260,7 @@ func New(cfg Config) (*Server, error) {
 			placer: placement.NewPageRankVM(cfg.Rankers,
 				placement.WithSeed(cfg.Seed+int64(i)),
 				placement.WithObserver(cfg.Obs)),
-			pms:   make(map[int]*placement.PM, len(pms)),
-			queue: make(chan *placeReq, queueDepth),
+			pms: make(map[int]*placement.PM, len(pms)),
 		}
 		for _, pm := range pms {
 			sh.pms[pm.ID] = pm
@@ -310,10 +311,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.routes()
 
-	for _, sh := range s.shards {
-		s.wg.Add(1)
-		go s.batcher(sh, s.stop)
-	}
 	if cfg.DataDir != "" && cfg.SnapshotEvery > 0 {
 		s.wg.Add(1)
 		go s.snapshotter(s.stop)
@@ -345,19 +342,20 @@ func (s *Server) rebalancer(period time.Duration, stop <-chan struct{}) {
 // never crosses shards — admission's ring forwarding handles cross-shard
 // spill), its release+place op pairs go through the WAL via the
 // engines' OnMove hook, and the round is flushed before the next shard
-// starts. Refused while shutting down or after a WAL failure.
+// starts. Refused while shutting down — checked under each shard's
+// lock, which halt takes once before the WAL closes — or after a WAL
+// failure.
 func (s *Server) RebalanceNow() (deschedule.RoundStats, error) {
 	var total deschedule.RoundStats
-	select {
-	case <-s.stop:
-		return total, errShutdown
-	default:
-	}
 	if s.walBroken.Load() {
 		return total, errWALFailed
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
+		if s.stopping() {
+			sh.mu.Unlock()
+			return total, errShutdown
+		}
 		st := sh.engine.Rebalance(sh.cluster)
 		var err error
 		if st.Moves > 0 {
@@ -378,7 +376,7 @@ func (s *Server) RebalanceNow() (deschedule.RoundStats, error) {
 // snapshotter cuts a snapshot whenever the commit paths signal that
 // SnapshotEvery ops have accumulated since the last cut. Running it on
 // a dedicated goroutine keeps the (all-shard-quiescing) cut off the
-// batcher and handler paths.
+// request paths.
 func (s *Server) snapshotter(stop <-chan struct{}) {
 	defer s.wg.Done()
 	for {
@@ -394,14 +392,18 @@ func (s *Server) snapshotter(stop <-chan struct{}) {
 // barrier is the one durability barrier: flush the WAL (fsync when
 // configured), degrade the server when that fails — state may be ahead
 // of the log, so every later mutation is refused — and count the ops
-// the flush made durable toward the periodic snapshot trigger. Nothing
-// is acknowledged before the barrier covering its ops returns nil.
+// the flush made durable toward the periodic snapshot trigger and into
+// serve.batch_size. Nothing is acknowledged before the barrier covering
+// its ops returns nil.
 func (s *Server) barrier() error {
 	n, err := s.wal.flush()
 	if err != nil {
 		s.walBroken.Store(true)
 		s.met.walErrors.Inc()
 		return errWALFailed
+	}
+	if n > 0 {
+		s.met.batchSize.Observe(float64(n))
 	}
 	if n > 0 && s.cfg.DataDir != "" && s.cfg.SnapshotEvery > 0 &&
 		s.opsSinceSnap.Add(n) >= s.cfg.SnapshotEvery {
@@ -444,11 +446,11 @@ func (s *Server) NumShards() int { return len(s.shards) }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close shuts the server down gracefully: batchers drain, a final
-// snapshot is cut (when durable), and the WAL is closed.
+// Close shuts the server down gracefully: mutations stop being
+// accepted, the background loops exit, a final snapshot is cut (when
+// durable), and the WAL is closed.
 func (s *Server) Close() error {
-	s.stopOnce.Do(func() { close(s.stop) })
-	s.wg.Wait()
+	s.halt()
 	var err error
 	if s.cfg.DataDir != "" && !s.walBroken.Load() {
 		err = s.Snapshot()
@@ -463,9 +465,34 @@ func (s *Server) Close() error {
 // alone must carry the state into the next startup. It exists for
 // crash-recovery testing.
 func (s *Server) Kill() {
+	s.halt()
+	_ = s.wal.close() // a torn tail is the scenario under test
+}
+
+// halt closes stop and waits out everything that may still append to
+// the WAL: the background loops, every mutating request in flight —
+// each finishes, barrier included, and later ones see stop — and then,
+// by taking every shard lock once, a RebalanceNow caller's round. The
+// WAL may close when it returns.
+func (s *Server) halt() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.wg.Wait()
-	_ = s.wal.close() // a torn tail is the scenario under test
+	s.mutating.Lock()
+	s.mutating.Unlock()
+	for _, sh := range s.shards {
+		sh.mu.Lock() // an empty critical section: it waits out the commit in progress
+		sh.mu.Unlock()
+	}
+}
+
+// stopping reports whether shutdown has begun.
+func (s *Server) stopping() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
+	}
 }
 
 // hashID spreads integer ids across shards (FNV-1a over the little-
@@ -546,16 +573,4 @@ func (s *Server) commit(op record.Op, h placement.Hosted) (placement.Hosted, int
 		return h, 0, err
 	}
 	return h, s.wal.appendOp(op), nil
-}
-
-// numVMs counts placed VMs across shards (callers hold no locks; exact
-// only when quiesced).
-func (s *Server) numVMs() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.cluster.NumVMs()
-		sh.mu.Unlock()
-	}
-	return n
 }

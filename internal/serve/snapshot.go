@@ -337,7 +337,7 @@ func (s *Server) recover(dir string) (RecoveryInfo, error) {
 	if info.NextSeq < snap.Seq {
 		info.NextSeq = snap.Seq
 	}
-	info.VMs = s.numVMs()
+	info.VMs = len(s.loc.m) // every placed VM, and recovery runs alone
 	return info, nil
 }
 

@@ -162,22 +162,30 @@ func (w *wal) appendOp(op record.Op) int64 {
 
 // flush pushes buffered ops to the OS (and to stable storage when fsync
 // is configured) and returns how many ops that made durable: every
-// append since the previous flush, whichever shard made it.
+// append since the previous flush, whichever shard made it. With
+// nothing pending — another caller's flush already took this caller's
+// op — it returns at once, without a syscall.
 func (w *wal) flush() (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var err error
-	if w.fsync {
-		err = w.rec.Sync()
-	} else {
-		err = w.rec.Flush()
+	if w.pending == 0 {
+		return 0, nil
 	}
-	if err != nil {
+	if err := w.sync(); err != nil {
 		return 0, err
 	}
 	n := w.pending
 	w.pending = 0
 	return n, nil
+}
+
+// sync is flush's write: to the OS, and to stable storage with fsync.
+// The caller holds w.mu.
+func (w *wal) sync() error {
+	if w.fsync {
+		return w.rec.Sync()
+	}
+	return w.rec.Flush()
 }
 
 // nextSeq returns the seq the next appended op will be assigned.
@@ -196,7 +204,7 @@ func (w *wal) rotate(cutSeq int64) error {
 	if w.dir == "" {
 		return nil
 	}
-	if err := w.rec.Close(); err != nil {
+	if err := w.seal(); err != nil {
 		return fmt.Errorf("serve: rotate wal: %w", err)
 	}
 	rec, err := createSegment(w.dir, cutSeq, w.fsync)
@@ -207,11 +215,26 @@ func (w *wal) rotate(cutSeq int64) error {
 	return nil
 }
 
-// close flushes and closes the active segment.
+// close seals the active segment.
 func (w *wal) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.rec.Close()
+	return w.seal()
+}
+
+// seal makes the pending ops durable as flush would — so no op is left
+// unsynced in a segment no later flush reaches — and closes the active
+// segment; a request whose op it covered finds nothing pending at its
+// own flush. The caller holds w.mu.
+func (w *wal) seal() error {
+	err := w.sync()
+	if cerr := w.rec.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		w.pending = 0
+	}
+	return err
 }
 
 // segmentScan is what reading one segment found besides its ops.
