@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint lint-self lint-baseline docs-check build test race chaos fuzz bench bench-compare bench-all bench-e2e-check bench-e2e-full golden fmt loc
+.PHONY: check vet lint docs-check build test race chaos fuzz bench bench-compare bench-all bench-e2e-check bench-e2e-full golden fmt loc
 
 # The full pre-merge gate: static analysis (go vet plus the project's
 # own prvm-lint analyzers), godoc coverage, a clean build, and the test
@@ -15,30 +15,18 @@ vet:
 # floateq, obsnilguard, veclen, lockscope), six concurrency/
 # determinism (maporder, goroleak, deadlinecall, errswallow, atomicmix,
 # hotalloc), and one documentation gate (doccomment) — see DESIGN.md §8
-# and §12. Findings in lint.baseline are tolerated until their code is
-# touched; anything new exits non-zero.
+# and §12. Any finding exits non-zero; the only way past one is a
+# //prvmlint:allow directive with a reason on the flagged line.
 lint:
-	$(GO) run ./cmd/prvm-lint -baseline lint.baseline ./...
+	$(GO) run ./cmd/prvm-lint ./...
 
 # Documentation gate: every exported symbol of the core library
-# packages carries a godoc comment leading with its name (tolerated
-# debt lives in docs.allow), and the Example functions compile and
-# their output matches. API.md and README.md stay honest because godoc
-# does.
+# packages carries a godoc comment leading with its name, and the
+# Example functions compile and their output matches. API.md and
+# README.md stay honest because godoc does.
 docs-check:
-	$(GO) run ./cmd/prvm-lint -run doccomment -baseline docs.allow ./...
+	$(GO) run ./cmd/prvm-lint -run doccomment ./...
 	$(GO) test -run Example ./...
-
-# The linter linting itself plus every command — kept baseline-free:
-# new analyzer code must arrive clean.
-lint-self:
-	$(GO) run ./cmd/prvm-lint ./internal/analysis/... ./cmd/...
-
-# Regenerate lint.baseline from the current tree. Only for adopting an
-# analyzer with pre-existing findings; the baseline must shrink, never
-# grow, in normal work.
-lint-baseline:
-	$(GO) run ./cmd/prvm-lint -write-baseline lint.baseline ./...
 
 build:
 	$(GO) build ./...

@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"pagerankvm/internal/experiments"
+	"pagerankvm/internal/obs/record"
 	"pagerankvm/internal/opt"
 	"pagerankvm/internal/testbed"
 )
@@ -141,7 +142,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *recPath != "" {
-		return runRecord(*recPath, experiments.RecordConfig{
+		return runRecord(*recPath, record.RunMeta{
+			Kind:                "sim",
 			Trace:               figs[0].Trace,
 			Seed:                *seed,
 			NumVMs:              vmCounts[0],
@@ -210,8 +212,8 @@ func run(args []string, stdout io.Writer) error {
 
 // runRecord is recording mode: one seeded PageRankVM run captured as a
 // self-describing recording prvm-replay can verify.
-func runRecord(path string, cfg experiments.RecordConfig) error {
-	res, ndec, err := experiments.RecordToFile(path, cfg)
+func runRecord(path string, meta record.RunMeta) error {
+	res, ndec, err := experiments.RecordToFile(path, meta)
 	if err != nil {
 		return err
 	}

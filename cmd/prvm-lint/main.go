@@ -4,22 +4,19 @@
 //
 // Usage:
 //
-//	prvm-lint [-list] [-run regexp] [-baseline file] [-write-baseline file] [-summary file] [packages]
+//	prvm-lint [-list] [-run regexp] [-summary file] [packages]
 //
-// With no package arguments it checks ./... . -baseline tolerates the
-// findings inventoried in file (pre-existing debt) but fails on stale
-// entries, so the inventory only shrinks; -write-baseline regenerates
-// that file from the current findings; -summary appends a markdown
-// report (fed to $GITHUB_STEP_SUMMARY in CI). Exit status is 1 when
-// any non-baselined finding or stale baseline entry remains, 2 on
-// loader errors.
+// With no package arguments it checks ./... . -summary appends a
+// markdown report (fed to $GITHUB_STEP_SUMMARY in CI). Nothing is
+// tolerated in bulk: the only way past a finding is a
+// //prvmlint:allow directive with a reason on the flagged line. Exit
+// status is 1 when any finding remains, 2 on loader errors.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 
@@ -29,8 +26,6 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	run := flag.String("run", "", "only run analyzers whose name matches this regexp")
-	baseline := flag.String("baseline", "", "tolerate the findings listed in this file; fail on stale entries")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this file and exit")
 	summary := flag.String("summary", "", "append a markdown summary of the run to this file")
 	flag.Parse()
 
@@ -71,13 +66,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "prvm-lint: %v\n", err)
 		os.Exit(2)
 	}
-	rel := func(file string) string {
-		if r, err := filepath.Rel(cwd, file); err == nil {
-			return filepath.ToSlash(r)
-		}
-		return filepath.ToSlash(file)
-	}
-
 	pkgs, err := analysis.Load(cwd, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "prvm-lint: %v\n", err)
@@ -89,75 +77,29 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *writeBaseline != "" {
-		if err := os.WriteFile(*writeBaseline, analysis.FormatBaseline(diags, rel), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "prvm-lint: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("prvm-lint: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-
-	var stale []analysis.BaselineEntry
-	baselined := 0
-	if *baseline != "" {
-		data, err := os.ReadFile(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prvm-lint: %v\n", err)
-			os.Exit(2)
-		}
-		entries, err := analysis.ParseBaseline(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prvm-lint: %s: %v\n", *baseline, err)
-			os.Exit(2)
-		}
-		// With -run narrowing the suite, entries for unselected
-		// analyzers cannot match anything; don't call them stale.
-		selected := make(map[string]bool, len(analyzers))
-		for _, a := range analyzers {
-			selected[a.Name] = true
-		}
-		applicable := entries[:0]
-		for _, e := range entries {
-			if selected[e.Analyzer] {
-				applicable = append(applicable, e)
-			}
-		}
-		total := len(diags)
-		diags, stale = analysis.ApplyBaseline(diags, applicable, rel)
-		baselined = total - len(diags)
-	}
-
 	for _, d := range diags {
 		fmt.Println(d)
 	}
-	for _, e := range stale {
-		fmt.Printf("%s: stale baseline entry (the finding it tolerated is gone; regenerate with make lint-baseline)\n", e)
-	}
 
 	if *summary != "" {
-		if err := appendSummary(*summary, analyzers, diags, stale, baselined); err != nil {
+		if err := appendSummary(*summary, analyzers, diags); err != nil {
 			fmt.Fprintf(os.Stderr, "prvm-lint: %v\n", err)
 			os.Exit(2)
 		}
 	}
 
-	if len(diags) > 0 || len(stale) > 0 {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }
 
 // appendSummary writes a markdown report of the run — appended, so CI
 // can point it straight at $GITHUB_STEP_SUMMARY.
-func appendSummary(path string, analyzers []*analysis.Analyzer, diags []analysis.Diagnostic, stale []analysis.BaselineEntry, baselined int) error {
+func appendSummary(path string, analyzers []*analysis.Analyzer, diags []analysis.Diagnostic) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### prvm-lint: %d analyzer(s)\n\n", len(analyzers))
-	if len(diags) == 0 && len(stale) == 0 {
-		fmt.Fprintf(&b, "No findings")
-		if baselined > 0 {
-			fmt.Fprintf(&b, " (%d baselined)", baselined)
-		}
-		fmt.Fprintf(&b, ". ✅\n")
+	if len(diags) == 0 {
+		fmt.Fprintf(&b, "No findings. ✅\n")
 	} else {
 		counts := make(map[string]int)
 		for _, d := range diags {
@@ -172,9 +114,6 @@ func appendSummary(path string, analyzers []*analysis.Analyzer, diags []analysis
 		fmt.Fprintf(&b, "\n```\n")
 		for _, d := range diags {
 			fmt.Fprintf(&b, "%s\n", d)
-		}
-		for _, e := range stale {
-			fmt.Fprintf(&b, "stale baseline entry: %s\n", e)
 		}
 		fmt.Fprintf(&b, "```\n")
 	}

@@ -2,99 +2,44 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// Atomicmix flags struct fields that are accessed both through
-// sync/atomic and through plain loads or stores in the same package.
+// Atomicmix flags every use of a package-level sync/atomic function
+// (atomic.AddInt64, LoadUint32, CompareAndSwapPointer, ...).
 //
-// Mixing the two breaks the memory model both ways: a plain read can
-// observe a torn or stale value concurrently with atomic writers, and
-// a plain write can be lost under an atomic read-modify-write. The
-// race detector only catches the mix when both sides actually collide
-// during a test run; the analyzer catches it from the source. Once a
-// field is touched by atomic.AddInt64/LoadUint32/CompareAndSwap/...,
-// every access must go through sync/atomic (an atomically-published
-// snapshot read under a mutex carries //prvmlint:allow atomicmix with
-// the invariant that makes it safe).
+// Those functions act on a plain int64/uint32/pointer that the rest of
+// the code can also load or store plainly, and mixing the two breaks
+// the memory model both ways: a plain read can observe a stale value
+// concurrently with atomic writers, and a plain write can be lost
+// under an atomic read-modify-write. The race detector only catches
+// the mix when both sides collide during a test run. The typed atomics
+// (atomic.Int64, atomic.Pointer[T], ...) have no plain load or store at
+// all, and go vet's copylocks flags copying one, so a value kept in one
+// cannot be mixed — their methods are the allowed form.
 var Atomicmix = &Analyzer{
 	Name: "atomicmix",
-	Doc:  "fields used with sync/atomic must not also have plain loads or stores",
+	Doc:  "use sync/atomic's typed atomics, not its package-level functions, so no value is accessed both atomically and plainly",
 	Run:  runAtomicmix,
 }
 
 func runAtomicmix(pass *Pass) error {
-	atomicFields := make(map[types.Object]bool)
-	atomicUses := make(map[*ast.SelectorExpr]bool)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(pass, call) {
+			id, ok := n.(*ast.Ident)
+			if !ok {
 				return true
 			}
-			for _, arg := range call.Args {
-				sel := addrOfSelector(arg)
-				if sel == nil {
-					continue
-				}
-				if obj := fieldObject(pass, sel); obj != nil {
-					atomicFields[obj] = true
-					atomicUses[sel] = true
-				}
-			}
-			return true
-		})
-	}
-	if len(atomicFields) == 0 {
-		return nil
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || atomicUses[sel] {
+			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" ||
+				fn.Type().(*types.Signature).Recv() != nil {
 				return true
 			}
-			obj := fieldObject(pass, sel)
-			if obj == nil || !atomicFields[obj] {
-				return true
-			}
-			pass.Reportf(sel.Pos(),
-				"field %s is accessed with sync/atomic elsewhere in this package; this plain access races with the atomic ones",
-				obj.Name())
+			pass.Reportf(id.Pos(),
+				"atomic.%s leaves its operand open to plain loads and stores; keep the value in a typed atomic (atomic.Int64, atomic.Pointer[T], ...) and call its method",
+				fn.Name())
 			return true
 		})
 	}
 	return nil
-}
-
-// isAtomicCall reports whether the callee is a sync/atomic function.
-func isAtomicCall(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
-}
-
-// addrOfSelector unwraps &x.f (possibly parenthesized) to the x.f
-// selector, or nil.
-func addrOfSelector(e ast.Expr) *ast.SelectorExpr {
-	u, ok := ast.Unparen(e).(*ast.UnaryExpr)
-	if !ok || u.Op != token.AND {
-		return nil
-	}
-	sel, _ := ast.Unparen(u.X).(*ast.SelectorExpr)
-	return sel
-}
-
-// fieldObject resolves a selector to the struct-field variable it
-// names, or nil when the selector is not a field access.
-func fieldObject(pass *Pass, sel *ast.SelectorExpr) types.Object {
-	v, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Var)
-	if !ok || !v.IsField() {
-		return nil
-	}
-	return v
 }

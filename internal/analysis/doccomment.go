@@ -29,8 +29,9 @@ import (
 // struct fields and interface methods (the type's doc owns those).
 // The analyzer only fires in the core packages named above — commands,
 // experiments and the analysis layer itself document at their own
-// discretion. Pre-existing debt is tolerated via docs.allow (the
-// docs-check gate) using the standard baseline format.
+// discretion. `make docs-check` runs it alone; like every analyzer it
+// tolerates nothing in bulk, only a //prvmlint:allow directive with a
+// reason on the flagged line.
 var Doccomment = &Analyzer{
 	Name: "doccomment",
 	Doc:  "exported symbols of the core library packages need godoc comments starting with the symbol name",

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bufio"
 	"bytes"
+	"compress/gzip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,9 +17,9 @@ import (
 // the run from the file's header alone, and require the fresh decision
 // stream to diff clean against the recorded one.
 func TestRecordReplayRoundTrip(t *testing.T) {
-	cfg := RecordConfig{Trace: "google", Seed: 9, NumVMs: 30, PMsPerType: 4, Steps: 24}
+	meta := record.RunMeta{Kind: "sim", Trace: "google", Seed: 9, NumVMs: 30, PMsPerType: 4, Steps: 24}
 	path := filepath.Join(t.TempDir(), "run.jsonl.gz")
-	res, ndec, err := RecordToFile(path, cfg)
+	res, ndec, err := RecordToFile(path, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +37,9 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	if len(spans) == 0 {
 		t.Fatal("no spans recorded")
 	}
-	if !reflect.DeepEqual(hdr.Meta, cfg.Meta()) {
-		t.Fatalf("header meta %+v, want %+v", hdr.Meta, cfg.Meta())
+	meta.Algorithm = "PageRankVM"
+	if !reflect.DeepEqual(hdr.Meta, meta) {
+		t.Fatalf("header meta %+v, want %+v", hdr.Meta, meta)
 	}
 
 	replayed, _, rres, err := Replay(hdr.Meta)
@@ -57,7 +60,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 // such a recording must still load and replay clean.
 func TestReplayIgnoresRetiredEngineFlag(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	if _, _, err := RecordToFile(path, RecordConfig{Seed: 4, NumVMs: 30, PMsPerType: 4, Steps: 12}); err != nil {
+	if _, _, err := RecordToFile(path, record.RunMeta{Kind: "sim", Seed: 4, NumVMs: 30, PMsPerType: 4, Steps: 12}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -84,29 +87,71 @@ func TestReplayIgnoresRetiredEngineFlag(t *testing.T) {
 	}
 }
 
+// Replay refuses a header it cannot reconstruct: another recording
+// kind, another algorithm, or a trace this build does not know.
 func TestConfigFromMetaRejectsUnreplayable(t *testing.T) {
 	cases := []struct {
 		name string
 		meta record.RunMeta
 	}{
+		{"no kind", record.RunMeta{}},
 		{"wrong kind", record.RunMeta{Kind: "bench"}},
 		{"wrong algorithm", record.RunMeta{Kind: "sim", Algorithm: "FFDSum"}},
 		{"unknown trace", record.RunMeta{Kind: "sim", Trace: "borg"}},
 	}
 	for _, tc := range cases {
-		if _, err := ConfigFromMeta(tc.meta); err == nil {
-			t.Errorf("%s: ConfigFromMeta accepted %+v", tc.name, tc.meta)
+		if _, _, _, err := Replay(tc.meta); err == nil {
+			t.Errorf("%s: Replay accepted %+v", tc.name, tc.meta)
 		}
 	}
 }
 
+// TestConfigMetaRoundTrip: recording from each golden file's header
+// meta writes that header back byte for byte, and the decision stream
+// diffs clean against the golden one — the header is the run's whole
+// configuration, with nothing defaulted on one side only.
 func TestConfigMetaRoundTrip(t *testing.T) {
-	cfg := RecordConfig{Trace: "planetlab", Seed: 3, NumVMs: 50, PMsPerType: 5, Steps: 12}
-	got, err := ConfigFromMeta(cfg.Meta())
+	goldens, err := filepath.Glob(filepath.Join("..", "..", "examples", "golden", "*.jsonl.gz"))
+	if err != nil || len(goldens) == 0 {
+		t.Fatalf("no golden recordings (%v)", err)
+	}
+	for _, golden := range goldens {
+		hdr, want, _, err := record.ReadAll(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), filepath.Base(golden))
+		if _, _, err := RecordToFile(path, hdr.Meta); err != nil {
+			t.Fatal(err)
+		}
+		if got, wantLine := headerLine(t, path), headerLine(t, golden); !bytes.Equal(got, wantLine) {
+			t.Errorf("%s: header\n%s\nwant\n%s", golden, got, wantLine)
+		}
+		_, got, _, err := record.ReadAll(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := record.Diff(want, got); !sum.Clean() {
+			t.Errorf("%s: re-recording diverges: %+v (first: %+v)", golden, sum, sum.First)
+		}
+	}
+}
+
+// headerLine returns the first line of a gzip-compressed recording.
+func headerLine(t *testing.T, path string) []byte {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != cfg {
-		t.Fatalf("round trip %+v, want %+v", got, cfg)
+	defer func() { _ = f.Close() }()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
 	}
+	line, err := bufio.NewReader(zr).ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
 }

@@ -43,7 +43,7 @@ type Header struct {
 // RunMeta captures the configuration of the recorded run — enough for
 // cmd/prvm-replay to reconstruct and re-run it deterministically.
 // Kind selects the replay driver; "sim" replays through
-// experiments.ReplayRecordedSim. Free-form context goes in Labels.
+// experiments.Replay. Free-form context goes in Labels.
 type RunMeta struct {
 	// Kind is the replay driver: "sim" for a recorded simulation run,
 	// anything else for recordings that only support diff/phases.

@@ -41,6 +41,9 @@ func (s *Server) submitPlace(vm *placement.VM, exclude *placement.PM) placeResul
 	}
 	var res placeResult
 	for i := range s.shards {
+		if i > 0 {
+			s.met.forwards.Inc() // the previous shard had no room
+		}
 		sh := s.shards[(home+i)%len(s.shards)]
 		sh.mu.Lock()
 		res = s.placeLocked(sh, vm, exclude)
@@ -48,7 +51,6 @@ func (s *Server) submitPlace(vm *placement.VM, exclude *placement.PM) placeResul
 		if !errors.Is(res.err, placement.ErrNoCapacity) {
 			break
 		}
-		s.met.forwards.Inc()
 	}
 	switch {
 	case errors.Is(res.err, placement.ErrNoCapacity):

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pagerankvm/internal/experiments"
+	"pagerankvm/internal/obs"
 	"pagerankvm/internal/placement"
 	"pagerankvm/internal/ranktable"
 )
@@ -251,6 +252,95 @@ func TestNoCapacityAfterForwarding(t *testing.T) {
 	if !saw409 {
 		t.Fatal("never saw no_capacity on a 2-PM inventory")
 	}
+}
+
+// serve.place_forwards counts hand-offs to a next shard, not shards
+// without room: a place every shard rejects adds N-1 forwards on an
+// N-shard server, and one whose home shard is full but whose next
+// shard has room adds exactly one.
+func TestPlaceForwardsCountHandOffs(t *testing.T) {
+	cat, reg := testEnv(t)
+	newServer := func(shards, pmsPerType int) (*Server, *obs.Observer) {
+		o := obs.New()
+		s, err := New(Config{
+			Rankers: reg,
+			PMs:     cat.BuildCluster(pmsPerType).PMs(),
+			NewVM:   cat.NewVM,
+			Shards:  shards,
+			Obs:     o,
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		return s, o
+	}
+	place := func(s *Server, id int) placeResult {
+		vm, err := cat.NewVM(id, "m3.2xlarge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.submitPlace(vm, nil)
+	}
+	// fill places VMs until the first rejection and returns the next
+	// unused VM id.
+	fill := func(s *Server) int {
+		for id := 0; id < 200; id++ {
+			res := place(s, id)
+			if errors.Is(res.err, placement.ErrNoCapacity) {
+				return id + 1
+			}
+			if res.err != nil {
+				t.Fatalf("place %d: %v", id, res.err)
+			}
+		}
+		t.Fatal("inventory never filled")
+		return 0
+	}
+
+	for _, shards := range []int{1, 2} {
+		s, o := newServer(shards, 1)
+		id := fill(s)
+		forwards, rejected := o.Counter("serve.place_forwards"), o.Counter("serve.place_rejected")
+		f0, r0 := forwards.Value(), rejected.Value()
+		for i := 0; i < 3; i++ {
+			if res := place(s, id+i); !errors.Is(res.err, placement.ErrNoCapacity) {
+				t.Fatalf("%d shard(s), full: place %d: got %+v, want no capacity", shards, id+i, res)
+			}
+		}
+		if got, want := forwards.Value()-f0, int64(3*(shards-1)); got != want {
+			t.Errorf("%d full shard(s): 3 rejections counted %d forwards, want %d", shards, got, want)
+		}
+		if got := rejected.Value() - r0; got != 3 {
+			t.Errorf("%d full shard(s): 3 rejections counted %d rejected, want 3", shards, got)
+		}
+	}
+
+	// Home shard 0 fills first; the first VM it cannot hold lands on
+	// shard 1 after exactly one forward.
+	s, o := newServer(2, 2)
+	forwards := o.Counter("serve.place_forwards")
+	for id := 0; id < 400; id++ {
+		if s.vmShard(id) != 0 {
+			continue
+		}
+		f0 := forwards.Value()
+		res := place(s, id)
+		if res.err != nil {
+			t.Fatalf("place %d: %v", id, res.err)
+		}
+		if _, onHome := s.shards[0].pms[res.PM]; onHome {
+			if got := forwards.Value() - f0; got != 0 {
+				t.Fatalf("place %d on its home shard counted %d forwards", id, got)
+			}
+			continue
+		}
+		if got := forwards.Value() - f0; got != 1 {
+			t.Fatalf("place %d forwarded to shard 1 counted %d forwards, want 1", id, got)
+		}
+		return
+	}
+	t.Fatal("home shard never filled")
 }
 
 // stateFingerprint captures everything recovery promises to restore
