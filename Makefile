@@ -43,10 +43,13 @@ race:
 # surviving agents stay consistent with its mirror. The serve-side
 # kill/recover tests ride along: concurrent traffic, descheduler
 # rounds and maintenance drains against an abrupt kill, verified by an
-# independent WAL fold.
+# independent WAL fold. So do the WAL replay and recovery tests, five
+# times over: replay hands recycled op batches between its decoding
+# and applying goroutines, and one pass may miss a batch reused early.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/testbed/
 	$(GO) test -race -count=1 -run 'KillRecover' ./internal/serve/
+	$(GO) test -race -count=5 -run 'Replay|Recovery|TornTail|DecodeAhead|WAL' ./internal/serve/
 
 # Native fuzzing of the decoders — the rank-table file
 # (ranktable.LoadTable), the WAL op line against encoding/json

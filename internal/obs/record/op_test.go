@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -41,7 +42,9 @@ func TestOpRoundTrip(t *testing.T) {
 			t.Fatalf("Next: %v", err)
 		}
 		if e.Op != nil {
-			ops = append(ops, *e.Op)
+			op := *e.Op
+			op.Assign = slices.Clone(op.Assign) // Next's op lives until its next call
+			ops = append(ops, op)
 		}
 	}
 	if len(ops) != 2 {

@@ -1,6 +1,7 @@
 package record
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 )
@@ -141,22 +142,22 @@ func (p *opParser) digits(i int) int {
 
 // integer consumes a canonical integer that fits bits bits.
 func (p *opParser) integer(bits int) int64 {
-	neg := 0
-	if len(p.b) > 0 && p.b[0] == '-' {
-		neg = 1
-	}
-	n := p.digits(neg)
-	if p.ok = p.ok && n > 0 && n <= 18 && (p.b[neg] != '0' || n+neg == 1); !p.ok {
-		return 0
+	b, neg := p.b, len(p.b) > 0 && p.b[0] == '-'
+	if neg {
+		b = b[1:]
 	}
 	var v int64
-	for _, c := range p.b[neg : neg+n] {
-		v = v*10 + int64(c-'0')
+	n := 0
+	for ; n < len(b) && b[n]-'0' <= 9; n++ {
+		v = v*10 + int64(b[n]-'0') // wraps past 18 digits, which are declined
 	}
-	if neg == 1 {
+	if p.ok = p.ok && n > 0 && n <= 18 && (b[0] != '0' || n == 1 && !neg); !p.ok {
+		return 0
+	}
+	if neg {
 		v = -v
 	}
-	p.b = p.b[neg+n:]
+	p.b = b[n:]
 	p.ok = bits == 64 || v == int64(int32(v))
 	return v
 }
@@ -189,70 +190,75 @@ func (p *opParser) number() float64 {
 	return f
 }
 
+// maxNames bounds a reader's name table at more names than any catalog
+// has; over a catalog's handful a linear scan beats hashing the name.
+const maxNames = 32
+
 // str consumes a plain string through its closing quote. Names repeat
-// line after line, so each distinct one is allocated once per reader
-// (up to a bound no catalog reaches).
-func (p *opParser) str(names map[string]string) string {
-	for i := 0; p.ok && i < len(p.b); i++ {
-		if p.b[i] == '"' {
-			s, seen := names[string(p.b[:i])]
-			if !seen {
-				s = string(p.b[:i])
-				if len(names) < 256 {
-					names[s] = s
-				}
-			}
-			p.b = p.b[i+1:]
+// line after line, so the op kinds and the catalog's few type names are
+// kept, once each and checked once, in a small table: a name seen
+// before costs no allocation.
+func (p *opParser) str(names *[]string) string {
+	i := bytes.IndexByte(p.b, '"')
+	if p.ok = p.ok && i >= 0; !p.ok {
+		return ""
+	}
+	name := p.b[:i]
+	p.b = p.b[i+1:]
+	for _, s := range *names {
+		if s == string(name) {
 			return s
 		}
-		if !plain(p.b[i]) {
-			break
+	}
+	for _, c := range name {
+		if p.ok = plain(c); !p.ok {
+			return ""
 		}
 	}
-	p.ok = false
-	return ""
+	s := string(name)
+	if len(*names) < maxNames {
+		*names = append(*names, s)
+	}
+	return s
 }
 
-// parseOpLine decodes raw when it is in the canonical form — then op is
-// what json.Unmarshal(raw, &op) yields — and declines (nil) otherwise.
-func (r *Reader) parseOpLine(raw []byte) *Op {
+// parseOpLine decodes raw into r.op when it is in the canonical form —
+// then r.op is what json.Unmarshal(raw, &op) yields, its assignment in
+// r's scratch — and declines (false) otherwise, leaving r.op undefined.
+func (r *Reader) parseOpLine(raw []byte) bool {
 	p := opParser{b: raw, ok: true}
 	if !p.has(`{"t":"o","seq":`) {
-		return nil // not an op line: do not build one
+		return false // not an op line: do not build one
 	}
-	var op Op
-	op.Seq = p.integer(64)
+	op := &r.op
+	*op = Op{Seq: p.integer(64)}
 	p.want(`,"kind":"`)
-	op.Kind = p.str(r.names)
+	op.Kind = p.str(&r.names)
 	p.want(`,"vm":`)
 	op.VM = int(p.integer(strconv.IntSize))
 	if p.has(`,"vm_type":"`) {
-		op.VMType = p.str(r.names)
+		op.VMType = p.str(&r.names)
 	}
 	p.want(`,"pm":`)
 	op.PM = int(p.integer(strconv.IntSize))
 	if p.has(`,"pm_type":"`) {
-		op.PMType = p.str(r.names)
+		op.PMType = p.str(&r.names)
 	}
 	if p.has(`,"assign":[`) {
 		r.assign = r.assign[:0]
-		for more := true; more && p.ok; more = p.has(`,`) {
+		for more := true; more && p.ok; more = p.has(`},`) {
 			p.want(`{"dim":`)
 			dim := p.integer(strconv.IntSize)
 			p.want(`,"units":`)
 			r.assign = append(r.assign, OpAssign{Dim: int(dim), Units: int(p.integer(strconv.IntSize))})
-			p.want(`}`)
 		}
-		p.want(`]`)
-		op.Assign = append([]OpAssign(nil), r.assign...)
+		p.want(`}]`)
+		op.Assign = r.assign
 	}
 	if p.has(`,"score":`) {
 		op.Score = p.number()
 	}
 	op.Opened = p.has(`,"opened":true`)
 	p.want(`}`)
-	if !p.ok || len(p.b) != 0 {
-		return nil
-	}
-	return &op
+	return p.ok && len(p.b) == 0
 }

@@ -21,11 +21,12 @@ type Reader struct {
 
 	// read counts stream bytes scanned, line ends included; offset is
 	// its value before the line the latest Next read. slow counts op
-	// lines parseOpLine declined; names and assign are its interning
-	// table and scratch.
+	// lines parseOpLine declined; names is its interning table, and op
+	// and assign the storage it decodes into.
 	read, offset int64
 	slow         int
-	names        map[string]string
+	names        []string
+	op           Op
 	assign       []OpAssign
 }
 
@@ -60,7 +61,7 @@ func NewReader(src io.Reader) (*Reader, error) {
 func newReader(src io.Reader, c io.Closer) (*Reader, error) {
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	r := &Reader{sc: sc, names: make(map[string]string)}
+	r := &Reader{sc: sc, names: []string{OpPlace, OpRelease, OpRetire}}
 	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
 		advance, token, err := bufio.ScanLines(data, atEOF)
 		r.read += int64(advance)
@@ -110,7 +111,9 @@ type Entry struct {
 	Op       *Op
 }
 
-// Next returns the next entry, or io.EOF at the end of the stream.
+// Next returns the next entry, or io.EOF at the end of the stream. An
+// Op, Assign included, is the reader's storage, valid until the next
+// call like bufio.Scanner.Bytes: to keep one, copy it and its Assign.
 func (r *Reader) Next() (Entry, error) {
 	if r == nil {
 		return Entry{}, io.EOF
@@ -128,8 +131,8 @@ func (r *Reader) Next() (Entry, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		if op := r.parseOpLine(raw); op != nil {
-			return Entry{Op: op}, nil
+		if r.parseOpLine(raw) {
+			return Entry{Op: &r.op}, nil
 		}
 		// The Recorder leads with the discriminator, so a decision or a
 		// span needs one parse, not a probe and then one; the decoded
@@ -167,11 +170,11 @@ func (r *Reader) Next() (Entry, error) {
 			return Entry{Span: &s}, nil
 		case lineOp:
 			r.slow++
-			var o Op
-			if err := json.Unmarshal(raw, &o); err != nil {
+			r.op = Op{}
+			if err := json.Unmarshal(raw, &r.op); err != nil {
 				return Entry{}, fmt.Errorf("record: line %d: %w", r.line, err)
 			}
-			return Entry{Op: &o}, nil
+			return Entry{Op: &r.op}, nil
 		default:
 			// Unknown line types are skipped, not fatal: future
 			// versions may add record kinds without breaking old

@@ -23,8 +23,9 @@ import (
 // non-test code every cluster mutation and every WAL flush has exactly
 // one call site (apply and barrier), and the WAL is appended to from
 // two (commit, and the descheduler's log-only OnMove hook). The VM
-// directory is written from the same two places: apply, and the OnMove
-// hook New installs. A new handler that mutates state by hand fails
+// directory is written live from the same two places — commit, and the
+// OnMove hook New installs — and once more by recover, which rebuilds
+// it from the clusters. A new handler that mutates state by hand fails
 // here.
 func TestOneApplyOneCommitOneBarrier(t *testing.T) {
 	fset := token.NewFileSet()
@@ -76,8 +77,9 @@ func TestOneApplyOneCommitOneBarrier(t *testing.T) {
 		}
 	}
 	for name, want := range map[string][]string{
-		"loc.store":  {"New", "apply"}, // New's is the OnMove hook
-		"loc.delete": {"apply"},
+		"loc.store":   {"New", "commit"}, // New's is the OnMove hook
+		"loc.delete":  {"commit"},
+		"loc.rebuild": {"recover"},
 	} {
 		got := append([]string(nil), funcs[name]...)
 		sort.Strings(got)

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -207,19 +208,19 @@ func recoverFrom(t testing.TB, snap []byte) (*Server, error) {
 	if err := os.WriteFile(filepath.Join(dir, snapshotName(9)), snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return recoverDir(t, dir)
+	return recoverDir(t, dir, 2)
 }
 
-// recoverDir starts a 2-shard server over 2 PMs per type on dir,
-// turning a panic into an error so a test can tell them apart.
-func recoverDir(t testing.TB, dir string) (s *Server, err error) {
+// recoverDir starts a 2-shard server over pmsPerType PMs per type on
+// dir, turning a panic into an error so a test can tell them apart.
+func recoverDir(t testing.TB, dir string, pmsPerType int) (s *Server, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s, err = nil, fmt.Errorf("panic: %v", p)
 		}
 	}()
 	cat, reg := testEnv(t)
-	return New(Config{Rankers: reg, PMs: cat.BuildCluster(2).PMs(), NewVM: cat.NewVM, Shards: 2, DataDir: dir})
+	return New(Config{Rankers: reg, PMs: cat.BuildCluster(pmsPerType).PMs(), NewVM: cat.NewVM, Shards: 2, DataDir: dir})
 }
 
 // An assignment naming a dimension the PM does not have is corrupt
@@ -258,9 +259,91 @@ func TestCorruptAssignmentFailsRecovery(t *testing.T) {
 	if err := os.WriteFile(path, withDim99(t, data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := recoverDir(t, dir); err == nil || !strings.Contains(err.Error(), "does not fit") {
+	if _, err := recoverDir(t, dir, 2); err == nil || !strings.Contains(err.Error(), "does not fit") {
 		t.Fatalf("WAL op with dim 99: New = %v, want an assignment error", err)
 	}
+}
+
+// A VM hosted on two shards is corrupt durable state, whether a WAL op
+// or the snapshot put it there: no live path places one, and the
+// directory recovery derives could route to only one of them. Recovery
+// fails naming the VM and both PMs. (With 140 PMs per type, PMs of one
+// type live on both of 2 shards.)
+func TestReplayRejectsVMOnTwoShards(t *testing.T) {
+	const perType = 140
+	dir := t.TempDir()
+	s := newTestServer(t, dir, 2, perType)
+	vm, err := s.cfg.NewVM(1, "m3.medium")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.submitPlace(vm, nil)
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	first := res.PM
+	other := -1
+	for _, sh := range s.shards {
+		for _, pm := range sh.cluster.PMs() {
+			if other < 0 && sh.idx != s.pmShard(first) && pm.Type == res.PMType {
+				other = pm.ID
+			}
+		}
+	}
+	if other < 0 {
+		t.Fatalf("no %s PM off shard %d", res.PMType, s.pmShard(first))
+	}
+	s.Kill()
+	wantErr := func(err error, where string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("vm 1 is hosted on pm %d (shard %d) and on pm %d (shard %d)",
+			min(first, other), s.pmShard(min(first, other)), max(first, other), s.pmShard(max(first, other)))) {
+			t.Fatalf("vm 1 on pms %d and %d via the %s: New = %v, want an error naming both", first, other, where, err)
+		}
+	}
+
+	// The WAL: a second place of VM 1, on the other shard.
+	path := filepath.Join(dir, segmentName(0))
+	wal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := wal[bytes.IndexByte(wal, '\n')+1:]
+	line = bytes.Replace(line, []byte(`"seq":0,`), []byte(`"seq":1,`), 1)
+	line = bytes.Replace(line, []byte(fmt.Sprintf(`"pm":%d,`, first)), []byte(fmt.Sprintf(`"pm":%d,`, other)), 1)
+	if err := os.WriteFile(path, append(wal, line...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := recoverDir(t, dir, perType)
+	if err == nil {
+		r.Kill()
+	}
+	wantErr(err, "WAL")
+
+	// The snapshot: VM 1 listed by both shards.
+	dir = t.TempDir()
+	s = newTestServer(t, dir, 2, perType)
+	if res := s.submitPlace(vm, nil); res.err != nil || res.PM != first {
+		t.Fatalf("place on a fresh server: %+v, want pm %d", res, first)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := loadLatestSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := &snap.State[s.pmShard(first)], &snap.State[s.pmShard(other)]
+	to.Used = append(to.Used, other)
+	to.Unused = slices.DeleteFunc(to.Unused, func(id int) bool { return id == other })
+	to.PMs = append(to.PMs, snapPM{ID: other, VMs: from.PMs[0].VMs})
+	if err := writeSnapshot(dir, snap); err != nil {
+		t.Fatal(err)
+	}
+	if r, err = recoverDir(t, dir, perType); err == nil {
+		r.Kill()
+	}
+	wantErr(err, "snapshot")
 }
 
 // With Fsync set, new segments get their directory synced, and a

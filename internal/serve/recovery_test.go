@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -62,7 +63,7 @@ func foldDataDir(t *testing.T, dir string) map[int]foldedVM {
 				if _, dup := state[op.VM]; dup {
 					return fmt.Errorf("fold: seq %d places vm %d twice", op.Seq, op.VM)
 				}
-				state[op.VM] = foldedVM{Type: op.VMType, PM: op.PM, Assign: op.Assign}
+				state[op.VM] = foldedVM{Type: op.VMType, PM: op.PM, Assign: slices.Clone(op.Assign)}
 			case record.OpRelease:
 				if _, ok := state[op.VM]; !ok {
 					return fmt.Errorf("fold: seq %d releases unplaced vm %d", op.Seq, op.VM)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -66,6 +67,7 @@ func BenchmarkReplayApply(b *testing.B) {
 	s.Kill()
 	stream := make([]record.Op, 0, ops)
 	if _, err := readSegmentOps(filepath.Join(dir, segmentName(0)), false, func(op record.Op) error {
+		op.Assign = slices.Clone(op.Assign) // the scan reuses it
 		stream = append(stream, op)
 		return nil
 	}); err != nil || len(stream) != ops {

@@ -101,10 +101,11 @@ type locEntry struct {
 	pm    int
 }
 
-// directory maps every placed VM id to its locEntry. It is written only
-// by apply and the descheduler's OnMove hook, both under the lock of
-// the shard the write concerns (lock order shard.mu -> directory.mu),
-// and read lock-free of shards by the duplicate check and release
+// directory maps every placed VM id to its locEntry: state derived from
+// the clusters. It is written only by commit and the descheduler's
+// OnMove hook, both under the lock of the shard the write concerns
+// (lock order shard.mu -> directory.mu), and by recovery's rebuild; it
+// is read lock-free of shards by the duplicate check and release
 // routing.
 type directory struct {
 	mu sync.RWMutex
@@ -128,6 +129,31 @@ func (d *directory) delete(vm int) {
 	d.mu.Lock()
 	delete(d.m, vm)
 	d.mu.Unlock()
+}
+
+// rebuild replaces the directory with the clusters' view; recovery runs
+// alone. A VM hosted by two shards is corrupt durable state — no live
+// path places one, and the directory could route to only one of them —
+// so it is an error naming both hosts.
+func (d *directory) rebuild(shards []*shard) error {
+	n := 0
+	for _, sh := range shards {
+		n += sh.cluster.NumVMs()
+	}
+	m := make(map[int]locEntry, n)
+	for _, sh := range shards {
+		for _, pm := range sh.cluster.UsedPMs() {
+			for _, h := range pm.HostedVMs() {
+				if e, dup := m[h.VM.ID]; dup {
+					return fmt.Errorf("vm %d is hosted on pm %d (shard %d) and on pm %d (shard %d)",
+						h.VM.ID, e.pm, e.shard, pm.ID, sh.idx)
+				}
+				m[h.VM.ID] = locEntry{shard: sh.idx, pm: pm.ID}
+			}
+		}
+	}
+	d.m = m
+	return nil
 }
 
 // shard is one partition of the datacenter: a cluster over a subset of
@@ -516,22 +542,18 @@ func (s *Server) pmShard(pmID int) int { return int(hashID(pmID) % uint32(len(s.
 func (s *Server) vmShard(vmID int) int { return int(hashID(vmID) % uint32(len(s.shards))) }
 
 // apply is the one function that changes the daemon's state: the only
-// caller of Cluster.Host, Release and Retire and, with the log-only
-// OnMove hook, the only editor of loc, sh.pms and sh.retired. WAL
-// replay, snapshot load and the live path (through commit) all go
-// through it, so what recovery rebuilds is what serving built. The live
-// path hands in the VM and assignment it already materialised for a
-// place; with a zero h they are rebuilt from the op. It returns the
+// caller of Cluster.Host, Release and Retire and the only editor of
+// sh.pms and sh.retired (not of the derived directory). WAL replay,
+// snapshot load and the live path (through commit) all go through it,
+// so what recovery rebuilds is what serving built. The live path hands
+// in the VM and assignment it already materialised for a place; with a
+// zero h they are rebuilt from, not aliased to, the op. It returns the
 // hosting record placed or released. Callers hold the lock of the
 // shard owning op.PM (recovery is single-threaded).
 func (s *Server) apply(op record.Op, h placement.Hosted) (placement.Hosted, error) {
 	sh := s.shards[s.pmShard(op.PM)]
 	if op.Kind == record.OpRelease {
-		released, err := sh.cluster.Release(op.VM)
-		if err == nil {
-			s.loc.delete(op.VM)
-		}
-		return released, err
+		return sh.cluster.Release(op.VM)
 	}
 	pm, ok := sh.pms[op.PM]
 	if !ok {
@@ -549,7 +571,6 @@ func (s *Server) apply(op record.Op, h placement.Hosted) (placement.Hosted, erro
 		if err := sh.cluster.Host(pm, h.VM, h.Assign); err != nil {
 			return h, err
 		}
-		s.loc.store(op.VM, locEntry{shard: sh.idx, pm: pm.ID})
 	case record.OpRetire:
 		if err := sh.cluster.Retire(pm); err != nil {
 			return h, err
@@ -562,15 +583,21 @@ func (s *Server) apply(op record.Op, h placement.Hosted) (placement.Hosted, erro
 	return h, nil
 }
 
-// commit is the live path's state change: apply the op, then append it
-// to the WAL — so the log records exactly what was applied — both under
-// the owning shard's lock, which keeps per-PM WAL order equal to apply
-// order. It returns the op's seq; the caller runs barrier before
-// acknowledging it.
+// commit is the live path's state change: apply the op, keep the VM
+// directory in step, then append the op to the WAL — so the log records
+// exactly what was applied — all under the owning shard's lock, which
+// keeps per-PM WAL order equal to apply order. It returns the op's seq;
+// the caller runs barrier before acknowledging it.
 func (s *Server) commit(op record.Op, h placement.Hosted) (placement.Hosted, int64, error) {
 	h, err := s.apply(op, h)
 	if err != nil {
 		return h, 0, err
+	}
+	switch op.Kind {
+	case record.OpPlace:
+		s.loc.store(op.VM, locEntry{shard: s.pmShard(op.PM), pm: op.PM})
+	case record.OpRelease:
+		s.loc.delete(op.VM)
 	}
 	return h, s.wal.appendOp(op), nil
 }

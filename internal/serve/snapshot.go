@@ -270,7 +270,8 @@ func (s *Server) gcData(cut int64) {
 
 // recover rebuilds state from dir: apply the newest snapshot (when
 // present), then replay every WAL op at or after the snapshot cut, in
-// seq order. Only the final segment may end in a torn line.
+// seq order, then derive the VM directory from the clusters. Only the
+// final segment may end in a torn line.
 func (s *Server) recover(dir string) (RecoveryInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return RecoveryInfo{}, fmt.Errorf("serve: recover: %w", err)
@@ -330,6 +331,9 @@ func (s *Server) recover(dir string) (RecoveryInfo, error) {
 				}
 			}
 		}
+	}
+	if err := s.loc.rebuild(s.shards); err != nil {
+		return RecoveryInfo{}, fmt.Errorf("serve: recover: %w", err)
 	}
 	info.ReplaySeconds = time.Since(start).Seconds() - info.SnapshotLoadSeconds
 

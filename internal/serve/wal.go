@@ -248,11 +248,13 @@ type segmentScan struct {
 	slowLines int
 }
 
-// opBatch is one hand-off from the decoding goroutine: ops in file
-// order and, on the batch that ends the scan, why it ended.
+// opBatch is one hand-off from the decoding goroutine, recycled once
+// applied: ops in file order, their assignments copied into one arena,
+// and, on the batch that ends the scan, why it ended.
 type opBatch struct {
-	ops []*record.Op
-	err error
+	ops   []record.Op
+	arena []record.OpAssign
+	err   error
 }
 
 // batchOps sizes a hand-off: enough ops that the channel costs nothing
@@ -263,11 +265,12 @@ const batchOps = 256
 // starting the scan at the segment's header. Reading and decoding run
 // a bounded distance ahead on their own goroutine; fn runs on the
 // caller's, so replay's apply stays single-threaded and in seq order
-// (DESIGN.md §14 says why it must); an error from fn ends the scan. A
-// decode error with tolerateTail set is treated as a torn tail — the
-// scan stops and truncated is reported — which is only legal for the
-// final segment of a recovery scan; earlier segments were sealed by
-// rotation and must parse completely.
+// (DESIGN.md §14 says why); an error from fn ends the scan. The
+// op fn gets, assignment included, is reused once fn returns: fn copies
+// what it keeps. A decode error with tolerateTail set is treated as a
+// torn tail — the scan stops and truncated is reported — which is only
+// legal for the final segment of a recovery scan; earlier segments were
+// sealed by rotation and must parse completely.
 func readSegmentOps(path string, tolerateTail bool, fn func(record.Op) error) (segmentScan, error) {
 	r, err := record.Open(path)
 	if err != nil {
@@ -280,17 +283,30 @@ func readSegmentOps(path string, tolerateTail bool, fn func(record.Op) error) (s
 	}
 	defer func() { _ = r.Close() }() // read-only close; scan error is the story
 
-	// Two queued batches keep the decoder busy while one is applied.
-	batches := make(chan opBatch, 2)
+	// Two queued batches keep the decoder busy while one is applied, so
+	// at most four exist, and free, sized to hold them all, takes back an
+	// applied one without blocking.
+	batches := make(chan *opBatch, 2)
+	free := make(chan *opBatch, 4)
 	stop := make(chan struct{})
 	go func() {
 		defer close(batches)
 		for err := error(nil); err == nil; {
-			b := opBatch{ops: make([]*record.Op, 0, batchOps)}
+			var b *opBatch
+			select {
+			case b = <-free:
+			default:
+				b = &opBatch{ops: make([]record.Op, 0, batchOps)}
+			}
+			b.ops, b.arena, b.err = b.ops[:0], b.arena[:0], nil
 			for b.err == nil && len(b.ops) < batchOps {
 				var e record.Entry
 				if e, b.err = r.Next(); b.err == nil && e.Op != nil {
-					b.ops = append(b.ops, e.Op)
+					b.ops = append(b.ops, *e.Op) // Next reuses its op: copy it, assignment into the arena
+					if op, n := &b.ops[len(b.ops)-1], len(b.arena); len(op.Assign) > 0 {
+						b.arena = append(b.arena, op.Assign...)
+						op.Assign = b.arena[n:len(b.arena):len(b.arena)]
+					}
 				}
 			}
 			select {
@@ -304,11 +320,12 @@ func readSegmentOps(path string, tolerateTail bool, fn func(record.Op) error) (s
 	var scanErr, fnErr error
 	for b := range batches { // to the close: the decoder owns r until then
 		for i := 0; fnErr == nil && i < len(b.ops); i++ {
-			if fnErr = fn(*b.ops[i]); fnErr != nil {
+			if fnErr = fn(b.ops[i]); fnErr != nil {
 				close(stop)
 			}
 		}
 		scanErr = b.err
+		free <- b
 	}
 	scan := segmentScan{slowLines: r.SlowLines()}
 	switch {
