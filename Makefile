@@ -46,10 +46,13 @@ race:
 # independent WAL fold. So do the WAL replay and recovery tests, five
 # times over: replay hands recycled op batches between its decoding
 # and applying goroutines, and one pass may miss a batch reused early.
+# So do the racing-place tests: places of one VM id, racing across
+# shards, must host it exactly once.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/testbed/
 	$(GO) test -race -count=1 -run 'KillRecover' ./internal/serve/
 	$(GO) test -race -count=5 -run 'Replay|Recovery|TornTail|DecodeAhead|WAL' ./internal/serve/
+	$(GO) test -race -count=5 -run 'TestRacingPlacesAcrossShards|TestForwardedDuplicatesOneWinner' ./internal/serve/
 
 # Native fuzzing of the decoders — the rank-table file
 # (ranktable.LoadTable), the WAL op line against encoding/json

@@ -316,7 +316,7 @@ func BenchmarkSpaceWire(b *testing.B) {
 			if s.Edges() == 0 {
 				b.Fatal("no edges wired")
 			}
-			s.ReleaseTyped()
+			s.Release()
 		}
 	}
 	b.Run("serial", func(b *testing.B) { run(b, 1) })

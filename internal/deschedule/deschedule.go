@@ -37,7 +37,8 @@
 package deschedule
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"pagerankvm/internal/obs"
@@ -254,7 +255,7 @@ func (e *Engine) drainPass(c *placement.Cluster, budget *int, movesFrom map[int]
 	}
 	// Emptiest first — the cheapest PMs to free; stable sort keeps
 	// used-list order among equals.
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].fill < cands[j].fill })
+	slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.fill, b.fill) })
 
 	for _, cd := range cands {
 		pm := cd.pm

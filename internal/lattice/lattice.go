@@ -17,7 +17,10 @@
 // build-time state, kept in the wiring chunks: internal/ranktable
 // reduces them chunk-parallel (VisitTyped) to one winning move per
 // (node, type), which turns Algorithm 2's candidate scoring into an
-// O(1) table lookup, then releases them (see DESIGN.md §9).
+// O(1) table lookup. Once ranked and reduced, the owner calls Release,
+// which frees the typed lists, the union CSR and the node arena: what
+// is left indexes profiles by arithmetic and decodes them back from
+// their ids (see DESIGN.md §9).
 //
 // Construction is arena-backed (DESIGN.md §13): node profiles live in
 // one flat int arena, node ids are computed arithmetically from the
@@ -38,21 +41,25 @@ import (
 )
 
 // Space is the enumerated profile graph for one PM shape and one VM
-// type set. Nodes, union CSR and the type set never change after New
-// and are safe for concurrent readers; the typed lists are the one
-// exception — their owner walks them with VisitTyped and drops them
-// once with ReleaseTyped, before sharing the space.
+// type set. A fresh space holds the build-time state — node arena,
+// union CSR and typed lists — which its owner ranks and reduces, then
+// drops once with Release before sharing the space. Everything else
+// (Len, Edges, Index, Node and the type accessors) never changes after
+// New and is safe for concurrent readers, before and after Release.
 type Space struct {
 	shape *resource.Shape
 	rank  shapeRank
 	dims  int
 	n     int
+	edges int   // len(succ), kept past Release
 	vals  []int // node arena: profile i is vals[i*dims : (i+1)*dims]
 
 	// Union successor graph in CSR form: the successors of node i are
 	// succ[succOff[i]:succOff[i+1]], deduped across VM types.
 	succOff []int32 // n+1
 	succ    []int32 // edge arena
+
+	released bool // Release dropped vals, the CSR and the chunks
 
 	// Types whose demands are equal unit for unit form one demand class
 	// (classOf), enumerated once; stride[k] is class k's unit count.
@@ -63,7 +70,7 @@ type Space struct {
 
 	// The wiring chunks in node order, holding the typed lists; nil when
 	// the lattice declines them (see maxTypedEntries, maxTypedDims) and
-	// after ReleaseTyped. VisitTyped reuses the wire's worker count.
+	// after Release. VisitTyped reuses the wire's worker count.
 	chunks  []*wireChunk
 	workers int
 }
@@ -244,7 +251,7 @@ func buildTypePlans(shape *resource.Shape, classes []resource.VMType) []typePlan
 
 // wireChunk is one contiguous node range's wiring output, pooled
 // across builds: its share of the union CSR (copied into the space's
-// arenas) and of every class's typed list (kept until ReleaseTyped).
+// arenas) and of every class's typed list (kept until Release).
 type wireChunk struct {
 	lo, hi int
 	union  edgeBuf   // deduped per node; no dims
@@ -400,9 +407,9 @@ func (s *Space) wire(classes []resource.VMType, workers int) {
 			ni++
 		}
 	}
-	s.workers, s.chunks = workers, chunks
+	s.edges, s.workers, s.chunks = total, workers, chunks
 	if !typed {
-		s.ReleaseTyped()
+		s.releaseChunks()
 	}
 }
 
@@ -446,7 +453,7 @@ func (s *Space) wireRange(ch *wireChunk, sc *wireScratch, plans []typePlan, type
 	c := wireCtx{s: s, sc: sc, typed: typed, dims: sc.unitDims[:0], usucc: ch.union.succ}
 	tick := sc.tick
 	for i := ch.lo; i < ch.hi; i++ {
-		copy(sc.work, s.vals[i*s.dims:(i+1)*s.dims])
+		copy(sc.work, s.row(i))
 		tick++
 		c.uStamp = tick
 		uStart := len(c.usucc)
@@ -572,24 +579,56 @@ func (s *Space) Shape() *resource.Shape { return s.shape }
 // Len returns the number of canonical profiles.
 func (s *Space) Len() int { return s.n }
 
-// Edges returns the total number of edges in the union graph.
-func (s *Space) Edges() int { return len(s.succ) }
+// Edges returns the total number of edges in the union graph; the
+// count outlives Release.
+func (s *Space) Edges() int { return s.edges }
 
-// Node returns the canonical profile with id i. The returned vector
-// aliases the node arena and must not be modified.
+// Node returns the canonical profile with id i, decoded from the id by
+// the rank tables (the inverse of Index on canonical profiles). The
+// vector is fresh and belongs to the caller.
 func (s *Space) Node(i int) resource.Vec {
-	return resource.Vec(s.vals[i*s.dims : (i+1)*s.dims : (i+1)*s.dims])
+	if i < 0 || i >= s.n {
+		panic(fmt.Sprintf("lattice: Node(%d) outside [0, %d)", i, s.n))
+	}
+	v := make(resource.Vec, s.dims)
+	for gi := range s.rank.groups {
+		g := &s.rank.groups[gi]
+		g.unrank(i/g.radix%g.count, v[g.lo:g.hi])
+	}
+	return v
+}
+
+// row is node i's profile in the arena, aliased: build-time only.
+func (s *Space) row(i int) []int { return s.vals[i*s.dims : (i+1)*s.dims] }
+
+// buildOnly panics when Release already dropped the state method reads.
+func (s *Space) buildOnly(method string) {
+	if s.released {
+		panic("lattice: Space." + method + " after Release: it reads build-time state that Release dropped")
+	}
 }
 
 // Succ returns the successor node ids of node i. The returned slice
-// aliases the CSR arena and must not be modified.
-func (s *Space) Succ(i int) []int32 { return s.succ[s.succOff[i]:s.succOff[i+1]] }
+// aliases the CSR arena and must not be modified. Build-only: it panics
+// after Release.
+func (s *Space) Succ(i int) []int32 {
+	s.buildOnly("Succ")
+	return s.succ[s.succOff[i]:s.succOff[i+1]]
+}
 
-// SuccOffsets returns the CSR offsets arena (length Len()+1). Read-only.
-func (s *Space) SuccOffsets() []int32 { return s.succOff }
+// SuccOffsets returns the CSR offsets arena (length Len()+1). Read-only
+// and build-only: it panics after Release.
+func (s *Space) SuccOffsets() []int32 {
+	s.buildOnly("SuccOffsets")
+	return s.succOff
+}
 
-// SuccArena returns the CSR edge arena. Read-only.
-func (s *Space) SuccArena() []int32 { return s.succ }
+// SuccArena returns the CSR edge arena. Read-only and build-only: it
+// panics after Release.
+func (s *Space) SuccArena() []int32 {
+	s.buildOnly("SuccArena")
+	return s.succ
+}
 
 // NumTypes returns the number of active (wired) VM types.
 func (s *Space) NumTypes() int { return len(s.types) }
@@ -607,14 +646,23 @@ func (s *Space) TypeIndex(name string) int {
 
 // HasTyped reports whether the space holds typed successor lists: they
 // are declined above maxTypedEntries and maxTypedDims, and gone after
-// ReleaseTyped.
+// Release.
 func (s *Space) HasTyped() bool { return s.chunks != nil }
 
-// ReleaseTyped drops the typed successor lists, returning the wiring
-// chunks that hold them to the pool. They exist to be reduced once
-// (ranktable keeps the winning move per node and type); the owner
-// calls this before sharing the space with other goroutines.
-func (s *Space) ReleaseTyped() {
+// Release drops the build-time state once the space has been ranked and
+// its typed lists reduced (ranktable keeps the scores and the winning
+// move per node and type): the wiring chunks go back to the pool, and
+// the union CSR and the node arena are freed. Len, Edges, Index, Node
+// and the type accessors keep working; Succ, SuccOffsets, SuccArena,
+// Terminals, Utils and VisitTyped panic. The owner calls it once,
+// before sharing the space with other goroutines.
+func (s *Space) Release() {
+	s.releaseChunks()
+	s.vals, s.succOff, s.succ = nil, nil, nil
+	s.released = true
+}
+
+func (s *Space) releaseChunks() {
 	for _, ch := range s.chunks {
 		wireChunkPool.Put(ch)
 	}
@@ -634,8 +682,10 @@ func (s *Space) TypeClass(t int) int { return int(s.classOf[t]) }
 // wiring chunks are visited concurrently, by as many workers as wired
 // them, so fn must write only state owned by node i. The slices alias
 // pooled buffers: read-only, and valid only during the call. It does
-// nothing once HasTyped is false.
+// nothing when the lattice declined typed lists. Build-only: it panics
+// after Release.
 func (s *Space) VisitTyped(fn func(i, k int, succ []int32, dims []uint8)) {
+	s.buildOnly("VisitTyped")
 	parallelChunks(s.workers, len(s.chunks), func(_, ci int) {
 		ch := s.chunks[ci]
 		for k, stride := range s.stride {
@@ -680,18 +730,21 @@ func (s *Space) Index(v resource.Vec) int {
 }
 
 // Utils returns the aggregate utilization of every node, indexed by
-// node id.
+// node id. Build-only: it panics after Release.
 func (s *Space) Utils() []float64 {
+	s.buildOnly("Utils")
 	out := make([]float64, s.n)
 	for i := 0; i < s.n; i++ {
-		out[i] = s.shape.Util(s.Node(i))
+		out[i] = s.shape.Util(s.row(i))
 	}
 	return out
 }
 
 // Terminals returns the ids of nodes with no outgoing edges (profiles
-// that cannot accommodate any VM from the set).
+// that cannot accommodate any VM from the set). Build-only: it panics
+// after Release.
 func (s *Space) Terminals() []int {
+	s.buildOnly("Terminals")
 	var out []int
 	for i := 0; i < s.n; i++ {
 		if s.succOff[i] == s.succOff[i+1] {

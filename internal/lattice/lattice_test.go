@@ -242,11 +242,101 @@ func TestDemandClasses(t *testing.T) {
 	if got, want := visits.Load(), int64(s.Len()*5); got != want {
 		t.Fatalf("VisitTyped made %d calls, want one per node and class: %d", got, want)
 	}
-	s.ReleaseTyped()
+	s.Release()
 	if s.HasTyped() {
-		t.Fatal("typed lists held after ReleaseTyped")
+		t.Fatal("typed lists held after Release")
 	}
-	s.VisitTyped(func(int, int, []int32, []uint8) { t.Fatal("VisitTyped called back after ReleaseTyped") })
+	mustPanic(t, "VisitTyped", func() {
+		s.VisitTyped(func(int, int, []int32, []uint8) { t.Fatal("VisitTyped called back after Release") })
+	})
+}
+
+// mustPanic fails unless fn panics.
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s after Release did not panic", name)
+		}
+	}()
+	fn()
+}
+
+// TestNodeDecodesIDs: Node decodes every id back to the profile the
+// build enumerated into the arena, Index inverts it, and both survive
+// Release — which drops the arena and the union CSR, keeps the edge
+// count, and makes the build-only methods panic. The shapes are the
+// catalog's disk group (52 360 profiles), its CPU group and a
+// three-group shape with a one-dimension group between two others.
+func TestNodeDecodesIDs(t *testing.T) {
+	cpu := []resource.VMType{
+		resource.NewVMType("m3.medium", resource.Demand{Group: "cpu", Units: []int{1}}),
+		resource.NewVMType("m3.xlarge", resource.Demand{Group: "cpu", Units: []int{1, 1, 1, 1}}),
+	}
+	multi := []resource.VMType{
+		resource.NewVMType("t",
+			resource.Demand{Group: "cpu", Units: []int{1, 1}},
+			resource.Demand{Group: "mem", Units: []int{2}},
+			resource.Demand{Group: "disk", Units: []int{3, 1}},
+		),
+	}
+	for _, tc := range []struct {
+		name  string
+		shape *resource.Shape
+		types []resource.VMType
+		n     int
+	}{
+		{"disk", resource.MustShape(resource.Group{Name: "disk", Dims: 4, Cap: 31}), diskTypes(), 52360},
+		{"cpu", resource.MustShape(resource.Group{Name: "cpu", Dims: 8, Cap: 4}), cpu, 495},
+		{"multi", resource.MustShape(
+			resource.Group{Name: "cpu", Dims: 3, Cap: 4},
+			resource.Group{Name: "mem", Dims: 1, Cap: 5},
+			resource.Group{Name: "disk", Dims: 2, Cap: 6},
+		), multi, 35 * 6 * 28},
+	} {
+		s, err := New(tc.shape, tc.types)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != tc.n {
+			t.Fatalf("%s: %d profiles, want %d", tc.name, s.Len(), tc.n)
+		}
+		arena := append([]int(nil), s.vals...)
+		edges := s.Edges()
+		if edges != len(s.succ) || edges == 0 {
+			t.Fatalf("%s: Edges = %d, CSR holds %d", tc.name, edges, len(s.succ))
+		}
+		check := func(when string) {
+			for i := 0; i < s.Len(); i++ {
+				v := s.Node(i)
+				if !v.Equal(resource.Vec(arena[i*s.dims : (i+1)*s.dims])) {
+					t.Fatalf("%s %s: Node(%d) = %v, arena row %v", tc.name, when, i, v, arena[i*s.dims:(i+1)*s.dims])
+				}
+				if got := s.Index(v); got != i {
+					t.Fatalf("%s %s: Index(Node(%d)) = %d", tc.name, when, i, got)
+				}
+			}
+		}
+		check("before Release")
+		v := s.Node(0)
+		v[0] = 1
+		if !s.Node(0).Equal(tc.shape.Zero()) {
+			t.Fatalf("%s: writing to Node's vector changed the space", tc.name)
+		}
+		s.Release()
+		if s.vals != nil || s.succ != nil || s.succOff != nil || s.HasTyped() {
+			t.Fatalf("%s: Release kept the arena, the CSR or the typed lists", tc.name)
+		}
+		if s.Edges() != edges || s.Len() != tc.n {
+			t.Fatalf("%s: after Release Len, Edges = %d, %d; want %d, %d", tc.name, s.Len(), s.Edges(), tc.n, edges)
+		}
+		check("after Release")
+		mustPanic(t, "Succ", func() { s.Succ(0) })
+		mustPanic(t, "SuccOffsets", func() { s.SuccOffsets() })
+		mustPanic(t, "SuccArena", func() { s.SuccArena() })
+		mustPanic(t, "Terminals", func() { s.Terminals() })
+		mustPanic(t, "Utils", func() { s.Utils() })
+	}
 }
 
 // TestSameNameTypes: a name given twice must mean one demand. An exact

@@ -299,7 +299,7 @@ func TestStampWrap(t *testing.T) {
 			t.Fatalf("trial %d: tick %d did not restart", trial, sc.tick)
 		}
 
-		s.ReleaseTyped()
+		s.releaseChunks()
 		s.chunks = []*wireChunk{ch}
 		if !equalEdges(ch.union.succ, s.succ) || !reflect.DeepEqual(decodeTyped(t, s), want) {
 			t.Fatalf("trial %d: wiring across the stamp wrap differs from a fresh build", trial)

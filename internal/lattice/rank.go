@@ -92,6 +92,24 @@ func (g *groupRank) rankSorted(v []int) int {
 	return r
 }
 
+// unrank writes the sorted group sequence of rank r into v, whose
+// length is the group's width: the inverse of rankSorted. Each position
+// takes the largest value whose count of skipped sequences still fits
+// in what is left of r.
+func (g *groupRank) unrank(r int, v []int) {
+	stride := g.capU + 1
+	prev, row := 0, (len(v)-1)*stride
+	for k := range v {
+		base, val := g.pref[row+prev], prev
+		for val < g.capU && g.pref[row+val+1]-base <= r {
+			val++
+		}
+		r -= g.pref[row+val] - base
+		v[k], prev = val, val
+		row -= stride
+	}
+}
+
 // insertionSort sorts a small int slice ascending — group widths are
 // single digits, where insertion sort beats sort.Ints and, unlike it,
 // does not box its argument into an interface.

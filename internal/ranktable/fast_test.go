@@ -399,9 +399,7 @@ func TestWinnerTableMatchesEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if joint.space.HasTyped() {
-			t.Fatalf("trial %d: the built table still holds the typed successor lists", trial)
-		}
+		checkReleased(t, "built", joint)
 		var ids []int32
 		for _, fr := range []FastRanker{joint, factored} {
 			if !fr.Fast() {

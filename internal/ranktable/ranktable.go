@@ -56,7 +56,7 @@ type BuildStats struct {
 type Table struct {
 	shape *resource.Shape
 	ids   []float64      // score by node id
-	space *lattice.Space // the lattice the ids index; its typed lists are released
+	space *lattice.Space // the lattice the ids index; released: it indexes and decodes profiles, no more
 	stats BuildStats
 
 	// The winner-only move table (buildBest): best holds the argmax per
@@ -251,19 +251,20 @@ func fromSpace(space *lattice.Space, opts Options) (*Table, error) {
 		},
 	}
 	t.buildBest()
+	space.Release()
 	return t, nil
 }
 
 // buildBest reduces the lattice's typed successor lists to the move
 // table — for every (node, active VM type) pair the argmax of the
-// id-indexed scores and the dimensions that edge assigned — and then
-// releases the lists: Algorithm 2 only ever materializes the winner.
+// id-indexed scores and the dimensions that edge assigned: Algorithm 2
+// only ever materializes the winner.
 // Ties keep the first maximum in enumeration order — the same winner a
 // linear scan over resource.Placements picks. Each (node, demand class)
 // list is reduced once, inside the wiring chunk that holds it and in
 // parallel with the other chunks, and its move written to every type
 // of the class. It runs inside the build (and inside LoadTable),
-// before the table can be shared.
+// before the table can be shared; the caller then releases the space.
 func (t *Table) buildBest() {
 	sp := t.space
 	if !sp.HasTyped() {
@@ -299,7 +300,6 @@ func (t *Table) buildBest() {
 			}
 		}
 	})
-	sp.ReleaseTyped()
 }
 
 // Shape returns the PM shape of the table.
@@ -334,7 +334,7 @@ type Entry struct {
 func (t *Table) Top(n int) []Entry {
 	entries := make([]Entry, 0, t.space.Len())
 	for i := 0; i < t.space.Len(); i++ {
-		entries = append(entries, Entry{Profile: t.space.Node(i).Clone(), Score: t.ids[i]})
+		entries = append(entries, Entry{Profile: t.space.Node(i), Score: t.ids[i]})
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].Score > entries[j].Score {

@@ -5,9 +5,13 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"pagerankvm/internal/lattice"
+	"pagerankvm/internal/pagerank"
 	"pagerankvm/internal/resource"
 )
 
@@ -398,9 +402,7 @@ func FuzzLoadTable(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if table.space.HasTyped() {
-			t.Fatal("loaded table still holds the build-time typed successor lists")
-		}
+		checkReleased(t, "loaded", table)
 		var first, second bytes.Buffer
 		if err := table.Save(&first); err != nil {
 			t.Fatal(err)
@@ -448,4 +450,120 @@ func TestTopOrdering(t *testing.T) {
 			t.Fatalf("Top not sorted at %d", i)
 		}
 	}
+}
+
+// checkReleased fails unless the table's lattice has dropped its
+// build-time state — typed lists, union CSR, node arena — so that its
+// build-only methods panic.
+func checkReleased(t *testing.T, name string, tb *Table) {
+	t.Helper()
+	if tb.space.HasTyped() {
+		t.Fatalf("%s table still holds the typed successor lists", name)
+	}
+	for _, m := range []struct {
+		name string
+		call func()
+	}{
+		{"SuccArena", func() { tb.space.SuccArena() }},
+		{"SuccOffsets", func() { tb.space.SuccOffsets() }},
+		{"Utils", func() { tb.space.Utils() }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s table: Space.%s did not panic, so the CSR or the node arena is still held", name, m.name)
+				}
+			}()
+			m.call()
+		}()
+	}
+}
+
+// TestReleasedTablesAnswerAsBuilt: a built table, a LoadTable'd one and
+// one more Save→LoadTable round trip hold no CSR, no arena and no typed
+// lists, and still answer Score, BestMove, Materialize and Top exactly
+// as a lattice that keeps them all: scores bit for bit against the
+// absorption values over a fresh space's CSR, moves against
+// resource.Placements, Top against the fresh space's profiles.
+func TestReleasedTablesAnswerAsBuilt(t *testing.T) {
+	paper := resource.MustShape(resource.Group{Name: "cpu", Dims: 4, Cap: 4})
+	for _, tc := range []struct {
+		shape *resource.Shape
+		types []resource.VMType
+	}{
+		{paper, append(paperVMTypes(), resource.NewVMType("[2]", resource.Demand{Group: "cpu", Units: []int{2}}))},
+		{multiGroupShape(), multiGroupTypes()},
+	} {
+		ref, err := lattice.New(tc.shape, tc.types)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scores, err := pagerank.AbsorptionValuesCSR(pagerank.CSR{Offsets: ref.SuccOffsets(), Edges: ref.SuccArena()},
+			ref.Utils(), pagerank.DefaultDamping, DefaultRewardExponent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Entry
+		for i := 0; i < ref.Len(); i++ {
+			want = append(want, Entry{Profile: ref.Node(i), Score: scores[i]})
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Score != want[j].Score {
+				return want[i].Score > want[j].Score
+			}
+			return want[i].Profile.String() < want[j].Profile.String()
+		})
+
+		built, err := NewJoint(tc.shape, tc.types, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded := saveLoad(t, built)
+		tables := []*Table{built, loaded, saveLoad(t, loaded)}
+		profiles := latticeProfiles(t, tc.shape)
+		for k, tb := range tables {
+			name := []string{"built", "loaded", "reloaded"}[k]
+			checkReleased(t, name, tb)
+			top := tb.Top(0)
+			for i, e := range want {
+				if got := top[i]; !got.Profile.Equal(e.Profile) || math.Float64bits(got.Score) != math.Float64bits(e.Score) {
+					t.Fatalf("%s %v: Top[%d] = %v, want %v", name, tc.shape, i, got, e)
+				}
+			}
+			for _, p := range profiles {
+				got, ok := tb.Score(p)
+				if id := ref.Index(p); !ok || math.Float64bits(got) != math.Float64bits(scores[id]) {
+					t.Fatalf("%s %v: Score(%v) = %v,%v, want %v", name, tc.shape, p, got, ok, scores[id])
+				}
+			}
+			checkFastAgainstEnumeration(t, tb, tc.shape, tc.types, profiles)
+			for id := int32(0); k > 0 && int(id) < built.Len(); id++ {
+				for _, vt := range tc.types {
+					bref, _ := built.ResolveType(vt)
+					lref, _ := tb.ResolveType(vt)
+					bs, bc, bok := built.BestMove([]int32{id}, bref)
+					ls, lc, lok := tb.BestMove([]int32{id}, lref)
+					bm, _ := built.Materialize([]int32{id}, bref)
+					lm, _ := tb.Materialize([]int32{id}, lref)
+					if bok != lok || bc != lc || math.Float64bits(bs) != math.Float64bits(ls) || !reflect.DeepEqual(bm, lm) {
+						t.Fatalf("%s %v: node %d type %s: move %v %v of %d, built %v %v of %d", name, tc.shape, id, vt.Name, lm, ls, lc, bm, bs, bc)
+					}
+				}
+			}
+		}
+	}
+}
+
+// saveLoad returns tb read back from its own Save.
+func saveLoad(t *testing.T, tb *Table) *Table {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tb.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out, err := LoadTable(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

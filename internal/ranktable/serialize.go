@@ -90,6 +90,7 @@ func LoadTable(r io.Reader) (*Table, error) {
 	}
 	t := &Table{shape: shape, ids: wire.Scores, space: space, stats: wire.Stats}
 	t.buildBest()
+	space.Release()
 	return t, nil
 }
 

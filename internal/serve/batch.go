@@ -27,10 +27,13 @@ type placeResult struct {
 	err error
 }
 
-// submitPlace places vm on the caller's goroutine: the home shard
-// first, then each next shard in ring order while none has capacity,
-// one shard lock at a time, and then the barrier. exclude bars a PM —
-// an evict's source — from being chosen.
+// submitPlace places vm on the caller's goroutine. It first claims the
+// id in the VM directory — a placed VM is answered as a duplicate, and
+// a place of the id already in flight is waited out — then tries the
+// home shard, then each next shard in ring order while none has
+// capacity, one shard lock at a time, and then passes the barrier. A
+// place that commits nothing drops its claim. exclude bars a PM — an
+// evict's source — from being chosen.
 func (s *Server) submitPlace(vm *placement.VM, exclude *placement.PM) placeResult {
 	start := time.Now()
 	home := s.vmShard(vm.ID)
@@ -39,10 +42,18 @@ func (s *Server) submitPlace(vm *placement.VM, exclude *placement.PM) placeResul
 	if inflight.Add(1) > queueDepth {
 		return placeResult{err: errOverloaded}
 	}
+	if e, dup := s.loc.claim(vm.ID); dup {
+		s.met.placeDups.Inc()
+		s.met.placeSecs.Observe(time.Since(start).Seconds())
+		return placeResult{PlaceResponse: PlaceResponse{VM: vm.ID, PM: e.pm, Duplicate: true, Seq: -1}}
+	}
 	var res placeResult
 	for i := range s.shards {
 		if i > 0 {
 			s.met.forwards.Inc() // the previous shard had no room
+			if s.betweenVisits != nil {
+				s.betweenVisits()
+			}
 		}
 		sh := s.shards[(home+i)%len(s.shards)]
 		sh.mu.Lock()
@@ -52,28 +63,24 @@ func (s *Server) submitPlace(vm *placement.VM, exclude *placement.PM) placeResul
 			break
 		}
 	}
-	switch {
-	case errors.Is(res.err, placement.ErrNoCapacity):
-		s.met.placeRejs.Inc()
-	case res.err == nil && !res.Duplicate:
-		if err := s.barrier(); err != nil {
-			// The op may not be durable; do not acknowledge it.
-			res = placeResult{err: err}
+	if res.err != nil {
+		s.loc.unclaim(vm.ID) // no shard committed the place
+		if errors.Is(res.err, placement.ErrNoCapacity) {
+			s.met.placeRejs.Inc()
 		}
+	} else if err := s.barrier(); err != nil {
+		// The op may not be durable; do not acknowledge it.
+		res = placeResult{err: err}
 	}
 	s.met.placeSecs.Observe(time.Since(start).Seconds())
 	return res
 }
 
-// placeLocked handles one placement under sh.mu: duplicate check,
-// placer decision, commit. Committing inside the critical section keeps
-// the WAL's per-PM op order equal to the apply order — the invariant
-// replay relies on.
+// placeLocked handles one placement of a claimed id under sh.mu: placer
+// decision, commit. Committing inside the critical section keeps the
+// WAL's per-PM op order equal to the apply order — the invariant replay
+// relies on.
 func (s *Server) placeLocked(sh *shard, vm *placement.VM, exclude *placement.PM) placeResult {
-	if e, ok := s.loc.load(vm.ID); ok {
-		s.met.placeDups.Inc()
-		return placeResult{PlaceResponse: PlaceResponse{VM: vm.ID, PM: e.pm, Duplicate: true, Seq: -1}}
-	}
 	pm, assign, err := sh.placer.Place(sh.cluster, vm, exclude)
 	if err != nil {
 		return placeResult{err: err}

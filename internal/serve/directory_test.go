@@ -9,10 +9,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"pagerankvm/internal/placement"
 )
 
 // checkDirectory fails unless the VM directory is exactly the clusters'
@@ -158,6 +162,119 @@ func TestForwardedDuplicatesOneWinner(t *testing.T) {
 		t.Fatalf("vm %d landed on its full home shard", id)
 	}
 	checkDirectory(t, s)
+}
+
+// Two places of one id, A forwarded off its full home shard and B
+// placed on it once a release made room, used to pass their duplicate
+// checks under two different shard locks and both commit: the VM was
+// acked on two shards, and the next restart refused the state. The seam
+// between A's shard visits frees the room and starts B, and the test
+// holds the directory lock until both racers wait on it — each then
+// inside the check-to-commit span it used to leave unordered. Exactly
+// one place must win, the other naming its PM as a duplicate.
+func TestRacingPlacesAcrossShards(t *testing.T) {
+	s := newTestServer(t, "", 2, 3)
+	defer func() { _ = s.Close() }()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	spilled, _ := forwardedIDs(t, s, ts, 1)
+	victim := -1
+	for vm, e := range s.loc.m {
+		if e.shard == 0 && (victim < 0 || vm < victim) {
+			victim = vm
+		}
+	}
+	id := spilled[0] + 1
+	for s.vmShard(id) != 0 {
+		id++
+	}
+	cat, _ := testEnv(t)
+	newVM := func() *placement.VM {
+		vm, err := cat.NewVM(id, "m3.2xlarge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vm
+	}
+	vmA, vmB := newVM(), newVM()
+
+	var (
+		once       sync.Once
+		resA, resB placeResult
+		locked     = make(chan struct{})
+		doneB      = make(chan struct{})
+	)
+	s.betweenVisits = func() {
+		once.Do(func() {
+			if _, _, err := s.release(victim); err != nil {
+				t.Errorf("release vm %d: %v", victim, err)
+			}
+			s.loc.mu.Lock()
+			close(locked)
+			go func() {
+				defer close(doneB)
+				resB = s.submitPlace(vmB, nil)
+			}()
+		})
+	}
+	doneA := make(chan struct{})
+	go func() {
+		defer close(doneA)
+		resA = s.submitPlace(vmA, nil)
+	}()
+	if !racersBlocked(2) {
+		select {
+		case <-locked:
+			s.loc.mu.Unlock()
+		default:
+		}
+		t.Fatal("the racers never both waited on the directory lock")
+	}
+	s.loc.mu.Unlock()
+	<-doneA
+	<-doneB
+
+	hosts := 0
+	for _, sh := range s.shards {
+		if _, ok := sh.cluster.Locate(id); ok {
+			hosts++
+		}
+	}
+	if hosts != 1 {
+		t.Fatalf("vm %d is hosted on %d shards (A: %+v %v, B: %+v %v)", id, hosts, resA.PlaceResponse, resA.err, resB.PlaceResponse, resB.err)
+	}
+	if resA.err != nil || resB.err != nil || resA.Duplicate == resB.Duplicate || resA.PM != resB.PM {
+		t.Fatalf("racers answered A: %+v %v, B: %+v %v; want one winner and one duplicate naming its pm",
+			resA.PlaceResponse, resA.err, resB.PlaceResponse, resB.err)
+	}
+	checkDirectory(t, s)
+}
+
+// racersBlocked reports, within a minute, that n goroutines inside
+// submitPlace are parked on a lock — the directory lock the caller
+// holds, the only one contended there.
+func racersBlocked(n int) bool {
+	buf := make([]byte, 1<<20)
+	for start := time.Now(); time.Since(start) < time.Minute; runtime.Gosched() {
+		k := runtime.Stack(buf, true)
+		if k == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		blocked := 0
+		for _, g := range strings.Split(string(buf[:k]), "\n\n") {
+			status, _, _ := strings.Cut(g[strings.IndexByte(g, '[')+1:], "]")
+			// A second writer waits on the RWMutex's inner Mutex.
+			parked := strings.HasPrefix(status, "sync.RWMutex.") || strings.HasPrefix(status, "sync.Mutex.Lock")
+			if parked && strings.Contains(g, "(*Server).submitPlace") {
+				blocked++
+			}
+		}
+		if blocked == n {
+			return true
+		}
+	}
+	return false
 }
 
 // snapshotBytes runs a small 2-shard server over 2 PMs per type, places

@@ -13,7 +13,9 @@
 // shards in ring order are tried, one lock at a time. A VM therefore
 // need not live on its home shard: one VM directory, a plain map behind
 // a read-write mutex written only where state changes, tells the
-// duplicate check and release routing which shard holds it.
+// duplicate check and release routing which shard holds it. A place
+// claims its VM id in the directory before the ring walk, so two
+// places of one id never commit on two shards.
 //
 // Durability model. Every accepted mutation is appended to a WAL — an
 // ordinary internal/obs/record recording whose entries are record.Op
@@ -105,11 +107,46 @@ type locEntry struct {
 // the clusters. It is written only by commit and the descheduler's
 // OnMove hook, both under the lock of the shard the write concerns
 // (lock order shard.mu -> directory.mu), and by recovery's rebuild; it
-// is read lock-free of shards by the duplicate check and release
-// routing.
+// is read lock-free of shards by release routing.
+//
+// It also holds the claims of the places in flight: the duplicate check
+// is claim, under the directory lock and before any shard lock, and a
+// claim lasts until the place commits (store) or fails (unclaim). So
+// the check and the commit are one decision per VM id, whichever shards
+// the place visits on its way.
 type directory struct {
 	mu sync.RWMutex
 	m  map[int]locEntry
+	// claims holds the ids a place is in flight for; settled, whose L is
+	// &mu, wakes the places waiting for one to end.
+	claims  map[int]struct{}
+	settled sync.Cond
+}
+
+// claim reports where vm lives when it is placed. Otherwise it records
+// a claim on the id for the caller's place, after waiting out any place
+// of the id already in flight.
+func (d *directory) claim(vm int) (locEntry, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for {
+		if e, ok := d.m[vm]; ok {
+			return e, true
+		}
+		if _, held := d.claims[vm]; !held {
+			d.claims[vm] = struct{}{}
+			return locEntry{}, false
+		}
+		d.settled.Wait()
+	}
+}
+
+// unclaim ends the claim of a place that committed nothing.
+func (d *directory) unclaim(vm int) {
+	d.mu.Lock()
+	delete(d.claims, vm)
+	d.mu.Unlock()
+	d.settled.Broadcast()
 }
 
 func (d *directory) load(vm int) (locEntry, bool) {
@@ -119,10 +156,13 @@ func (d *directory) load(vm int) (locEntry, bool) {
 	return e, ok
 }
 
+// store records where vm lives; a place's store ends its claim.
 func (d *directory) store(vm int, e locEntry) {
 	d.mu.Lock()
 	d.m[vm] = e
+	delete(d.claims, vm)
 	d.mu.Unlock()
+	d.settled.Broadcast()
 }
 
 func (d *directory) delete(vm int) {
@@ -133,8 +173,9 @@ func (d *directory) delete(vm int) {
 
 // rebuild replaces the directory with the clusters' view; recovery runs
 // alone. A VM hosted by two shards is corrupt durable state — no live
-// path places one, and the directory could route to only one of them —
-// so it is an error naming both hosts.
+// path places one, since a place claims its id first, and the
+// directory could route to only one of them — so it is an error naming
+// both hosts.
 func (d *directory) rebuild(shards []*shard) error {
 	n := 0
 	for _, sh := range shards {
@@ -222,6 +263,11 @@ type Server struct {
 	snapCh       chan struct{}
 
 	recovered RecoveryInfo
+
+	// betweenVisits, when set, runs after a shard visit of the ring walk
+	// found no capacity and before the next: a test-only seam that fixes
+	// an interleaving of racing places. Nil in service.
+	betweenVisits func()
 }
 
 // RecoveryInfo summarizes what New reconstructed from DataDir.
@@ -268,7 +314,9 @@ func New(cfg Config) (*Server, error) {
 		cfg.SnapshotEvery = 65536
 	}
 
-	s := &Server{cfg: cfg, loc: directory{m: make(map[int]locEntry)}, stop: make(chan struct{}), snapCh: make(chan struct{}, 1)}
+	s := &Server{cfg: cfg, stop: make(chan struct{}), snapCh: make(chan struct{}, 1)}
+	s.loc.m, s.loc.claims = make(map[int]locEntry), make(map[int]struct{})
+	s.loc.settled.L = &s.loc.mu
 	s.initMetrics(cfg.Obs)
 
 	// Partition the inventory. Within a shard, PMs keep inventory order
